@@ -11,34 +11,24 @@ closures coincide for that structure.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import distributions as dist
 from .causal import (CausalStructure, build_post_selected_line,
                      observed_independence_constraints)
-from .entropy_space import (CoordinateIndex, _clear_denominators,
-                            contiguous_decomposition_equalities, elemental_shannon_system,
-                            classical_ci_system, lift_block_vector, reduced_line_system,
-                            substitute_contiguous, system_rows)
+from .entropy_space import (CoordinateIndex, contiguous_decomposition_equalities,
+                            elemental_shannon_system, classical_ci_system, lift_block_vector,
+                            reduced_line_system, substitute_contiguous, system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
-from .polyhedra import (HRep, VRep, dd_project, enumerate_rays, extremalize,
+from .polyhedra import (HRep, VRep, _row_text, dd_project, enumerate_rays, extremalize,
                         facets_from_rays, fm_eliminate, membership, primitive,
                         reduce_mod_span, rref)
 from ._simplex import conic_combination
 
 DEFAULT_TOLERANCE = 1e-9
 NODE_GUARD = 6
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("ENTROCONE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -77,7 +67,7 @@ def _independence_equalities_rows(structure: CausalStructure, index: CoordinateI
     rows = []
     for form in forms:
         try:
-            rows.append(_clear_denominators(form.row(index)))
+            rows.append(primitive(form.row(index)))
         except InvalidParameter:
             continue  # not expressible in a restricted scenario index
     return rows
@@ -166,7 +156,7 @@ def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeR
     lifted = tuple(lift_block_vector(ray, n) for ray in block_v.rays)
 
     eq_forms = contiguous_decomposition_equalities(n)
-    eq_rows = tuple(_clear_denominators(f.row(index)) for f in eq_forms)
+    eq_rows = tuple(primitive(f.row(index)) for f in eq_forms)
     _, ineq_rows = system_rows(reduced)
     hrep = HRep(len(index), eq_rows, tuple(ineq_rows), labels=index.labels)
     vrep = VRep(len(index), tuple(sorted(lifted)), (), labels=index.labels)
@@ -174,39 +164,19 @@ def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeR
     observed = [f"X{k}" for k in range(1, n + 1)]
     models = dist.line_witness_models(n)
 
-    def witness_entry(key: tuple[int, int]) -> tuple[tuple[int, int], dict]:
-        model = models[key]
-        joint = dist.compile_model(model).marginal(observed)
-        vector = dist.entropy_vector(joint, index)
-        snapped = vector.snapped(tolerance)
-        entry = {
-            "i": key[0],
-            "j": key[1],
-            "vector": snapped,
-            "float_vector": vector.values,
-        }
-        return key, entry
-
-    cap = _thread_cap()
-    keys = sorted(models)
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            entries = dict(pool.map(witness_entry, keys))
-    else:
-        entries = dict(witness_entry(k) for k in keys)
-
     ray_to_witness: dict[tuple[int, ...], dict] = {}
     tight = len(lifted) == len(models)
     notes: list[str] = []
     used_rays: set[tuple[int, ...]] = set()
-    for key in keys:
-        entry = entries[key]
-        snapped = entry["vector"]
+    for key in sorted(models):
+        joint = dist.compile_model(models[key]).marginal(observed)
+        vector = dist.entropy_vector(joint, index)
+        snapped = vector.snapped(tolerance)
         if snapped is None:
             tight = False
             notes.append(f"witness {key} entropy vector is not near-integer")
             continue
-        ray = primitive(snapped) if any(snapped) else tuple(snapped)
+        ray = primitive(snapped)
         if ray not in lifted:
             tight = False
             notes.append(f"witness {key} does not lie on an extremal ray")
@@ -220,13 +190,12 @@ def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeR
             notes.append(f"witness {key} leaves the outer cone")
             continue
         positive = [f for f in reduced.inequalities
-                    if f.evaluate(entry["float_vector"], index) > tolerance]
+                    if f.evaluate(vector.values, index) > tolerance]
         if len(positive) != 1:
             tight = False
             notes.append(f"witness {key} has {len(positive)} strictly positive forms")
         used_rays.add(ray)
-        ray_to_witness[ray] = {"i": entry["i"], "j": entry["j"], "n": n,
-                               "vector": list(snapped)}
+        ray_to_witness[ray] = {"i": key[0], "j": key[1], "n": n, "vector": list(snapped)}
     if len(used_rays) != len(lifted):
         tight = False
         notes.append("not every extremal ray is achieved by a witness")
@@ -425,17 +394,6 @@ def split_generated_rays(tolerance: float = DEFAULT_TOLERANCE) -> VRep:
 # -- report rendering -----------------------------------------------------------
 
 
-def _row_label_text(row: Sequence[int], labels: Sequence[str]) -> str:
-    parts = []
-    for coeff, label in zip(row, labels):
-        if coeff == 0:
-            continue
-        sign = "+" if coeff > 0 else "-"
-        mag = abs(coeff)
-        parts.append(f"{sign}{'' if mag == 1 else str(mag) + '*'}{label}")
-    return "".join(parts) if parts else "0"
-
-
 def report_to_text(report: ConeReport, include_timing: bool = False) -> str:
     labels = report.index.labels
     lines = [f"structure: {report.structure_name}",
@@ -446,13 +404,13 @@ def report_to_text(report: ConeReport, include_timing: bool = False) -> str:
     if report.hrep.equalities:
         lines.append(f"equalities ({len(report.hrep.equalities)}):")
         for row in report.hrep.equalities:
-            lines.append(f"  {_row_label_text(row, labels)} == 0")
+            lines.append(f"  {_row_text(row, labels)} == 0")
     lines.append(f"inequalities ({len(report.hrep.inequalities)}):")
     for row in report.hrep.inequalities:
-        lines.append(f"  {_row_label_text(row, labels)} >= 0")
+        lines.append(f"  {_row_text(row, labels)} >= 0")
     lines.append(f"extremal rays ({len(report.vrep.rays)}):")
     for pos, ray in enumerate(report.vrep.rays, 1):
-        entry = f"  ({_roman(pos)}) " + " ".join(str(v) for v in ray)
+        entry = f"  ({_roman(pos)}) {_row_text(ray, None)}"
         witness = report.witnesses.get(ray)
         if witness is not None:
             entry += f"   <- witness i={witness['i']} j={witness['j']}"
@@ -460,7 +418,7 @@ def report_to_text(report: ConeReport, include_timing: bool = False) -> str:
     if report.vrep.lineality:
         lines.append(f"lineality ({len(report.vrep.lineality)}):")
         for row in report.vrep.lineality:
-            lines.append("  " + " ".join(str(v) for v in row))
+            lines.append(f"  {_row_text(row, None)}")
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"verdict: {report.verdict}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -94,17 +95,26 @@ def _emit_rep(rep: HRep | VRep, args: argparse.Namespace) -> None:
     print(rep_to_json(rep) if args.format == "json" else rep_to_text(rep))
 
 
+def _line_size(selector: str) -> int:
+    if selector.startswith("pn:"):
+        try:
+            return int(selector[3:])
+        except ValueError:
+            pass
+    raise InvalidParameter(f"verify expects a line structure selector pn:<n>, not {selector!r}")
+
+
 def _run(args: argparse.Namespace) -> int:
+    if not 0 <= args.tolerance < math.inf:  # also refuses NaN
+        raise InvalidParameter(f"--tolerance must be a finite number >= 0, not {args.tolerance}")
     if args.command == "outer":
         report = analysis.observed_outer_cone(_load_structure(args.structure),
                                               name=args.structure)
         _emit_report(report, args)
         return 0
     if args.command == "verify":
-        if not args.structure.startswith("pn:"):
-            raise InvalidParameter("verify expects a line structure selector pn:<n>")
-        n = int(args.structure.split(":", 1)[1])
-        report = analysis.verify_line_tightness(n, tolerance=args.tolerance)
+        report = analysis.verify_line_tightness(_line_size(args.structure),
+                                                tolerance=args.tolerance)
         _emit_report(report, args)
         return 0 if report.verdict == "tight" else 2
     if args.command == "marginalize":

@@ -16,12 +16,9 @@ from fractions import Fraction
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import InvalidParameter
+from .polyhedra import _row_text, primitive
 
 Relation = Literal[">=", "=="]
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +43,7 @@ class CoordinateIndex:
         n = len(self.variables)
         masks = [m for m in range(1, 1 << n)
                  if self.allowed is None or m in self.allowed]
-        masks.sort(key=lambda m: (_popcount(m), _bit_positions(m)))
+        masks.sort(key=lambda m: (m.bit_count(), _bit_positions(m)))
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "_positions", {m: i for i, m in enumerate(masks)})
 
@@ -117,14 +114,9 @@ class LinearForm:
         return float(sum(float(c) * values[index.position(m)] for m, c in self.coefficients))
 
     def text(self, index: CoordinateIndex) -> str:
-        parts = []
-        for mask, coeff in sorted(self.coefficients, key=lambda mc: index.position(mc[0])):
-            sign = "+" if coeff > 0 else "-"
-            mag = abs(coeff)
-            factor = "" if mag == 1 else f"{mag}*"
-            parts.append(f"{sign}{factor}{index.label(mask)}")
-        rel = ">= 0" if self.relation == ">=" else "== 0"
-        return f"{''.join(parts)} {rel}"
+        terms = sorted(self.coefficients, key=lambda mc: index.position(mc[0]))
+        body = _row_text([c for _, c in terms], [index.label(m) for m, _ in terms])
+        return f"{body} {self.relation} 0"
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,7 @@ def substitute_contiguous(system: ConstraintSystem) -> list[tuple[int, ...]]:
             for block in contiguous_blocks(mask):
                 positions = _bit_positions(block)
                 row[_block_position(n, positions[0], len(positions))] += coeff
-        rows.append(_clear_denominators(row))
+        rows.append(primitive(row))
     return rows
 
 
@@ -350,20 +342,8 @@ def contiguous_decomposition_equalities(n: int) -> tuple[LinearForm, ...]:
     return tuple(forms)
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> tuple[int, ...]:
-    from math import gcd, lcm
-    denom = lcm(*(c.denominator for c in row)) if row else 1
-    ints = [int(c * denom) for c in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def system_rows(system: ConstraintSystem) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Integer equality and inequality rows of a constraint system."""
-    eqs = [_clear_denominators(f.row(system.index)) for f in system.equalities]
-    ineqs = [_clear_denominators(f.row(system.index)) for f in system.inequalities]
+    eqs = [primitive(f.row(system.index)) for f in system.equalities]
+    ineqs = [primitive(f.row(system.index)) for f in system.inequalities]
     return eqs, ineqs

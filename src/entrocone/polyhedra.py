@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ._simplex import conic_combination
@@ -26,17 +26,10 @@ Row = tuple[int, ...]
 
 def primitive(vector: Sequence[int | Fraction]) -> Row:
     """Scale to coprime integers, preserving orientation."""
-    fracs = [Fraction(v) for v in vector]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    denom = lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (denom // v.denominator) for v in vector]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def sign_canonical(vector: Sequence[int]) -> Row:
@@ -224,7 +217,7 @@ def _dd_pointed_with_lineality(dim: int, rows: Sequence[Row]) -> tuple[list[Row]
         for rp, zp, vp in pos:
             for rn, zn, vn in neg:
                 meet = zp & zn
-                if min_common > 0 and _popcount_mask(meet) < min_common:
+                if min_common > 0 and meet.bit_count() < min_common:
                     continue
                 if not _adjacent(meet, zp, zn, all_masks):
                     continue
@@ -233,10 +226,6 @@ def _dd_pointed_with_lineality(dim: int, rows: Sequence[Row]) -> tuple[list[Row]
         rays = [(r, z) for r, z, _ in pos] + zero + list(combined.items())
     ray_vectors = [r for r, _ in rays]
     return ray_vectors, basis
-
-
-def _popcount_mask(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _adjacent(meet: int, zp: int, zn: int, all_masks: Sequence[int]) -> bool:
@@ -313,20 +302,16 @@ def remove_redundancies(h: HRep, certificates: bool = False):
 
 def membership(cone: HRep | VRep, vector: Sequence[int | Fraction]) -> bool:
     """Exact test whether a rational vector lies in the cone."""
-    vec = [Fraction(v) for v in vector]
-    if len(vec) != cone.dimension:
+    if len(vector) != cone.dimension:
         raise InvalidParameter("vector dimension mismatch")
+    # a positive scaling keeps every sign, so the tests run on integers
+    target = primitive(vector)
     if isinstance(cone, HRep):
-        return (all(_dot_frac(row, vec) == 0 for row in cone.equalities)
-                and all(_dot_frac(row, vec) >= 0 for row in cone.inequalities))
-    target = primitive(vec) if any(vec) else tuple([0] * cone.dimension)
+        return (all(dot(row, target) == 0 for row in cone.equalities)
+                and all(dot(row, target) >= 0 for row in cone.inequalities))
     if not any(target):
         return True
     return conic_combination(cone.rays, cone.lineality, target) is not None
-
-
-def _dot_frac(row: Sequence[int], vec: Sequence[Fraction]) -> Fraction:
-    return sum(Fraction(a) * b for a, b in zip(row, vec))
 
 
 def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
@@ -431,13 +416,13 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
             for n in neg:
                 vn = n.vector[c]
                 ancestry = p.ancestry | n.ancestry
-                if _popcount(ancestry) > k_pair + 1:
+                if ancestry.bit_count() > k_pair + 1:
                     continue  # Chernikov count bound: necessarily redundant
                 combo = primitive(tuple(vp * x - vn * y for x, y in zip(n.vector, p.vector)))
                 if not any(combo):
                     continue
                 old = produced.get(combo)
-                if old is None or _popcount(ancestry) < _popcount(old):
+                if old is None or ancestry.bit_count() < old.bit_count():
                     produced[combo] = ancestry
         ineqs = _prune(zero + [_FMRow(v, anc) for v, anc in produced.items()], k_pair)
 
@@ -452,16 +437,12 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     return replace(minimal, labels=out_labels)
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _prune(rows: list[_FMRow], k_pair: int) -> list[_FMRow]:
     # dedupe on primitive vectors, keeping the smallest ancestry
     best: dict[Row, int] = {}
     for r in rows:
         old = best.get(r.vector)
-        if old is None or _popcount(r.ancestry) < _popcount(old):
+        if old is None or r.ancestry.bit_count() < old.bit_count():
             best[r.vector] = r.ancestry
     items = [_FMRow(v, a) for v, a in best.items()]
     # ancestry-superset rule: a row derived from a strict superset of
@@ -533,14 +514,17 @@ def rep_from_json(text: str) -> HRep | VRep:
     kind = data["type"]
     if "dimension" not in data:
         raise InvalidParameter("cone file is missing the 'dimension' field")
-    dim = int(data["dimension"])
+    dim = data["dimension"]
+    if type(dim) is not int:  # bool and float are refused too
+        raise InvalidParameter(f"cone file 'dimension' must be an integer, not {dim!r}")
     labels = tuple(data["coordinates"]) if data.get("coordinates") else None
     def rows(key: str) -> tuple[Row, ...]:
         out = []
         for i, row in enumerate(data.get(key, [])):
-            if not isinstance(row, list) or len(row) != dim:
+            if (not isinstance(row, list) or len(row) != dim
+                    or any(type(v) is not int for v in row)):
                 raise InvalidParameter(f"{key}[{i}] must be a list of {dim} integers")
-            out.append(tuple(int(v) for v in row))
+            out.append(tuple(row))
         return tuple(out)
     if kind == "hrep":
         return HRep(dim, rows("equalities"), rows("inequalities"), labels)
@@ -549,7 +533,8 @@ def rep_from_json(text: str) -> HRep | VRep:
     raise InvalidParameter("cone file 'type' must be 'hrep' or 'vrep'")
 
 
-def _row_text(row: Row, labels: Sequence[str] | None) -> str:
+def _row_text(row: Sequence[int | Fraction], labels: Sequence[str] | None) -> str:
+    """Signed labelled terms such as ``+H(A)-2*H(AB)``; bare numbers without labels."""
     if labels is None:
         return " ".join(str(v) for v in row)
     parts = []
@@ -581,9 +566,9 @@ def rep_to_text(rep: HRep | VRep) -> str:
         if rep.lineality:
             lines.append("LINEALITY_SECTION")
             for i, row in enumerate(rep.lineality, 1):
-                lines.append(f"({i:3d}) " + " ".join(str(v) for v in row))
+                lines.append(f"({i:3d}) {_row_text(row, None)}")
         lines.append("CONE_SECTION")
         for i, row in enumerate(rep.rays, 1):
-            lines.append(f"({i:3d}) " + " ".join(str(v) for v in row))
+            lines.append(f"({i:3d}) {_row_text(row, None)}")
     lines.append("END")
     return "\n".join(lines)

@@ -20,12 +20,11 @@ from entrocone.cli import main as cli_main
 from entrocone.distributions import (CausalModel, bc_functional_variants,
                                      compile_model, entropy_vector,
                                      setting_conditionals)
-from entrocone.entropy_space import (CoordinateIndex, _clear_denominators,
-                                     elemental_shannon_system, reduced_line_system,
-                                     system_rows)
+from entrocone.entropy_space import (CoordinateIndex, elemental_shannon_system,
+                                     reduced_line_system, system_rows)
 from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays,
-                                 facets_from_rays, fm_eliminate, reduce_mod_span,
-                                 rref, sign_canonical)
+                                 facets_from_rays, fm_eliminate, primitive,
+                                 reduce_mod_span, rref, sign_canonical)
 
 from conftest import random_cone_hrep
 from reference_tables import (LINE4_RAYS, POST_SELECTED3_FAMILIES,
@@ -114,7 +113,7 @@ def test_criterion_4_reduction_cone_equivalence(capsys):
         structure = build_line_structure(n)
         observed = structure.observed_ids()
         index = CoordinateIndex(observed)
-        eq_rows = tuple(_clear_denominators(f.row(index))
+        eq_rows = tuple(primitive(f.row(index))
                         for f in observed_independence_constraints(
                             structure, maximal_only=False))
         _, shannon_rows = system_rows(elemental_shannon_system(observed))

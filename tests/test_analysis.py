@@ -169,18 +169,6 @@ class TestPostSelectedCone:
         assert set(fm.rays) == set(dd.rays)
 
 
-class TestConcurrencyKnob:
-    def test_thread_cap_does_not_change_output(self, monkeypatch):
-        base = report_to_json(verify_line_tightness(4))
-        monkeypatch.setenv("ENTROCONE_THREADS", "3")
-        threaded = report_to_json(verify_line_tightness(4))
-        assert threaded == base
-
-    def test_bad_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("ENTROCONE_THREADS", "many")
-        assert verify_line_tightness(2).verdict == "tight"
-
-
 class TestPrintedFamiliesDefineTheCone:
     """Rebuild the marginal cone from the seven reference families alone."""
 

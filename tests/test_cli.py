@@ -59,6 +59,19 @@ class TestVerify:
         assert code == 1
         assert "pn:<n>" in err
 
+    def test_bad_line_size_names_the_selector(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "pn:x")
+        assert code == 1
+        assert out == ""
+        assert "'pn:x'" in err
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_rejected(self, capsys, value):
+        code, out, err = run_cli(capsys, "--tolerance", value, "verify", "pn:2")
+        assert code == 1
+        assert out == ""
+        assert "--tolerance" in err
+
     def test_thin_adapter_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "pn:3")
         data = json.loads(out)

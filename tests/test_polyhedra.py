@@ -1,13 +1,13 @@
 """Exact cone engine: double description, Fourier-Motzkin, conversions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entrocone.causal import build_line_structure, observed_independence_constraints
-from entrocone.entropy_space import (CoordinateIndex, _clear_denominators,
-                                     elemental_shannon_system, system_rows)
+from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import (HRep, VRep, cones_equal, dd_project, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
@@ -23,7 +23,7 @@ def line4_outer_hrep() -> HRep:
     observed = structure.observed_ids()
     index = CoordinateIndex(observed)
     _, ineqs = system_rows(elemental_shannon_system(observed))
-    eqs = tuple(_clear_denominators(f.row(index))
+    eqs = tuple(primitive(f.row(index))
                 for f in observed_independence_constraints(structure))
     return HRep(len(index), eqs, tuple(ineqs), labels=index.labels)
 
@@ -245,6 +245,10 @@ class TestSerialization:
             rep_from_json('{"type": "hrep"}')
         with pytest.raises(InvalidParameter, match=r"rays\[0\]"):
             rep_from_json('{"type": "vrep", "dimension": 2, "rays": [[1]]}')
+        with pytest.raises(InvalidParameter, match=r"inequalities\[0\]"):
+            rep_from_json('{"type": "hrep", "dimension": 2, "inequalities": [[0.5, 1]]}')
+        with pytest.raises(InvalidParameter, match="dimension"):
+            rep_from_json('{"type": "hrep", "dimension": "2x"}')
 
     def test_text_sections(self):
         text = rep_to_text(line4_outer_hrep())
@@ -258,3 +262,55 @@ class TestSerialization:
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6))
 def test_primitive_idempotent_property(vector):
     assert primitive(primitive(vector)) == primitive(vector)
+
+
+# -- oracle: the integer kernel against the Fraction formulas it replaced ------
+
+_entries = st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=12))
+
+
+def _fraction_primitive(vector):
+    fracs = [Fraction(v) for v in vector]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def _fraction_membership(h, vector):
+    def value(row):
+        return sum(Fraction(a) * Fraction(b) for a, b in zip(row, vector))
+    return (all(value(row) == 0 for row in h.equalities)
+            and all(value(row) >= 0 for row in h.inequalities))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entries, max_size=6))
+@example([0, 0, 0])
+@example([Fraction(0), 0])
+def test_primitive_matches_fraction_formula(vector):
+    out = primitive(vector)
+    assert out == _fraction_primitive(vector)
+    assert all(type(v) is int for v in out)
+
+
+@st.composite
+def _hrep_and_vector(draw):
+    dim = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    h = HRep(dim, tuple(draw(st.lists(row, max_size=2))), tuple(draw(st.lists(row, max_size=6))))
+    zero = st.just([0] * dim)
+    return h, draw(st.one_of(zero, st.lists(_entries, min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hrep_and_vector())
+def test_h_membership_matches_fraction_dot_products(case):
+    h, vector = case
+    assert membership(h, vector) == _fraction_membership(h, vector)
