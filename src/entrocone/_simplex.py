@@ -1,9 +1,8 @@
 """Exact rational feasibility for conic combinations.
 
 Phase-one simplex with Bland's rule over ``fractions.Fraction``.  Used
-internally for V-representation membership tests, redundancy certificates
-and classification of inequalities against a generating system; not a
-general-purpose LP interface.
+only for the certificates of ``polyhedra.remove_redundancies``, which must
+produce the combination itself; not a general-purpose LP interface.
 """
 
 from __future__ import annotations

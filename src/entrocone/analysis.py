@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import distributions as dist
 from .causal import (CausalStructure, build_post_selected_line,
@@ -25,7 +24,6 @@ from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (HRep, VRep, _row_text, dd_project, enumerate_rays, extremalize,
                         facets_from_rays, fm_eliminate, membership, primitive,
                         reduce_mod_span, rref)
-from ._simplex import conic_combination
 
 DEFAULT_TOLERANCE = 1e-9
 NODE_GUARD = 6
@@ -84,24 +82,18 @@ def _nice_equalities(hrep: HRep, structure: CausalStructure,
     """
     if not hrep.equalities:
         return hrep
-    target_rank = len(rref(hrep.equalities)[0])
+    base, pivots = rref(hrep.equalities)
     candidates = _independence_equalities_rows(structure, index, maximal_only=False)
     chosen: list[tuple[int, ...]] = []
     for row in candidates:
-        if len(chosen) == target_rank:
+        if len(chosen) == len(base):
             break
         trial = chosen + [row]
-        if len(rref(trial)[0]) == len(trial) and _rows_in_span(trial, hrep.equalities):
+        if len(rref(trial)[0]) == len(trial) and not any(reduce_mod_span(row, base, pivots)):
             chosen.append(row)
-    if len(chosen) == target_rank:
+    if len(chosen) == len(base):
         return HRep(hrep.dimension, tuple(chosen), hrep.inequalities, hrep.labels)
     return hrep
-
-
-def _rows_in_span(rows: Sequence[tuple[int, ...]], basis: Sequence[tuple[int, ...]]) -> bool:
-    base, pivots = rref(basis)
-    zero = tuple([0] * len(rows[0]))
-    return all(reduce_mod_span(r, base, pivots) == zero for r in rows)
 
 
 def observed_outer_cone(structure: CausalStructure,
@@ -305,12 +297,14 @@ def classify_shannon_facets(hrep: HRep, marginal_index: CoordinateIndex) -> tupl
 
     A facet counts as Shannon when it is a nonnegative combination of the
     elemental inequalities of the maximal allowed subsets, modulo the
-    cone's equality space.
+    cone's equality space.  One polar double description pass gives the
+    facets of that cone (Farkas), so each test is an integer dot product.
     """
     pool = _scenario_shannon_pool(marginal_index)
+    members = facets_from_rays(VRep(hrep.dimension, tuple(pool), hrep.equalities))
     shannon, extra = [], []
     for facet in hrep.inequalities:
-        if conic_combination(pool, hrep.equalities, facet) is not None:
+        if membership(members, facet):
             shannon.append(facet)
         else:
             extra.append(facet)

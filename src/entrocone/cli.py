@@ -73,12 +73,13 @@ def _build_parser() -> _Parser:
 def _load_structure(selector: str) -> CausalStructure:
     try:
         return structure_from_name(selector)
-    except InvalidParameter:
-        pass
+    except InvalidParameter as exc:
+        reason = exc
     path = Path(selector)
     if not path.exists():
         raise InvalidParameter(
-            f"{selector!r} is neither a built-in structure name nor an existing file")
+            f"{selector!r} is neither a built-in structure name nor an existing file "
+            f"({reason})")
     return CausalStructure.from_json(path.read_text())
 
 
@@ -178,8 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameter, InvalidModel) as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"entrocone: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # not a file we were asked to read
+            raise
+        print(f"entrocone: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

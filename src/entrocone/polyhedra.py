@@ -47,12 +47,12 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def rref(rows: Iterable[Sequence[int]]) -> tuple[list[Row], list[int]]:
+def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form with primitive integer rows.
 
     Returns the nonzero rows and their pivot columns; pivots are positive.
     """
-    work = [[Fraction(v) for v in row] for row in rows]
+    work = [primitive(row) for row in rows]
     pivots: list[int] = []
     r = 0
     width = len(work[0]) if work else 0
@@ -61,18 +61,18 @@ def rref(rows: Iterable[Sequence[int]]) -> tuple[list[Row], list[int]]:
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
+        if work[r][c] < 0:
+            work[r] = tuple(-v for v in work[r])
         lead = work[r][c]
-        work[r] = [v / lead for v in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+                work[i] = primitive([lead * v - f * w for v, w in zip(work[i], work[r])])
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    out = [primitive(work[i]) for i in range(r)]
-    return out, pivots
+    return work[:r], pivots
 
 
 def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
@@ -84,21 +84,19 @@ def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
         vec = [Fraction(0)] * dim
         vec[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            # row has 1 at pc after normalization by primitive(); recover scale
             vec[pc] = -Fraction(row[fc], row[pc])
         basis.append(primitive(vec))
     return basis
 
 
-def reduce_mod_span(vector: Sequence[int], basis_rref: Sequence[Row],
+def reduce_mod_span(vector: Sequence[int | Fraction], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
-    """Canonical representative of a vector modulo the row span of a basis."""
-    vec = [Fraction(v) for v in vector]
+    """Canonical representative of a vector modulo the row span of an :func:`rref` basis."""
+    vec = primitive(vector)
     for row, pc in zip(basis_rref, pivots):
         if vec[pc] != 0:
-            f = vec[pc] / row[pc]
-            vec = [v - f * w for v, w in zip(vec, row)]
-    return primitive(vec)
+            vec = primitive([row[pc] * v - vec[pc] * w for v, w in zip(vec, row)])
+    return vec
 
 
 # -- representations -----------------------------------------------------------
@@ -301,17 +299,15 @@ def remove_redundancies(h: HRep, certificates: bool = False):
 
 
 def membership(cone: HRep | VRep, vector: Sequence[int | Fraction]) -> bool:
-    """Exact test whether a rational vector lies in the cone."""
+    """Exact test whether a rational vector lies in the cone (a V-rep is converted to facets)."""
     if len(vector) != cone.dimension:
         raise InvalidParameter("vector dimension mismatch")
+    if isinstance(cone, VRep):
+        cone = facets_from_rays(cone)
     # a positive scaling keeps every sign, so the tests run on integers
     target = primitive(vector)
-    if isinstance(cone, HRep):
-        return (all(dot(row, target) == 0 for row in cone.equalities)
-                and all(dot(row, target) >= 0 for row in cone.inequalities))
-    if not any(target):
-        return True
-    return conic_combination(cone.rays, cone.lineality, target) is not None
+    return (all(dot(row, target) == 0 for row in cone.equalities)
+            and all(dot(row, target) >= 0 for row in cone.inequalities))
 
 
 def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
@@ -319,10 +315,7 @@ def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
     if outer.dimension != inner.dimension:
         raise InvalidParameter("cone dimensions differ")
     inner_v = inner if isinstance(inner, VRep) else enumerate_rays(inner)
-    if isinstance(outer, VRep):
-        outer_h = facets_from_rays(outer)
-    else:
-        outer_h = outer
+    outer_h = facets_from_rays(outer) if isinstance(outer, VRep) else outer
     for ray in inner_v.rays:
         if not membership(outer_h, ray):
             return False
@@ -517,10 +510,17 @@ def rep_from_json(text: str) -> HRep | VRep:
     dim = data["dimension"]
     if type(dim) is not int:  # bool and float are refused too
         raise InvalidParameter(f"cone file 'dimension' must be an integer, not {dim!r}")
-    labels = tuple(data["coordinates"]) if data.get("coordinates") else None
+    coords = data.get("coordinates") or None
+    if coords is not None and not (isinstance(coords, list) and len(coords) == dim
+                                   and all(type(c) is str for c in coords)):
+        raise InvalidParameter(f"cone file 'coordinates' must be a list of {dim} strings")
+    labels = tuple(coords) if coords else None
     def rows(key: str) -> tuple[Row, ...]:
+        section = data.get(key, [])
+        if not isinstance(section, list):
+            raise InvalidParameter(f"cone file {key!r} must be a list of rows")
         out = []
-        for i, row in enumerate(data.get(key, [])):
+        for i, row in enumerate(section):
             if (not isinstance(row, list) or len(row) != dim
                     or any(type(v) is not int for v in row)):
                 raise InvalidParameter(f"{key}[{i}] must be a list of {dim} integers")

@@ -8,7 +8,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from entrocone.analysis import (classify_shannon_facets, full_marginal_outer_cone,
                                 observed_outer_cone, post_selected_marginal_cone,
@@ -215,7 +214,6 @@ def test_criterion_7_splitting_recovers_rays(capsys):
                    f"the 20 rays ({elapsed:.2f}s)")
 
 
-@pytest.mark.slow
 def test_criterion_8_post_selected_4_counts(capsys):
     start = time.perf_counter()
     report = post_selected_marginal_cone(4)

@@ -148,6 +148,18 @@ class TestPostSelectedCone:
         assert len(shannon) + len(extra) == len(report.hrep.inequalities)
         assert len(extra) + len(report.hrep.equalities) == 36
 
+    def test_k3_classification_matches_lp_route(self):
+        # oracle: one exact LP per facet against the scenario-Shannon pool
+        from entrocone._simplex import conic_combination
+        from entrocone.analysis import _scenario_shannon_pool
+        report = post_selected_marginal_cone(3)
+        pool = _scenario_shannon_pool(report.index)
+        by_lp = [conic_combination(pool, report.hrep.equalities, facet) is not None
+                 for facet in report.hrep.inequalities]
+        shannon, extra = classify_shannon_facets(report.hrep, report.index)
+        assert shannon == [f for f, s in zip(report.hrep.inequalities, by_lp) if s]
+        assert extra == [f for f, s in zip(report.hrep.inequalities, by_lp) if not s]
+
     def test_unsupported_k(self):
         with pytest.raises(InvalidParameter):
             post_selected_marginal_cone(5)

@@ -46,6 +46,14 @@ class TestOuter:
         assert code == 1
         assert "neither a built-in structure name nor an existing file" in err
 
+    @pytest.mark.parametrize("selector, reason", [("pn:0", "n >= 1"), ("ptilde:2", "k >= 3")])
+    def test_bad_size_gives_the_builder_reason(self, capsys, selector, reason):
+        code, out, err = run_cli(capsys, "outer", selector)
+        assert code == 1
+        assert out == ""
+        assert "neither a built-in structure name nor an existing file" in err
+        assert reason in err
+
 
 class TestVerify:
     def test_line4_tight_exit_zero(self, capsys):
@@ -220,6 +228,14 @@ class TestCliContract:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "bc-eval", "/nonexistent/tables.json")
         assert code == 1
+
+    def test_unreadable_path_names_path_and_reason(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "rays", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert str(tmp_path) in err
+        assert "Traceback" not in err
+        assert "directory" in err.lower()
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "outer", "pn:3")

@@ -6,13 +6,15 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrocone._simplex import conic_combination
 from entrocone.causal import build_line_structure, observed_independence_constraints
 from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import (HRep, VRep, cones_equal, dd_project, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
-                                 membership, primitive, remove_redundancies,
-                                 rep_from_json, rep_to_json, rep_to_text)
+                                 membership, primitive, reduce_mod_span,
+                                 remove_redundancies, rep_from_json, rep_to_json,
+                                 rep_to_text, rref)
 
 from conftest import random_cone_hrep
 from reference_tables import LINE4_RAYS
@@ -249,6 +251,14 @@ class TestSerialization:
             rep_from_json('{"type": "hrep", "dimension": 2, "inequalities": [[0.5, 1]]}')
         with pytest.raises(InvalidParameter, match="dimension"):
             rep_from_json('{"type": "hrep", "dimension": "2x"}')
+        with pytest.raises(InvalidParameter, match="'inequalities'"):
+            rep_from_json('{"type": "hrep", "dimension": 2, "inequalities": 5}')
+        with pytest.raises(InvalidParameter, match="'rays'"):
+            rep_from_json('{"type": "vrep", "dimension": 2, "rays": 5}')
+        with pytest.raises(InvalidParameter, match="'coordinates'"):
+            rep_from_json('{"type": "hrep", "dimension": 2, "coordinates": 5}')
+        with pytest.raises(InvalidParameter, match="'coordinates'"):
+            rep_from_json('{"type": "hrep", "dimension": 2, "coordinates": ["a"]}')
 
     def test_text_sections(self):
         text = rep_to_text(line4_outer_hrep())
@@ -314,3 +324,74 @@ def _hrep_and_vector(draw):
 def test_h_membership_matches_fraction_dot_products(case):
     h, vector = case
     assert membership(h, vector) == _fraction_membership(h, vector)
+
+
+def _fraction_rref(rows):
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    width = len(work[0]) if work else 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        lead = work[r][c]
+        work[r] = [v / lead for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [_fraction_primitive(work[i]) for i in range(r)], pivots
+
+
+def _fraction_reduce_mod_span(vector, basis_rref, pivots):
+    vec = [Fraction(v) for v in vector]
+    for row, pc in zip(basis_rref, pivots):
+        if vec[pc] != 0:
+            f = vec[pc] / row[pc]
+            vec = [v - f * w for v, w in zip(vec, row)]
+    return _fraction_primitive(vec)
+
+
+@st.composite
+def _rows_and_vector(draw):
+    width = draw(st.integers(1, 5))
+    row = st.lists(_entries, min_size=width, max_size=width)
+    return draw(st.lists(row, max_size=5)), draw(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_and_vector())
+@example(([[0, 2, -4], [0, -1, 2], [Fraction(1, 2), 0, 1]], [3, Fraction(-5, 3), 0]))
+def test_integer_rref_matches_fraction_elimination(case):
+    rows, vector = case
+    base, pivots = rref(rows)
+    assert (base, pivots) == _fraction_rref(rows)
+    assert all(type(v) is int for row in base for v in row)
+    reduced = reduce_mod_span(vector, base, pivots)
+    assert reduced == _fraction_reduce_mod_span(vector, base, pivots)
+    assert all(type(v) is int for v in reduced)
+
+
+@st.composite
+def _vrep_and_vector(draw):
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    v = VRep(dim, tuple(draw(st.lists(row, max_size=5))), tuple(draw(st.lists(row, max_size=2))))
+    zero = st.just([0] * dim)
+    return v, draw(st.one_of(zero, row, st.lists(_entries, min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vrep_and_vector())
+@example((VRep(3), [0, 0, 0]))
+@example((VRep(3), [0, 1, 0]))
+@example((VRep(2, rays=((1, 0),), lineality=((1, 1),)), [0, -5]))
+def test_v_membership_matches_lp(case):
+    v, vector = case
+    assert membership(v, vector) == (conic_combination(v.rays, v.lineality, vector) is not None)
