@@ -94,24 +94,6 @@ class CausalStructure:
         self._require(node)
         return tuple(self.parents_map()[node])
 
-    def topological_order(self) -> tuple[str, ...]:
-        indeg = {n.id: 0 for n in self.nodes}
-        for _, child in self.edges:
-            indeg[child] += 1
-        order = {n.id: i for i, n in enumerate(self.nodes)}
-        ready = sorted((i for i, d in indeg.items() if d == 0), key=order.__getitem__)
-        queue = deque(ready)
-        out = []
-        children = self.children_map()
-        while queue:
-            node = queue.popleft()
-            out.append(node)
-            for c in children[node]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return tuple(out)
-
     def ancestors(self, node: str) -> frozenset[str]:
         """Strict ancestors of a node (the node itself excluded)."""
         self._require(node)
@@ -169,6 +151,9 @@ class CausalStructure:
             raise InvalidParameter(f"structure file is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or "nodes" not in data:
             raise InvalidParameter("structure file must be an object with a 'nodes' field")
+        for key in ("nodes", "edges"):
+            if not isinstance(data.get(key, []), list):
+                raise InvalidParameter(f"structure file {key!r} must be a list")
         nodes = []
         for i, entry in enumerate(data["nodes"]):
             if not isinstance(entry, dict) or "id" not in entry:

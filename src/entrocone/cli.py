@@ -70,6 +70,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path: str | Path) -> str:
+    """Contents of an input file, which JSON requires to be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_structure(selector: str) -> CausalStructure:
     try:
         return structure_from_name(selector)
@@ -80,7 +88,7 @@ def _load_structure(selector: str) -> CausalStructure:
         raise InvalidParameter(
             f"{selector!r} is neither a built-in structure name nor an existing file "
             f"({reason})")
-    return CausalStructure.from_json(path.read_text())
+    return CausalStructure.from_json(_read_text(path))
 
 
 def _emit_report(report: analysis.ConeReport, args: argparse.Namespace) -> None:
@@ -130,7 +138,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit_report(report, args)
         return 0
     if args.command == "bc-eval":
-        tables = dist.tables_from_json(Path(args.tables).read_text())
+        tables = dist.tables_from_json(_read_text(args.tables))
         value = dist.bc_functional(tables)
         if args.format == "json":
             print(json.dumps({"value_bits": value}))
@@ -138,7 +146,7 @@ def _run(args: argparse.Namespace) -> int:
             print(f"{value:.12g}")
         return 0
     if args.command == "entropy":
-        model = dist.model_from_json(Path(args.model).read_text())
+        model = dist.model_from_json(_read_text(args.model))
         joint = dist.compile_model(model)
         vector = dist.entropy_vector(joint)
         if args.format == "json":
@@ -151,13 +159,13 @@ def _run(args: argparse.Namespace) -> int:
                 print(f"{label} = {value:.12g}")
         return 0
     if args.command == "rays":
-        rep = rep_from_json(Path(args.cone).read_text())
+        rep = rep_from_json(_read_text(args.cone))
         if not isinstance(rep, HRep):
             raise InvalidParameter("the rays subcommand expects an hrep cone file")
         _emit_rep(enumerate_rays(rep), args)
         return 0
     if args.command == "facets":
-        rep = rep_from_json(Path(args.cone).read_text())
+        rep = rep_from_json(_read_text(args.cone))
         if not isinstance(rep, VRep):
             raise InvalidParameter("the facets subcommand expects a vrep cone file")
         _emit_rep(facets_from_rays(rep), args)

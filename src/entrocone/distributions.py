@@ -415,15 +415,17 @@ def model_from_json(text: str) -> CausalModel:
         structure = structure_from_name(ref)
     else:
         structure = CausalStructure.from_json(json.dumps(ref))
-    try:
-        sizes = {str(k): int(v) for k, v in data["alphabets"].items()}
-    except (TypeError, ValueError, AttributeError):
-        raise InvalidParameter("the 'alphabets' field must map node ids to integers") from None
+    alphabets = data["alphabets"]
+    if not (isinstance(alphabets, dict) and all(type(v) is int for v in alphabets.values())):
+        raise InvalidParameter("the 'alphabets' field must map node ids to integers")
+    sizes = {str(k): v for k, v in alphabets.items()}
+    if not isinstance(data["cpts"], dict):
+        raise InvalidParameter("the 'cpts' field must map node ids to arrays")
     cpts = {}
     for node, raw in data["cpts"].items():
         try:
             cpts[str(node)] = np.asarray(raw, dtype=float)
-        except ValueError:
+        except (TypeError, ValueError):
             raise InvalidParameter(f"cpts[{node!r}] is not a numeric array") from None
     try:
         return CausalModel(structure, sizes, cpts)
@@ -437,17 +439,20 @@ def tables_from_json(text: str) -> dict[tuple[int, int], np.ndarray]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParameter(f"tables file is not valid JSON: {exc}") from None
-    if not isinstance(data, dict) or "tables" not in data:
-        raise InvalidParameter("tables file must be an object with a 'tables' field")
+    if not isinstance(data, dict) or not isinstance(data.get("tables"), dict):
+        raise InvalidParameter("tables file must be an object with a 'tables' object")
     sizes = data.get("alphabets")
-    if not (isinstance(sizes, list) and len(sizes) == 2):
-        raise InvalidParameter("the 'alphabets' field must be [x_size, y_size]")
-    nx, ny = int(sizes[0]), int(sizes[1])
+    if not (isinstance(sizes, list) and len(sizes) == 2 and all(type(v) is int for v in sizes)):
+        raise InvalidParameter("the 'alphabets' field must be [x_size, y_size], two integers")
+    nx, ny = sizes
     out = {}
     for key in ("00", "01", "10", "11"):
         if key not in data["tables"]:
             raise InvalidParameter(f"tables.{key} is missing")
-        arr = np.asarray(data["tables"][key], dtype=float)
+        try:
+            arr = np.asarray(data["tables"][key], dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"tables.{key} is not a numeric array") from None
         if arr.shape != (nx, ny):
             raise InvalidParameter(f"tables.{key} must have shape ({nx}, {ny})")
         out[(int(key[0]), int(key[1]))] = arr

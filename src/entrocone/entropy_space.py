@@ -277,16 +277,6 @@ def contiguous_blocks(mask: int) -> list[int]:
     return blocks
 
 
-def block_coordinate_labels(n: int) -> tuple[str, ...]:
-    """Labels of the contiguous-interval coordinates, shortest intervals first."""
-    labels = []
-    for length in range(1, n + 1):
-        for start in range(0, n - length + 1):
-            members = "".join(f"X{start + k + 1}" for k in range(length))
-            labels.append(f"H({members})")
-    return tuple(labels)
-
-
 def _block_position(n: int, start: int, length: int) -> int:
     # coordinates ordered by (length, start); lengths 1..length-1 precede
     return sum(n - L + 1 for L in range(1, length)) + start

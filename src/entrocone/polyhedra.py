@@ -75,16 +75,20 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]
     return work[:r], pivots
 
 
-def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
-    """Primitive integer basis of {v : row . v = 0 for all rows}."""
+def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
+    """Primitive integer basis of {v : row . v = 0 for all rows}, one vector per free column.
+
+    Back-substitution runs on the integer :func:`rref` rows: the free entry
+    is the lcm of the pivot leads, so every pivot entry is an integer.
+    """
     reduced, pivots = rref(rows)
-    free_cols = [c for c in range(dim) if c not in pivots]
+    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(dim) if c not in pivots):
+        vec = [0] * dim
+        vec[fc] = scale
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -Fraction(row[fc], row[pc])
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(primitive(vec))
     return basis
 
@@ -143,23 +147,20 @@ class VRep:
 
 # -- double description --------------------------------------------------------
 
-def _insertion_order(rows: Sequence[Row]) -> list[Row]:
-    return sorted(set(rows), key=lambda r: (sum(1 for v in r if v), r))
+def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tuple[list[Row], list[Row]]:
+    """Core double-description pass over inequality rows only, in the given order.
 
-
-def _dd_pointed_with_lineality(dim: int, rows: Sequence[Row]) -> tuple[list[Row], list[Row]]:
-    """Core double-description pass over inequality rows only.
-
-    Maintains a lineality basis B and extremal rays R of the cone cut out
-    by the rows processed so far (initially the whole space).  Rays carry
-    bitmasks of the processed rows they satisfy with equality; adjacency
-    uses the standard combinatorial test on those masks, with a popcount
-    prefilter (a pair needs at least dim - |B| - 2 common tight rows).
+    Starts from the linear space spanned by ``basis`` (the solution space
+    of the equalities, or the whole space) and maintains a lineality basis
+    B and extremal rays R of the cone cut out by the rows processed so far.
+    Rays carry bitmasks of the processed rows they satisfy with equality;
+    adjacency uses the standard combinatorial test on those masks, with a
+    popcount prefilter (a pair needs at least d - |B| - 2 common tight
+    rows, d being the size of the starting basis).
     """
-    basis: list[Row] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    start = len(basis)
     rays: list[tuple[Row, int]] = []
-    ordered = _insertion_order(rows)
-    for t, a in enumerate(ordered):
+    for t, a in enumerate(rows):
         bit = 1 << t
         prev_mask = bit - 1
         vals_b = [dot(a, b) for b in basis]
@@ -210,7 +211,7 @@ def _dd_pointed_with_lineality(dim: int, rows: Sequence[Row]) -> tuple[list[Row]
             rays = zero
             continue
         all_masks = [z for _, z in rays]
-        min_common = dim - len(basis) - 2
+        min_common = start - len(basis) - 2
         combined: dict[Row, int] = {}
         for rp, zp, vp in pos:
             for rn, zn, vn in neg:
@@ -238,29 +239,25 @@ def _adjacent(meet: int, zp: int, zn: int, all_masks: Sequence[int]) -> bool:
 def enumerate_rays(h: HRep) -> VRep:
     """All extremal rays of the cone, primitive and lexicographically sorted.
 
-    Equalities are removed first by substituting a basis of their solution
-    space; any lineality remaining in the inequality system is reported
-    explicitly rather than folded into rays.  Rays are canonicalized
-    modulo the lineality span so outputs are deterministic.
+    The double description starts from the solution space of the
+    equalities as its lineality; any lineality remaining after the
+    inequalities is reported explicitly rather than folded into rays.
+    Rays are canonicalized modulo the lineality span so outputs are
+    deterministic.
     """
-    if h.equalities:
-        sub_basis = nullspace(h.equalities, h.dimension)
-        if not sub_basis:
-            return VRep(h.dimension, (), (), h.labels)
-        reduced_rows = []
-        for a in h.inequalities:
-            row = tuple(dot(a, b) for b in sub_basis)
-            if any(row):
-                reduced_rows.append(primitive(row))
-        rays_red, lin_red = _dd_pointed_with_lineality(len(sub_basis), reduced_rows)
-        lift = lambda u: primitive(
-            tuple(sum(u[i] * b[j] for i, b in enumerate(sub_basis)) for j in range(h.dimension)))
-        rays = [lift(u) for u in rays_red]
-        lineality = [lift(u) for u in lin_red]
-    else:
-        rays, lineality = _dd_pointed_with_lineality(h.dimension, h.inequalities)
+    # Sparse rows go first.  Rows equal modulo span(E) cut the equality space
+    # alike and rows in span(E) do not cut it; extra copies would only weaken
+    # the DD prefilter, so the sparsest row of each class is kept.
+    zero = tuple([0] * h.dimension)
+    eq_rref, eq_pivots = rref(h.equalities)
+    classes: dict[Row, Row] = {}
+    for a in sorted(h.inequalities, key=lambda r: (sum(1 for v in r if v), r)):
+        classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
+    classes.pop(zero, None)
+    rays, lineality = _dd_pointed_with_lineality(nullspace(eq_rref, h.dimension),
+                                                 list(classes.values()))
     lin_rref, pivots = rref(lineality)
-    canon = sorted({reduce_mod_span(r, lin_rref, pivots) for r in rays} - {tuple([0] * h.dimension)})
+    canon = sorted({reduce_mod_span(r, lin_rref, pivots) for r in rays} - {zero})
     return VRep(h.dimension, tuple(canon), tuple(lin_rref), h.labels)
 
 

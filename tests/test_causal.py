@@ -99,6 +99,10 @@ class TestBuilders:
             CausalStructure.from_json('{"nodes": [{"kind": "observed"}]}')
         with pytest.raises(InvalidParameter, match=r"edges\[0\]"):
             CausalStructure.from_json('{"nodes": [{"id": "a"}], "edges": [["a"]]}')
+        with pytest.raises(InvalidParameter, match="'nodes' must be a list"):
+            CausalStructure.from_json('{"nodes": 5}')
+        with pytest.raises(InvalidParameter, match="'edges' must be a list"):
+            CausalStructure.from_json('{"nodes": [{"id": "a"}], "edges": 5}')
 
 
 class TestDSeparation:

@@ -237,6 +237,16 @@ class TestCliContract:
         assert "Traceback" not in err
         assert "directory" in err.lower()
 
+    @pytest.mark.parametrize("command", ["rays", "facets", "outer", "entropy", "bc-eval"])
+    def test_non_utf8_file_names_the_path(self, tmp_path, capsys, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert str(path) in err
+        assert "UTF-8" in err
+
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "outer", "pn:3")
         _, out2, _ = run_cli(capsys, "--format", "json", "outer", "pn:3")

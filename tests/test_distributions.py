@@ -1,6 +1,7 @@
 """Models, compilation, entropy vectors and witness constructions."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,12 @@ class TestModelSerialization:
             model_from_json('{"alphabets": {}, "cpts": {}}')
         with pytest.raises(InvalidParameter, match="alphabets"):
             model_from_json('{"structure": "pn:1", "alphabets": 3, "cpts": {}}')
+        with pytest.raises(InvalidParameter, match="alphabets"):
+            model_from_json('{"structure": "pn:1", "alphabets": {"X1": 2.5}, "cpts": {}}')
+        with pytest.raises(InvalidParameter, match="'cpts' field"):
+            model_from_json('{"structure": "pn:1", "alphabets": {"X1": 2}, "cpts": []}')
+        with pytest.raises(InvalidParameter, match=r"cpts\['X1'\]"):
+            model_from_json('{"structure": "pn:1", "alphabets": {"X1": 2}, "cpts": {"X1": {}}}')
 
     def test_tables_parsing(self):
         text = ('{"alphabets": [2, 2], "tables": {'
@@ -390,6 +397,18 @@ class TestModelSerialization:
         with pytest.raises(InvalidParameter, match="tables.11"):
             tables_from_json(text.replace('"11": [[0.25,0.25],[0.25,0.25]]',
                                           '"11": [[0.5,0.5]]'))
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"alphabets": [2, 2], "tables": 5}', "'tables'"),
+        ('{"alphabets": ["a", 2], "tables": {}}', "'alphabets'"),
+        ('{"alphabets": [2.5, 2], "tables": {}}', "'alphabets'"),
+        ('{"alphabets": [2, 2], "tables": {"00": "x"}}', "tables.00"),
+        ('{"alphabets": [2, 2], "tables": {"00": {"a": 1}}}', "tables.00"),
+        ('{"alphabets": [2, 2], "tables": {"00": [[1.0], [0.5, 0.5]]}}', "tables.00"),
+    ])
+    def test_tables_diagnostics_name_the_field(self, text, field):
+        with pytest.raises(InvalidParameter, match=re.escape(field)):
+            tables_from_json(text)
 
 
 @settings(max_examples=25, deadline=None)

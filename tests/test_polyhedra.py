@@ -10,9 +10,9 @@ from entrocone._simplex import conic_combination
 from entrocone.causal import build_line_structure, observed_independence_constraints
 from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import (HRep, VRep, cones_equal, dd_project, enumerate_rays,
+from entrocone.polyhedra import (HRep, VRep, cones_equal, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
-                                 membership, primitive, reduce_mod_span,
+                                 membership, nullspace, primitive, reduce_mod_span,
                                  remove_redundancies, rep_from_json, rep_to_json,
                                  rep_to_text, rref)
 
@@ -395,3 +395,81 @@ def _vrep_and_vector(draw):
 def test_v_membership_matches_lp(case):
     v, vector = case
     assert membership(v, vector) == (conic_combination(v.rays, v.lineality, vector) is not None)
+
+
+def _fraction_nullspace(rows, dim):
+    reduced, pivots = _fraction_rref(rows)
+    basis = []
+    for fc in [c for c in range(dim) if c not in pivots]:
+        vec = [Fraction(0)] * dim
+        vec[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -Fraction(row[fc], row[pc])
+        basis.append(_fraction_primitive(vec))
+    return basis
+
+
+@st.composite
+def _rows_and_width(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=width, max_size=width)
+    return draw(st.lists(row, max_size=6)), width
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_and_width())
+@example(([], 3))
+@example(([[0, 0, 0], [0, Fraction(0), 0]], 3))
+@example(([[1, 0], [0, 1]], 2))
+@example(([[2, -3, Fraction(1, 2)], [Fraction(-4, 3), 0, 5]], 3))
+def test_integer_nullspace_matches_fraction_formula(case):
+    rows, dim = case
+    basis = nullspace(rows, dim)
+    assert basis == _fraction_nullspace(rows, dim)
+    assert all(type(v) is int for vec in basis for v in vec)
+
+
+def _substitute_and_lift(h):
+    """The equality route enumerate_rays used to take: the equality-free route in a
+    nullspace basis, with the rays lifted back."""
+    sub_basis = _fraction_nullspace(h.equalities, h.dimension)
+    if not sub_basis:
+        return VRep(h.dimension, (), (), h.labels)
+    reduced_rows = []
+    for a in h.inequalities:
+        row = tuple(dot(a, b) for b in sub_basis)
+        if any(row):
+            reduced_rows.append(primitive(row))
+    reduced = enumerate_rays(HRep(len(sub_basis), (), tuple(reduced_rows)))
+    lift = lambda u: primitive(
+        tuple(sum(u[i] * b[j] for i, b in enumerate(sub_basis)) for j in range(h.dimension)))
+    lin_rref, pivots = rref([lift(u) for u in reduced.lineality])
+    canon = sorted({reduce_mod_span(lift(r), lin_rref, pivots) for r in reduced.rays}
+                   - {tuple([0] * h.dimension)})
+    return VRep(h.dimension, tuple(canon), tuple(lin_rref), h.labels)
+
+
+@st.composite
+def _hrep_with_equalities(draw):
+    dim = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    eqs = draw(st.lists(row, min_size=1, max_size=3))
+    ineqs = draw(st.lists(row, max_size=7))
+    # rows in span(E) vanish on the equality space
+    for weights in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(eqs),
+                                          max_size=len(eqs)), max_size=2)):
+        ineqs.append(tuple(sum(w * e[j] for w, e in zip(weights, eqs)) for j in range(dim)))
+    return HRep(dim, tuple(eqs), tuple(ineqs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hrep_with_equalities())
+@example(HRep(2, ((1, 0), (0, 1)), ((1, 1),)))  # nullspace {0}
+@example(HRep(3, ((1, 1, 0),), ((1, 1, 0), (-2, -2, 0))))  # inequalities in span(E), all lineality
+@example(HRep(4, ((0, 0, 0, 1),), ((1, 0, 0, 0), (0, 1, 0, 0))))  # leftover lineality
+@example(HRep(2, ((0, 1),), ((1, 0), (-1, 1))))  # opposite rows modulo span(E)
+# a prefilter bound taken from the ambient dimension, or one too strict, loses rays here
+@example(HRep(5, ((1, 0, -1, 0, 1),), ((0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (1, 0, 0, 0, 0))))
+@example(HRep(3, ((1, 0, 0),), ((0, 0, 1), (0, 1, 1), (1, 1, 0))))
+def test_equalities_as_starting_lineality_match_substitute_and_lift(h):
+    assert enumerate_rays(h) == _substitute_and_lift(h)
