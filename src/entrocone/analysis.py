@@ -259,14 +259,7 @@ def _marginal_scenario(structure: CausalStructure) -> tuple[CoordinateIndex, Coo
     """Scenario of subsets containing at most one copy of each doubled node."""
     observed = structure.observed_ids()
     index = CoordinateIndex(observed)
-    doubled: list[tuple[int, int]] = []
-    by_stem: dict[str, list[int]] = {}
-    for pos, v in enumerate(observed):
-        if v.endswith("0") or v.endswith("1"):
-            by_stem.setdefault(v[:-1], []).append(pos)
-    for stem, positions in by_stem.items():
-        if len(positions) == 2:
-            doubled.append((positions[0], positions[1]))
+    doubled = [(observed.index(a), observed.index(b)) for a, b in structure.copies]
     allowed = [m for m in index.masks
                if all(not ((m >> a) & 1 and (m >> b) & 1) for a, b in doubled)]
     marginal_index = index.restrict(allowed)

@@ -28,12 +28,15 @@ class Node:
 class CausalStructure:
     """A DAG over named nodes, each observed or unobserved.
 
+    ``copies`` pairs observed nodes that are two copies of one variable
+    (the doubled outer nodes of :func:`build_post_selected_line`).
     Immutable after construction; all queries are pure.
     """
 
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
     name: str = ""
+    copies: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         ids = [n.id for n in self.nodes]
@@ -249,7 +252,8 @@ def build_post_selected_line(k: int) -> CausalStructure:
     # deduplicate while keeping first occurrence (inner nodes have two parents)
     seen: set[tuple[str, str]] = set()
     unique = [e for e in edges if not (e in seen or seen.add(e))]
-    return CausalStructure(tuple(nodes), tuple(unique), name=f"ptilde:{k}")
+    return CausalStructure(tuple(nodes), tuple(unique), name=f"ptilde:{k}",
+                           copies=(first, last))
 
 
 def structure_from_name(name: str) -> CausalStructure:

@@ -156,7 +156,10 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
     Rays carry bitmasks of the processed rows they satisfy with equality;
     adjacency uses the standard combinatorial test on those masks, with a
     popcount prefilter (a pair needs at least d - |B| - 2 common tight
-    rows, d being the size of the starting basis).
+    rows, d being the size of the starting basis).  A third ray that is
+    tight on every row of a pair's common set is tight on its newest row,
+    so the test scans only the rays tight on that row (every ray when the
+    common set is empty).
     """
     start = len(basis)
     rays: list[tuple[Row, int]] = []
@@ -210,7 +213,9 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
         if not pos:
             rays = zero
             continue
-        all_masks = [z for _, z in rays]
+        # masks of the rays tight on row j, built on first use; key -1 (an
+        # empty meet) holds every ray
+        tight_on: dict[int, list[int]] = {-1: [z for _, z in rays]}
         min_common = start - len(basis) - 2
         combined: dict[Row, int] = {}
         for rp, zp, vp in pos:
@@ -218,7 +223,11 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
                 meet = zp & zn
                 if min_common > 0 and meet.bit_count() < min_common:
                     continue
-                if not _adjacent(meet, zp, zn, all_masks):
+                j = meet.bit_length() - 1
+                candidates = tight_on.get(j)
+                if candidates is None:
+                    candidates = tight_on[j] = [z for z in tight_on[-1] if z >> j & 1]
+                if not _adjacent(meet, zp, zn, candidates):
                     continue
                 w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
                 combined.setdefault(w, meet | bit)
@@ -227,8 +236,9 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
     return ray_vectors, basis
 
 
-def _adjacent(meet: int, zp: int, zn: int, all_masks: Sequence[int]) -> bool:
-    for z in all_masks:
+def _adjacent(meet: int, zp: int, zn: int, masks: Sequence[int]) -> bool:
+    """No ray mask in ``masks`` other than zp and zn contains all of meet."""
+    for z in masks:
         if z == zp or z == zn:
             continue
         if meet & z == meet:
@@ -342,8 +352,9 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     an equality row when one involves the coordinate, otherwise combining
     positive and negative rows.  Intermediate growth is controlled by
     primitive-form deduplication and the Chernikov ancestry rules (count
-    bound and ancestry-superset drop); the final system is minimized by
-    the double-description dual pass.
+    bound and ancestry-superset drop, the latter tested against the
+    minimal ancestries only); the final system is minimized by the
+    double-description dual pass.
     """
     targets = sorted(set(coords))
     if not targets:
@@ -434,21 +445,20 @@ def _prune(rows: list[_FMRow], k_pair: int) -> list[_FMRow]:
         old = best.get(r.vector)
         if old is None or r.ancestry.bit_count() < old.bit_count():
             best[r.vector] = r.ancestry
-    items = [_FMRow(v, a) for v, a in best.items()]
     # ancestry-superset rule: a row derived from a strict superset of
-    # another row's ancestors is redundant
-    keep: list[_FMRow] = []
-    for r in items:
-        dominated = False
-        for other in items:
-            if other is r:
-                continue
-            if other.ancestry != r.ancestry and other.ancestry & r.ancestry == other.ancestry:
-                dominated = True
+    # another row's ancestors is redundant.  A strict subset has fewer bits,
+    # and whatever dominates a dominated ancestry dominates its supersets
+    # too, so in popcount order each ancestry is tested against the minimal
+    # ones found so far only.
+    minimal: list[int] = []
+    for anc in sorted(set(best.values()), key=int.bit_count):
+        for m in minimal:
+            if m & anc == m:
                 break
-        if not dominated:
-            keep.append(r)
-    return keep
+        else:
+            minimal.append(anc)
+    kept = set(minimal)
+    return [_FMRow(v, a) for v, a in best.items() if a in kept]
 
 
 def dd_project(h: HRep, coords: Iterable[int]) -> HRep:

@@ -173,7 +173,15 @@ class TestPostSelectedCone:
         report = post_selected_marginal_cone(3)
         assert cones_equal(facets_from_rays(split), report.hrep)
 
-    @pytest.mark.slow
+    def test_only_declared_copies_are_doubled(self):
+        from entrocone.analysis import _marginal_scenario
+        nodes = (Node("S0", "observed"), Node("S1", "observed"), Node("C", "unobserved"))
+        edges = (("C", "S0"), ("C", "S1"))
+        _, plain, _ = _marginal_scenario(CausalStructure(nodes, edges))
+        assert plain.labels == ("H(S0)", "H(S1)", "H(S0S1)")
+        _, doubled, _ = _marginal_scenario(CausalStructure(nodes, edges, copies=(("S0", "S1"),)))
+        assert doubled.labels == ("H(S0)", "H(S1)")
+
     def test_k3_fm_cross_check(self):
         fm = post_selected_marginal_cone(3, engine="fm")
         dd = post_selected_marginal_cone(3, engine="dd")

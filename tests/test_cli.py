@@ -255,6 +255,15 @@ class TestCliContract:
         _, t2, _ = run_cli(capsys, "verify", "pn:4")
         assert t1 == t2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [("marginalize", "bell"), ("bc-cone", "3")],
+                             ids=["marginalize-bell", "bc-cone-3"])
+    def test_engines_print_the_same_bytes(self, capsys, command, fmt):
+        fm = run_cli(capsys, "--format", fmt, "--engine", "fm", *command)
+        dd = run_cli(capsys, "--format", fmt, "--engine", "dd", *command)
+        assert fm[0] == dd[0] == 0
+        assert fm[1] == dd[1]
+
     def test_verbose_timing_on_stderr_only(self, capsys):
         _, out, err = run_cli(capsys, "--verbose", "outer", "pn:2")
         assert "[timing]" in err

@@ -10,11 +10,12 @@ from entrocone._simplex import conic_combination
 from entrocone.causal import build_line_structure, observed_independence_constraints
 from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import (HRep, VRep, cones_equal, dd_project, dot, enumerate_rays,
+from entrocone.polyhedra import (HRep, VRep, _dd_pointed_with_lineality, _FMRow, _prune,
+                                 cones_equal, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
                                  membership, nullspace, primitive, reduce_mod_span,
                                  remove_redundancies, rep_from_json, rep_to_json,
-                                 rep_to_text, rref)
+                                 rep_to_text, rref, sign_canonical)
 
 from conftest import random_cone_hrep
 from reference_tables import LINE4_RAYS
@@ -473,3 +474,156 @@ def _hrep_with_equalities(draw):
 @example(HRep(3, ((1, 0, 0),), ((0, 0, 1), (0, 1, 1), (1, 1, 0))))
 def test_equalities_as_starting_lineality_match_substitute_and_lift(h):
     assert enumerate_rays(h) == _substitute_and_lift(h)
+
+
+# -- oracle: minimal-ancestry pruning against the all-pairs scan it replaced ---
+
+def _all_pairs_prune(rows):
+    best = {}
+    for r in rows:
+        old = best.get(r.vector)
+        if old is None or r.ancestry.bit_count() < old.bit_count():
+            best[r.vector] = r.ancestry
+    items = [_FMRow(v, a) for v, a in best.items()]
+    keep = []
+    for r in items:
+        dominated = False
+        for other in items:
+            if other is r:
+                continue
+            if other.ancestry != r.ancestry and other.ancestry & r.ancestry == other.ancestry:
+                dominated = True
+                break
+        if not dominated:
+            keep.append(r)
+    return keep
+
+
+@st.composite
+def _fm_rows(draw):
+    # few vectors and at most six ancestry bits, so that equal ancestries,
+    # strict-subset chains and one vector with several ancestries all occur
+    dim = draw(st.integers(1, 2))
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(tuple)
+    ancestry = st.integers(1, 2 ** draw(st.integers(1, 6)) - 1)
+    return [_FMRow(v, a) for v, a in draw(st.lists(st.tuples(vector, ancestry), max_size=14))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fm_rows())
+@example([_FMRow((0, 0), 1), _FMRow((0, 1), 1)])  # an equal ancestry must not dominate
+def test_minimal_ancestry_prune_matches_all_pairs(rows):
+    assert _prune(rows, 0) == _all_pairs_prune(rows)
+
+
+# -- oracle: the candidate-restricted adjacency scan against the full scan -----
+
+def _full_scan_dd(basis, rows):
+    start = len(basis)
+    rays = []
+    for t, a in enumerate(rows):
+        bit = 1 << t
+        prev_mask = bit - 1
+        vals_b = [dot(a, b) for b in basis]
+        pivot = next((i for i, v in enumerate(vals_b) if v != 0), None)
+        if pivot is not None:
+            b0 = basis[pivot]
+            if vals_b[pivot] < 0:
+                b0 = tuple(-v for v in b0)
+            a_b0 = abs(vals_b[pivot])
+            new_basis = []
+            for i, b in enumerate(basis):
+                if i == pivot:
+                    continue
+                if vals_b[i] == 0:
+                    new_basis.append(b)
+                else:
+                    new_basis.append(sign_canonical(
+                        tuple(a_b0 * x - vals_b[i] * y for x, y in zip(b, b0))))
+            new_rays = []
+            for r, z in rays:
+                a_r = dot(a, r)
+                if a_r == 0:
+                    new_rays.append((r, z | bit))
+                else:
+                    adj = primitive(tuple(a_b0 * x - a_r * y for x, y in zip(r, b0)))
+                    new_rays.append((adj, z | bit))
+            new_rays.append((primitive(b0), prev_mask))
+            basis = new_basis
+            rays = new_rays
+            continue
+        pos, zero, neg = [], [], []
+        for r, z in rays:
+            v = dot(a, r)
+            if v > 0:
+                pos.append((r, z, v))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                zero.append((r, z | bit))
+        if not neg:
+            rays = [(r, z) for r, z, _ in pos] + zero
+            continue
+        if not pos:
+            rays = zero
+            continue
+        all_masks = [z for _, z in rays]
+        min_common = start - len(basis) - 2
+        combined = {}
+        for rp, zp, vp in pos:
+            for rn, zn, vn in neg:
+                meet = zp & zn
+                if min_common > 0 and meet.bit_count() < min_common:
+                    continue
+                if not _full_scan_adjacent(meet, zp, zn, all_masks):
+                    continue
+                w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+                combined.setdefault(w, meet | bit)
+        rays = [(r, z) for r, z, _ in pos] + zero + list(combined.items())
+    return [r for r, _ in rays], basis
+
+
+def _full_scan_adjacent(meet, zp, zn, all_masks):
+    for z in all_masks:
+        if z == zp or z == zn:
+            continue
+        if meet & z == meet:
+            return False
+    return True
+
+
+@st.composite
+def _dd_case(draw):
+    # sparse unit entries make degenerate cones, where adjacency fails
+    dim = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.sampled_from((-1, 0, 0, 1))]))
+    row = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    eqs = draw(st.lists(row, max_size=2))
+    rows = draw(st.lists(row, min_size=1, max_size=10))
+    # repeated rows, redundant sums, and Fourier-Motzkin combinations that
+    # cancel one coordinate of a pair of rows with opposite signs there
+    for _ in range(draw(st.integers(0, 4))):
+        p, n = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(0, dim - 1))
+        kind = draw(st.sampled_from(["copy", "sum", "fm"]))
+        if kind == "copy":
+            new = p
+        elif kind == "sum" or not p[c] > 0 > n[c]:
+            new = tuple(x + y for x, y in zip(p, n))
+        else:
+            new = tuple(p[c] * x - n[c] * y for x, y in zip(n, p))
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return nullspace(eqs, dim), [r for r in rows if any(r)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dd_case())
+@example(([(1, 0), (0, 1)], [(1, 0), (0, 1), (1, -1)]))  # empty meet, min_common <= 0
+# candidates cached under the oldest row of meet but filtered by its newest lose a ray here
+@example((nullspace([], 5), [(-1, 1, 1, 0, 0), (0, 0, 0, -1, 0), (1, 1, 0, 0, 1),
+                             (-1, 1, 1, 0, 0), (0, 1, -1, 0, 1), (0, 0, 0, 1, 1),
+                             (0, 0, 1, 0, 0), (0, 0, -1, 0, 1), (1, 0, 0, 0, 0)]))
+def test_candidate_adjacency_scan_matches_full_scan(case):
+    basis, rows = case
+    assert _dd_pointed_with_lineality(basis, rows) == _full_scan_dd(basis, rows)
+
