@@ -21,9 +21,8 @@ from .entropy_space import (CoordinateIndex, contiguous_decomposition_equalities
                             elemental_shannon_system, classical_ci_system, lift_block_vector,
                             reduced_line_system, substitute_contiguous, system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
-from .polyhedra import (HRep, VRep, _row_text, dd_project, enumerate_rays, extremalize,
-                        facets_from_rays, fm_eliminate, membership, primitive,
-                        reduce_mod_span, rref)
+from .polyhedra import (Echelon, HRep, VRep, _row_text, dd_project, enumerate_rays,
+                        extremalize, facets_from_rays, fm_eliminate, membership, primitive)
 
 DEFAULT_TOLERANCE = 1e-9
 NODE_GUARD = 6
@@ -82,16 +81,15 @@ def _nice_equalities(hrep: HRep, structure: CausalStructure,
     """
     if not hrep.equalities:
         return hrep
-    base, pivots = rref(hrep.equalities)
-    candidates = _independence_equalities_rows(structure, index, maximal_only=False)
+    span = Echelon(hrep.equalities)
+    independent = Echelon()
     chosen: list[tuple[int, ...]] = []
-    for row in candidates:
-        if len(chosen) == len(base):
+    for row in _independence_equalities_rows(structure, index, maximal_only=False):
+        if len(chosen) == len(span.rows):
             break
-        trial = chosen + [row]
-        if len(rref(trial)[0]) == len(trial) and not any(reduce_mod_span(row, base, pivots)):
+        if not any(span.reduce(row)) and independent.add(row):
             chosen.append(row)
-    if len(chosen) == len(base):
+    if len(chosen) == len(span.rows):
         return HRep(hrep.dimension, tuple(chosen), hrep.inequalities, hrep.labels)
     return hrep
 

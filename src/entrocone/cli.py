@@ -116,6 +116,8 @@ def _line_size(selector: str) -> int:
 def _run(args: argparse.Namespace) -> int:
     if not 0 <= args.tolerance < math.inf:  # also refuses NaN
         raise InvalidParameter(f"--tolerance must be a finite number >= 0, not {args.tolerance}")
+    if args.max_nodes < 1:
+        raise InvalidParameter(f"--max-nodes must be at least 1, not {args.max_nodes}")
     if args.command == "outer":
         report = analysis.observed_outer_cone(_load_structure(args.structure),
                                               name=args.structure)
@@ -181,10 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except NodeGuardExceeded as exc:
-        print(f"entrocone: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParameter, InvalidModel) as exc:
+    except (InvalidParameter, InvalidModel, NodeGuardExceeded) as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,9 +11,11 @@ re-extremalize).  Everything is computed in exact integer arithmetic.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._simplex import conic_combination
@@ -26,10 +28,13 @@ Row = tuple[int, ...]
 
 def primitive(vector: Sequence[int | Fraction]) -> Row:
     """Scale to coprime integers, preserving orientation."""
-    denom = lcm(*(v.denominator for v in vector))
-    ints = [v.numerator * (denom // v.denominator) for v in vector]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+    try:
+        g = gcd(*vector)  # all-int rows; a Fraction entry raises TypeError
+    except TypeError:
+        denom = lcm(*(v.denominator for v in vector))
+        vector = [v.numerator * (denom // v.denominator) for v in vector]
+        g = gcd(*vector)
+    return tuple(v // g for v in vector) if g > 1 else tuple(vector)
 
 
 def sign_canonical(vector: Sequence[int]) -> Row:
@@ -44,63 +49,84 @@ def sign_canonical(vector: Sequence[int]) -> Row:
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _eliminate(row: Row, pivot_row: Row, pc: int) -> Row:
+    """``row`` with column pc cleared by ``pivot_row``, without fractions (cf. Bareiss 1968)."""
+    lead, f = pivot_row[pc], row[pc]
+    return primitive([lead * v - f * w for v, w in zip(row, pivot_row)])
+
+
+class Echelon:
+    """Reduced row echelon form of a growing set of rows, in integers.
+
+    ``rows`` are primitive with positive pivots, sorted by pivot column, and
+    each pivot column is zero in every other row: the reduced echelon form
+    of the span, which is unique, scaled to coprime integers.
+    """
+
+    def __init__(self, rows: Iterable[Sequence[int | Fraction]] = ()) -> None:
+        self.rows: list[Row] = []
+        self.pivots: list[int] = []
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, vector: Sequence[int | Fraction]) -> Row:
+        """Canonical representative of a vector modulo the span: zero on every pivot."""
+        vec = primitive(vector)
+        for row, pc in zip(self.rows, self.pivots):
+            if vec[pc]:
+                vec = _eliminate(vec, row, pc)
+        return vec
+
+    def add(self, vector: Sequence[int | Fraction]) -> bool:
+        """Insert a row unless it lies in the span; whether it was inserted."""
+        new = self.reduce(vector)
+        pc = next((c for c, v in enumerate(new) if v), None)
+        if pc is None:
+            return False
+        if new[pc] < 0:
+            new = tuple(-v for v in new)
+        self.rows = [_eliminate(row, new, pc) if row[pc] else row for row in self.rows]
+        at = bisect(self.pivots, pc)
+        self.rows.insert(at, new)
+        self.pivots.insert(at, pc)
+        return True
+
+    def nullspace(self, dim: int) -> list[Row]:
+        """Primitive integer basis of {v : row . v = 0 for every row}, one vector per free column.
+
+        The free entry is the lcm of the pivot leads, so every pivot entry is an integer.
+        """
+        scale = lcm(*(row[pc] for row, pc in zip(self.rows, self.pivots)))
+        pivots = set(self.pivots)
+        basis = []
+        for fc in (c for c in range(dim) if c not in pivots):
+            vec = [0] * dim
+            vec[fc] = scale
+            for row, pc in zip(self.rows, self.pivots):
+                vec[pc] = -row[fc] * (scale // row[pc])
+            basis.append(primitive(vec))
+        return basis
 
 
 def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form with primitive integer rows.
-
-    Returns the nonzero rows and their pivot columns; pivots are positive.
-    """
-    work = [primitive(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    width = len(work[0]) if work else 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        if work[r][c] < 0:
-            work[r] = tuple(-v for v in work[r])
-        lead = work[r][c]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = primitive([lead * v - f * w for v, w in zip(work[i], work[r])])
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    """The nonzero rows and pivot columns of the :class:`Echelon` form of ``rows``."""
+    span = Echelon(rows)
+    return span.rows, span.pivots
 
 
-def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
-    """Primitive integer basis of {v : row . v = 0 for all rows}, one vector per free column.
-
-    Back-substitution runs on the integer :func:`rref` rows: the free entry
-    is the lcm of the pivot leads, so every pivot entry is an integer.
-    """
-    reduced, pivots = rref(rows)
-    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
-    basis = []
-    for fc in (c for c in range(dim) if c not in pivots):
-        vec = [0] * dim
-        vec[fc] = scale
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc] * (scale // row[pc])
-        basis.append(primitive(vec))
-    return basis
+def nullspace(rows: Iterable[Sequence[int | Fraction]], dim: int) -> list[Row]:
+    return Echelon(rows).nullspace(dim)
 
 
 def reduce_mod_span(vector: Sequence[int | Fraction], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
     """Canonical representative of a vector modulo the row span of an :func:`rref` basis."""
-    vec = primitive(vector)
-    for row, pc in zip(basis_rref, pivots):
-        if vec[pc] != 0:
-            vec = primitive([row[pc] * v - vec[pc] * w for v, w in zip(vec, row)])
-    return vec
+    span = Echelon()
+    span.rows, span.pivots = list(basis_rref), list(pivots)
+    return span.reduce(vector)
 
 
 # -- representations -----------------------------------------------------------
@@ -259,16 +285,16 @@ def enumerate_rays(h: HRep) -> VRep:
     # alike and rows in span(E) do not cut it; extra copies would only weaken
     # the DD prefilter, so the sparsest row of each class is kept.
     zero = tuple([0] * h.dimension)
-    eq_rref, eq_pivots = rref(h.equalities)
+    eqs = Echelon(h.equalities)
     classes: dict[Row, Row] = {}
     for a in sorted(h.inequalities, key=lambda r: (sum(1 for v in r if v), r)):
-        classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
+        classes.setdefault(eqs.reduce(a), a)
     classes.pop(zero, None)
-    rays, lineality = _dd_pointed_with_lineality(nullspace(eq_rref, h.dimension),
+    rays, lineality = _dd_pointed_with_lineality(eqs.nullspace(h.dimension),
                                                  list(classes.values()))
-    lin_rref, pivots = rref(lineality)
-    canon = sorted({reduce_mod_span(r, lin_rref, pivots) for r in rays} - {zero})
-    return VRep(h.dimension, tuple(canon), tuple(lin_rref), h.labels)
+    lines = Echelon(lineality)
+    canon = sorted({lines.reduce(r) for r in rays} - {zero})
+    return VRep(h.dimension, tuple(canon), tuple(lines.rows), h.labels)
 
 
 def facets_from_rays(v: VRep) -> HRep:
@@ -296,13 +322,8 @@ def remove_redundancies(h: HRep, certificates: bool = False):
     minimal = facets_from_rays(enumerate_rays(h))
     if not certificates:
         return minimal
-    certs = []
-    ineqs = list(minimal.inequalities)
-    frees = list(minimal.equalities)
-    for row in (*h.equalities, *h.inequalities):
-        combo = conic_combination(ineqs, frees, row)
-        certs.append(combo)
-    return minimal, certs
+    return minimal, [conic_combination(minimal.inequalities, minimal.equalities, row)
+                     for row in (*h.equalities, *h.inequalities)]
 
 
 def membership(cone: HRep | VRep, vector: Sequence[int | Fraction]) -> bool:
@@ -323,13 +344,8 @@ def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
         raise InvalidParameter("cone dimensions differ")
     inner_v = inner if isinstance(inner, VRep) else enumerate_rays(inner)
     outer_h = facets_from_rays(outer) if isinstance(outer, VRep) else outer
-    for ray in inner_v.rays:
-        if not membership(outer_h, ray):
-            return False
-    for line in inner_v.lineality:
-        if not membership(outer_h, line) or not membership(outer_h, [-v for v in line]):
-            return False
-    return True
+    negated = [tuple(-v for v in line) for line in inner_v.lineality]
+    return all(membership(outer_h, v) for v in (*inner_v.rays, *inner_v.lineality, *negated))
 
 
 def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
@@ -365,7 +381,7 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
         if not 0 <= c < h.dimension:
             raise InvalidParameter(f"coordinate {c} out of range")
 
-    eqs = [list(r) for r in h.equalities]
+    eqs = list(h.equalities)
     ineqs = [_FMRow(r, 1 << i) for i, r in enumerate(h.inequalities)]
     remaining = set(targets)
     k_pair = 0
@@ -376,27 +392,13 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
             c = min(eq_coords)
             pivot = min((e for e in eqs if e[c]), key=lambda e: (sum(1 for v in e if v), e))
             eqs.remove(pivot)
-            pc = pivot[c]
-            new_eqs = []
-            for e in eqs:
-                if e[c]:
-                    combo = [pc * x - e[c] * y for x, y in zip(e, pivot)]
-                    if any(combo):
-                        new_eqs.append(list(primitive(combo)))
-                else:
-                    new_eqs.append(e)
-            eqs = new_eqs
-            new_ineqs = []
-            for row in ineqs:
-                if row.vector[c]:
-                    combo = [pc * x - row.vector[c] * y for x, y in zip(row.vector, pivot)]
-                    if pc < 0:
-                        combo = [-v for v in combo]
-                    if any(combo):
-                        new_ineqs.append(_FMRow(primitive(combo), row.ancestry))
-                else:
-                    new_ineqs.append(row)
-            ineqs = _prune(new_ineqs, k_pair)
+            eqs = [_eliminate(e, pivot, c) if e[c] else e for e in eqs]
+            eqs = [e for e in eqs if any(e)]
+            # a positive lead keeps every inequality's direction
+            flipped = pivot if pivot[c] > 0 else tuple(-v for v in pivot)
+            ineqs = [_FMRow(_eliminate(r.vector, flipped, c), r.ancestry) if r.vector[c] else r
+                     for r in ineqs]
+            ineqs = _prune([r for r in ineqs if any(r.vector)])
             remaining.discard(c)
             continue
         # otherwise pick the cheapest pairing coordinate
@@ -425,20 +427,20 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
                 old = produced.get(combo)
                 if old is None or ancestry.bit_count() < old.bit_count():
                     produced[combo] = ancestry
-        ineqs = _prune(zero + [_FMRow(v, anc) for v, anc in produced.items()], k_pair)
+        ineqs = _prune(zero + [_FMRow(v, anc) for v, anc in produced.items()])
 
     keep = [i for i in range(h.dimension) if i not in set(targets)]
     project = lambda row: tuple(row[i] for i in keep)
     out_labels = tuple(h.labels[i] for i in keep) if h.labels else None
     projected = HRep(len(keep),
-                     equalities=tuple(project(tuple(e)) for e in eqs),
+                     equalities=tuple(project(e) for e in eqs),
                      inequalities=tuple(project(r.vector) for r in ineqs),
                      labels=out_labels)
     minimal = remove_redundancies(projected)
     return replace(minimal, labels=out_labels)
 
 
-def _prune(rows: list[_FMRow], k_pair: int) -> list[_FMRow]:
+def _prune(rows: list[_FMRow]) -> list[_FMRow]:
     # dedupe on primitive vectors, keeping the smallest ancestry
     best: dict[Row, int] = {}
     for r in rows:
@@ -473,8 +475,7 @@ def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
     lineality = [tuple(l[i] for i in keep) for l in v.lineality]
     out_labels = tuple(h.labels[i] for i in keep) if h.labels else None
     projected = VRep(len(keep), tuple(sorted(rays)), tuple(lineality), out_labels)
-    minimal_h = facets_from_rays(projected)
-    return minimal_h
+    return facets_from_rays(projected)
 
 
 def extremalize(v: VRep) -> VRep:

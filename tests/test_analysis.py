@@ -4,16 +4,19 @@ import json
 
 import pytest
 
-from entrocone.analysis import (classify_shannon_facets,
+from entrocone.analysis import (_independence_equalities_rows, _nice_equalities,
+                                classify_shannon_facets,
                                 full_marginal_outer_cone, observed_outer_cone,
                                 post_selected_marginal_cone, report_to_json,
                                 report_to_text, split_generated_rays,
                                 verify_line_tightness)
 from entrocone.causal import (CausalStructure, Node, bell_structure,
-                              build_line_structure, build_post_selected_line)
+                              build_line_structure, build_post_selected_line,
+                              structure_from_name)
 from entrocone.entropy_space import elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
-from entrocone.polyhedra import HRep, cones_equal, facets_from_rays, membership
+from entrocone.polyhedra import (HRep, cones_equal, facets_from_rays, membership,
+                                 reduce_mod_span, rref)
 
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
@@ -276,3 +279,49 @@ class TestReports:
         a = report_to_json(observed_outer_cone(build_line_structure(3)))
         b = report_to_json(observed_outer_cone(build_line_structure(3)))
         assert a == b
+
+
+# -- oracle: the incremental equality choice against one rref per candidate ----
+
+def _rref_per_candidate(hrep, structure, index):
+    """_nice_equalities as it was: a full rref of the chosen rows for every candidate."""
+    if not hrep.equalities:
+        return hrep
+    base, pivots = rref(hrep.equalities)
+    candidates = _independence_equalities_rows(structure, index, maximal_only=False)
+    chosen = []
+    for row in candidates:
+        if len(chosen) == len(base):
+            break
+        trial = chosen + [row]
+        if len(rref(trial)[0]) == len(trial) and not any(reduce_mod_span(row, base, pivots)):
+            chosen.append(row)
+    if len(chosen) == len(base):
+        return HRep(hrep.dimension, tuple(chosen), hrep.inequalities, hrep.labels)
+    return hrep
+
+
+@pytest.mark.parametrize("selector", ["pn:3", "pn:4", "pn:5", "pn:6", "pn:7",
+                                      "bell", "ptilde:3", "ptilde:4"])
+def test_incremental_equality_choice_matches_rref_per_candidate(selector):
+    structure = structure_from_name(selector)
+    report = observed_outer_cone(structure)
+    dual = facets_from_rays(report.vrep)  # the H-rep observed_outer_cone presents
+    expected = _rref_per_candidate(dual, structure, report.index)
+    assert expected is not dual  # independence rows span the equalities
+    assert _nice_equalities(dual, structure, report.index) == expected
+    assert report.hrep == expected
+
+
+@pytest.mark.parametrize("selector", ["pn:5", "ptilde:3"])
+def test_equality_choice_passes_over_rows_outside_the_span(selector):
+    # equalities spanned by every other independence row, so that rows in
+    # between lie outside the span and must be passed over
+    structure = structure_from_name(selector)
+    report = observed_outer_cone(structure)
+    rows = _independence_equalities_rows(structure, report.index, maximal_only=False)
+    partial = HRep(report.hrep.dimension, tuple(rows[::2]), report.hrep.inequalities,
+                   report.hrep.labels)
+    expected = _rref_per_candidate(partial, structure, report.index)
+    assert expected is not partial
+    assert _nice_equalities(partial, structure, report.index) == expected

@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,20 @@ from entrocone.distributions import model_to_json, witness_line
 from entrocone.polyhedra import rep_to_json, HRep, VRep
 
 from reference_tables import LINE4_RAYS
+
+
+# SHA-256 of stdout, recorded before the incremental echelon kernel replaced
+# one rref per candidate equality; these answers must stay byte-identical
+PINNED_STDOUT = {
+    "outer pn:7": "05da730a5d417427ac6eda5d2c1f43c6c38df50e9ef4409c94062038a407e4de",
+    "outer ptilde:4": "3263f7185ca822a0543ebf17acae5fc55500ed1ce993e152a80f842ba363eb00",
+    "bc-cone 4": "3ec8e08ca7b25f6da03ce61baa84993134aa02d9d0a00b2848595e4d24baec36",
+    "--format json bc-cone 3": "3ebfc6ed40a51a32aa1a482753b2aa3f1ca858315ebd7c2a86c391d375e52ec7",
+    "--engine dd marginalize bell":
+        "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
+    "--engine fm marginalize bell":
+        "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
+}
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +127,16 @@ class TestMarginalize:
         code, _, err = run_cli(capsys, "marginalize", "pn:4")
         assert code == 1
         assert "--max-nodes" in err
+
+    @pytest.mark.parametrize("argv", [["--max-nodes", "-3", "marginalize", "bell"],
+                                      ["--max-nodes", "0", "outer", "pn:3"]],
+                             ids=["negative-marginalize", "zero-outer"])
+    def test_max_nodes_below_one_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--max-nodes" in err
+        assert "at least 1" in err
 
     def test_guard_override_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--max-nodes", "7", "--engine", "dd",
@@ -263,6 +288,12 @@ class TestCliContract:
         dd = run_cli(capsys, "--format", fmt, "--engine", "dd", *command)
         assert fm[0] == dd[0] == 0
         assert fm[1] == dd[1]
+
+    @pytest.mark.parametrize("argv", list(PINNED_STDOUT))
+    def test_pinned_stdout_digest(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
     def test_verbose_timing_on_stderr_only(self, capsys):
         _, out, err = run_cli(capsys, "--verbose", "outer", "pn:2")

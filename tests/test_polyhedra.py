@@ -1,7 +1,7 @@
 """Exact cone engine: double description, Fourier-Motzkin, conversions."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +10,7 @@ from entrocone._simplex import conic_combination
 from entrocone.causal import build_line_structure, observed_independence_constraints
 from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import (HRep, VRep, _dd_pointed_with_lineality, _FMRow, _prune,
+from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality, _FMRow, _prune,
                                  cones_equal, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
                                  membership, nullspace, primitive, reduce_mod_span,
@@ -430,6 +430,65 @@ def test_integer_nullspace_matches_fraction_formula(case):
     assert all(type(v) is int for vec in basis for v in vec)
 
 
+# -- oracle: the incremental Echelon against the Fraction elimination ----------
+
+@st.composite
+def _insert_sequence(draw):
+    width = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([st.integers(-4, 4), st.sampled_from((-1, 0, 0, 0, 1))]))
+    row = st.lists(entry, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    # dependent rows: repeats, negations and sums of earlier rows
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        new = draw(st.sampled_from([a, [-v for v in a], [x + y for x, y in zip(a, b)]]))
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, draw(row), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_insert_sequence())
+@example(([[0, 0, 0], [0, -2, 4], [3, 0, 0], [0, 1, -2], [1, 1, 1]], [5, -1, 2], 3))
+@example(([[0, 1], [1, 0]], [2, 3], 2))  # a later row takes an earlier pivot column
+def test_incremental_echelon_matches_fraction_elimination(case):
+    rows, probe, width = case
+    span = Echelon()
+    for k, row in enumerate(rows, 1):
+        rank = len(span.rows)
+        inserted = span.add(row)
+        base, pivots = _fraction_rref(rows[:k])
+        assert (span.rows, span.pivots) == (base, pivots)
+        assert inserted == (len(base) > rank)
+        assert all(type(v) is int for r in span.rows for v in r)
+        assert span.reduce(probe) == _fraction_reduce_mod_span(probe, base, pivots)
+        assert span.nullspace(width) == _fraction_nullspace(rows[:k], width)
+
+
+def _lcm_primitive(vector):
+    """primitive as it was before its all-int path."""
+    denom = lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (denom // v.denominator) for v in vector]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+_ints = st.integers(-10 ** 6, 10 ** 6)
+_fracs = st.fractions(-50, 50, max_denominator=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_ints, max_size=7), st.lists(_fracs, max_size=7),
+                 st.lists(st.one_of(_ints, _fracs), max_size=7)))
+@example([Fraction(4), Fraction(6)])  # Fractions with denominator 1
+@example([0, Fraction(0)])
+@example([-6, 0, 9])
+def test_all_int_primitive_matches_lcm_route(vector):
+    out = primitive(vector)
+    assert out == _lcm_primitive(vector)
+    assert type(out) is tuple
+    assert all(type(v) is int for v in out)
+
+
 def _substitute_and_lift(h):
     """The equality route enumerate_rays used to take: the equality-free route in a
     nullspace basis, with the rays lifted back."""
@@ -513,7 +572,7 @@ def _fm_rows(draw):
 @given(_fm_rows())
 @example([_FMRow((0, 0), 1), _FMRow((0, 1), 1)])  # an equal ancestry must not dominate
 def test_minimal_ancestry_prune_matches_all_pairs(rows):
-    assert _prune(rows, 0) == _all_pairs_prune(rows)
+    assert _prune(rows) == _all_pairs_prune(rows)
 
 
 # -- oracle: the candidate-restricted adjacency scan against the full scan -----
