@@ -22,7 +22,8 @@ from .entropy_space import (CoordinateIndex, contiguous_decomposition_equalities
                             reduced_line_system, substitute_contiguous, system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (Echelon, HRep, VRep, _row_text, dd_project, enumerate_rays,
-                        extremalize, facets_from_rays, fm_eliminate, membership, primitive)
+                        extremalize, facets_from_rays, fm_eliminate, membership, primitive,
+                        reduce_mod_span, rref)
 
 DEFAULT_TOLERANCE = 1e-9
 NODE_GUARD = 6
@@ -81,15 +82,17 @@ def _nice_equalities(hrep: HRep, structure: CausalStructure,
     """
     if not hrep.equalities:
         return hrep
-    span = Echelon(hrep.equalities)
+    base, pivots = rref(hrep.equalities)
+    candidates = _independence_equalities_rows(structure, index, maximal_only=False)
     independent = Echelon()
     chosen: list[tuple[int, ...]] = []
-    for row in _independence_equalities_rows(structure, index, maximal_only=False):
-        if len(chosen) == len(span.rows):
+    for row in candidates:
+        if len(chosen) == len(base):
             break
-        if not any(span.reduce(row)) and independent.add(row):
+        # the span test comes first: only rows that are kept may enter ``independent``
+        if not any(reduce_mod_span(row, base, pivots)) and independent.add(row):
             chosen.append(row)
-    if len(chosen) == len(span.rows):
+    if len(chosen) == len(base):
         return HRep(hrep.dimension, tuple(chosen), hrep.inequalities, hrep.labels)
     return hrep
 

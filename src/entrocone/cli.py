@@ -183,7 +183,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except (InvalidParameter, InvalidModel, NodeGuardExceeded) as exc:
+    except NodeGuardExceeded as exc:
+        print(f"entrocone: {exc}", file=sys.stderr)
+        return 1
+    except (InvalidParameter, InvalidModel) as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

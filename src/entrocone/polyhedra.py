@@ -74,11 +74,7 @@ class Echelon:
 
     def reduce(self, vector: Sequence[int | Fraction]) -> Row:
         """Canonical representative of a vector modulo the span: zero on every pivot."""
-        vec = primitive(vector)
-        for row, pc in zip(self.rows, self.pivots):
-            if vec[pc]:
-                vec = _eliminate(vec, row, pc)
-        return vec
+        return reduce_mod_span(vector, self.rows, self.pivots)
 
     def add(self, vector: Sequence[int | Fraction]) -> bool:
         """Insert a row unless it lies in the span; whether it was inserted."""
@@ -94,22 +90,6 @@ class Echelon:
         self.pivots.insert(at, pc)
         return True
 
-    def nullspace(self, dim: int) -> list[Row]:
-        """Primitive integer basis of {v : row . v = 0 for every row}, one vector per free column.
-
-        The free entry is the lcm of the pivot leads, so every pivot entry is an integer.
-        """
-        scale = lcm(*(row[pc] for row, pc in zip(self.rows, self.pivots)))
-        pivots = set(self.pivots)
-        basis = []
-        for fc in (c for c in range(dim) if c not in pivots):
-            vec = [0] * dim
-            vec[fc] = scale
-            for row, pc in zip(self.rows, self.pivots):
-                vec[pc] = -row[fc] * (scale // row[pc])
-            basis.append(primitive(vec))
-        return basis
-
 
 def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]]:
     """The nonzero rows and pivot columns of the :class:`Echelon` form of ``rows``."""
@@ -117,16 +97,32 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]
     return span.rows, span.pivots
 
 
-def nullspace(rows: Iterable[Sequence[int | Fraction]], dim: int) -> list[Row]:
-    return Echelon(rows).nullspace(dim)
+def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
+    """Primitive integer basis of {v : row . v = 0 for all rows}, one vector per free column.
+
+    Back-substitution runs on the integer :func:`rref` rows: the free entry
+    is the lcm of the pivot leads, so every pivot entry is an integer.
+    """
+    reduced, pivots = rref(rows)
+    scale = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
+    basis = []
+    for fc in (c for c in range(dim) if c not in pivots):
+        vec = [0] * dim
+        vec[fc] = scale
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append(primitive(vec))
+    return basis
 
 
 def reduce_mod_span(vector: Sequence[int | Fraction], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
     """Canonical representative of a vector modulo the row span of an :func:`rref` basis."""
-    span = Echelon()
-    span.rows, span.pivots = list(basis_rref), list(pivots)
-    return span.reduce(vector)
+    vec = primitive(vector)
+    for row, pc in zip(basis_rref, pivots):
+        if vec[pc] != 0:
+            vec = _eliminate(vec, row, pc)
+    return vec
 
 
 # -- representations -----------------------------------------------------------
@@ -285,16 +281,16 @@ def enumerate_rays(h: HRep) -> VRep:
     # alike and rows in span(E) do not cut it; extra copies would only weaken
     # the DD prefilter, so the sparsest row of each class is kept.
     zero = tuple([0] * h.dimension)
-    eqs = Echelon(h.equalities)
+    eq_rref, eq_pivots = rref(h.equalities)
     classes: dict[Row, Row] = {}
     for a in sorted(h.inequalities, key=lambda r: (sum(1 for v in r if v), r)):
-        classes.setdefault(eqs.reduce(a), a)
+        classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
     classes.pop(zero, None)
-    rays, lineality = _dd_pointed_with_lineality(eqs.nullspace(h.dimension),
+    rays, lineality = _dd_pointed_with_lineality(nullspace(eq_rref, h.dimension),
                                                  list(classes.values()))
-    lines = Echelon(lineality)
-    canon = sorted({lines.reduce(r) for r in rays} - {zero})
-    return VRep(h.dimension, tuple(canon), tuple(lines.rows), h.labels)
+    lin_rref, pivots = rref(lineality)
+    canon = sorted({reduce_mod_span(r, lin_rref, pivots) for r in rays} - {zero})
+    return VRep(h.dimension, tuple(canon), tuple(lin_rref), h.labels)
 
 
 def facets_from_rays(v: VRep) -> HRep:
@@ -322,8 +318,13 @@ def remove_redundancies(h: HRep, certificates: bool = False):
     minimal = facets_from_rays(enumerate_rays(h))
     if not certificates:
         return minimal
-    return minimal, [conic_combination(minimal.inequalities, minimal.equalities, row)
-                     for row in (*h.equalities, *h.inequalities)]
+    certs = []
+    ineqs = list(minimal.inequalities)
+    frees = list(minimal.equalities)
+    for row in (*h.equalities, *h.inequalities):
+        combo = conic_combination(ineqs, frees, row)
+        certs.append(combo)
+    return minimal, certs
 
 
 def membership(cone: HRep | VRep, vector: Sequence[int | Fraction]) -> bool:
@@ -344,8 +345,13 @@ def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
         raise InvalidParameter("cone dimensions differ")
     inner_v = inner if isinstance(inner, VRep) else enumerate_rays(inner)
     outer_h = facets_from_rays(outer) if isinstance(outer, VRep) else outer
-    negated = [tuple(-v for v in line) for line in inner_v.lineality]
-    return all(membership(outer_h, v) for v in (*inner_v.rays, *inner_v.lineality, *negated))
+    for ray in inner_v.rays:
+        if not membership(outer_h, ray):
+            return False
+    for line in inner_v.lineality:
+        if not membership(outer_h, line) or not membership(outer_h, [-v for v in line]):
+            return False
+    return True
 
 
 def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
@@ -475,7 +481,8 @@ def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
     lineality = [tuple(l[i] for i in keep) for l in v.lineality]
     out_labels = tuple(h.labels[i] for i in keep) if h.labels else None
     projected = VRep(len(keep), tuple(sorted(rays)), tuple(lineality), out_labels)
-    return facets_from_rays(projected)
+    minimal_h = facets_from_rays(projected)
+    return minimal_h
 
 
 def extremalize(v: VRep) -> VRep:

@@ -325,3 +325,13 @@ def test_equality_choice_passes_over_rows_outside_the_span(selector):
     expected = _rref_per_candidate(partial, structure, report.index)
     assert expected is not partial
     assert _nice_equalities(partial, structure, report.index) == expected
+
+
+def test_rows_outside_the_span_do_not_block_later_rows(monkeypatch):
+    # (1,0,1) and (0,0,1) lie outside span(E) but their difference (1,0,0)
+    # is in it; passing them over must leave (1,0,0) free to be chosen
+    candidates = [(1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    monkeypatch.setattr("entrocone.analysis._independence_equalities_rows",
+                        lambda structure, index, maximal_only: candidates)
+    hrep = HRep(3, equalities=((1, 1, 0), (0, 1, 0)), inequalities=((0, 0, 1),))
+    assert _nice_equalities(hrep, None, None).equalities == ((1, 0, 0), (0, 1, 0))

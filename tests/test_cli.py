@@ -23,8 +23,6 @@ PINNED_STDOUT = {
     "--format json bc-cone 3": "3ebfc6ed40a51a32aa1a482753b2aa3f1ca858315ebd7c2a86c391d375e52ec7",
     "--engine dd marginalize bell":
         "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
-    "--engine fm marginalize bell":
-        "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
 }
 
 

@@ -461,7 +461,7 @@ def test_incremental_echelon_matches_fraction_elimination(case):
         assert inserted == (len(base) > rank)
         assert all(type(v) is int for r in span.rows for v in r)
         assert span.reduce(probe) == _fraction_reduce_mod_span(probe, base, pivots)
-        assert span.nullspace(width) == _fraction_nullspace(rows[:k], width)
+        assert nullspace(span.rows, width) == _fraction_nullspace(rows[:k], width)
 
 
 def _lcm_primitive(vector):
