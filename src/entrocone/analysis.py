@@ -18,8 +18,9 @@ from . import distributions as dist
 from .causal import (CausalStructure, build_post_selected_line,
                      observed_independence_constraints)
 from .entropy_space import (CoordinateIndex, contiguous_decomposition_equalities,
-                            elemental_shannon_system, classical_ci_system, lift_block_vector,
-                            reduced_line_system, substitute_contiguous, system_rows)
+                            elemental_forms, elemental_shannon_system, classical_ci_system,
+                            lift_block_vector, reduced_line_system, substitute_contiguous,
+                            system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (Echelon, HRep, VRep, _row_text, dd_project, enumerate_rays,
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
@@ -59,16 +60,27 @@ def _roman(k: int) -> str:
     return "".join(out)
 
 
-def _independence_equalities_rows(structure: CausalStructure, index: CoordinateIndex,
-                                  maximal_only: bool) -> list[tuple[int, ...]]:
-    forms = observed_independence_constraints(structure, maximal_only=maximal_only)
+def _independence_equalities_rows(structure: CausalStructure,
+                                  index: CoordinateIndex) -> list[tuple[int, ...]]:
     rows = []
-    for form in forms:
+    for form in observed_independence_constraints(structure, maximal_only=False):
         try:
-            rows.append(primitive(form.row(index)))
+            rows.append(form.row(index))
         except InvalidParameter:
             continue  # not expressible in a restricted scenario index
     return rows
+
+
+def _observed_outer_hrep(structure: CausalStructure, index: CoordinateIndex) -> HRep:
+    """Elemental Shannon inequalities plus every ancestor-disjoint equality.
+
+    The non-maximal pairs are implied by the maximal ones on the Shannon
+    cone, so adding them changes nothing but shrinks the effective
+    dimension before ray enumeration or projection.
+    """
+    shannon = elemental_shannon_system(index.variables)
+    return HRep(len(index), tuple(_independence_equalities_rows(structure, index)),
+                tuple(form.row(index) for form in shannon.inequalities), labels=index.labels)
 
 
 def _nice_equalities(hrep: HRep, structure: CausalStructure,
@@ -83,7 +95,7 @@ def _nice_equalities(hrep: HRep, structure: CausalStructure,
     if not hrep.equalities:
         return hrep
     base, pivots = rref(hrep.equalities)
-    candidates = _independence_equalities_rows(structure, index, maximal_only=False)
+    candidates = _independence_equalities_rows(structure, index)
     independent = Echelon()
     chosen: list[tuple[int, ...]] = []
     for row in candidates:
@@ -106,16 +118,8 @@ def observed_outer_cone(structure: CausalStructure,
     version of the structure alike.
     """
     start = time.perf_counter()
-    observed = structure.observed_ids()
-    index = CoordinateIndex(observed)
-    shannon = elemental_shannon_system(observed)
-    _, ineq_rows = system_rows(shannon)
-    # the non-maximal pairs are implied by the maximal ones on the Shannon
-    # cone, so adding them changes nothing but shrinks the effective
-    # dimension before ray enumeration
-    eq_rows = _independence_equalities_rows(structure, index, maximal_only=False)
-    hrep = HRep(len(index), tuple(eq_rows), tuple(ineq_rows), labels=index.labels)
-    vrep = enumerate_rays(hrep)
+    index = CoordinateIndex(structure.observed_ids())
+    vrep = enumerate_rays(_observed_outer_hrep(structure, index))
     minimal = _nice_equalities(facets_from_rays(vrep), structure, index)
     return ConeReport(
         structure_name=name or structure.name or "structure",
@@ -148,8 +152,7 @@ def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeR
     index = reduced.index
     lifted = tuple(lift_block_vector(ray, n) for ray in block_v.rays)
 
-    eq_forms = contiguous_decomposition_equalities(n)
-    eq_rows = tuple(primitive(f.row(index)) for f in eq_forms)
+    eq_rows = tuple(f.row(index) for f in contiguous_decomposition_equalities(n))
     _, ineq_rows = system_rows(reduced)
     hrep = HRep(len(index), eq_rows, tuple(ineq_rows), labels=index.labels)
     vrep = VRep(len(index), tuple(sorted(lifted)), (), labels=index.labels)
@@ -272,18 +275,7 @@ def _scenario_shannon_pool(index: CoordinateIndex) -> list[tuple[int, ...]]:
     """Elemental systems of every maximal allowed subset, in scenario coords."""
     masks = set(index.masks)
     maximal = [m for m in masks if not any(m != m2 and (m | m2) == m2 for m2 in masks)]
-    pool: set[tuple[int, ...]] = set()
-    from .entropy_space import _bit_positions
-    for m in sorted(maximal):
-        members = [index.variables[i] for i in _bit_positions(m)]
-        sub = elemental_shannon_system(members)
-        for form in sub.inequalities:
-            row = [0] * len(index)
-            for smask, coeff in form.coefficients:
-                gmask = index.mask_of(sub.index.variables[i] for i in _bit_positions(smask))
-                row[index.position(gmask)] += int(coeff)
-            pool.add(primitive(row))
-    return sorted(pool)
+    return sorted({form.row(index) for m in maximal for form in elemental_forms(m)})
 
 
 def classify_shannon_facets(hrep: HRep, marginal_index: CoordinateIndex) -> tuple[list, list]:
@@ -321,12 +313,7 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     start = time.perf_counter()
     structure = build_post_selected_line(k)
     index, marginal_index, keep_positions = _marginal_scenario(structure)
-    shannon = elemental_shannon_system(structure.observed_ids())
-    _, ineq_rows = system_rows(shannon)
-    # the full ancestor-disjoint list keeps the effective dimension small;
-    # with the Shannon system present it cuts the same cone as the maximal list
-    eq_rows = _independence_equalities_rows(structure, index, maximal_only=False)
-    hrep = HRep(len(index), tuple(eq_rows), tuple(ineq_rows), labels=index.labels)
+    hrep = _observed_outer_hrep(structure, index)
     drop = [i for i in range(len(index)) if i not in set(keep_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     projected = HRep(projected.dimension, projected.equalities, projected.inequalities,

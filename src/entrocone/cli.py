@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -182,7 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # usage errors exit 1, --help exits 0
         return int(exc.code or 0)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout then fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader has gone; silence the interpreter's final flush of stdout
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NodeGuardExceeded as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,7 @@
 The coordinate system assigns one real coordinate to the joint entropy of
 every nonempty subset of a ground set of variables, ordered by cardinality
 and then lexicographically by member position.  Constraint systems are
-lists of exact-rational linear forms over these coordinates: the elemental
+lists of integer linear forms over these coordinates: the elemental
 Shannon inequalities, the conditional-independence equalities of a causal
 structure, and the reduced system for line structures.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import InvalidParameter
@@ -90,22 +89,22 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Rational-coefficient functional over entropy coordinates.
+    """Integer-coefficient functional over entropy coordinates.
 
-    ``coefficients`` maps subset masks to nonzero rationals; ``relation``
+    ``coefficients`` maps subset masks to nonzero integers; ``relation``
     states whether the form is constrained to be nonnegative or zero.
     """
 
-    coefficients: tuple[tuple[int, Fraction], ...]
+    coefficients: tuple[tuple[int, int], ...]
     relation: Relation = ">="
 
     @staticmethod
-    def build(coeffs: Mapping[int, Fraction | int], relation: Relation = ">=") -> "LinearForm":
-        items = tuple(sorted((m, Fraction(c)) for m, c in coeffs.items() if c != 0))
+    def build(coeffs: Mapping[int, int], relation: Relation = ">=") -> "LinearForm":
+        items = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
         return LinearForm(items, relation)
 
-    def row(self, index: CoordinateIndex) -> tuple[Fraction, ...]:
-        row = [Fraction(0)] * len(index)
+    def row(self, index: CoordinateIndex) -> tuple[int, ...]:
+        row = [0] * len(index)
         for mask, coeff in self.coefficients:
             row[index.position(mask)] += coeff
         return tuple(row)
@@ -167,45 +166,45 @@ def conditional_mutual_information(s: int, t: int, z: int = 0,
         raise InvalidParameter("S, T, Z must be pairwise disjoint")
     if not s or not t:
         raise InvalidParameter("S and T must be nonempty")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     for mask, c in ((s | z, 1), (t | z, 1), (s | t | z, -1), (z, -1)):
         if mask:
-            coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
+            coeffs[mask] = coeffs.get(mask, 0) + c
     return LinearForm.build(coeffs, relation)
 
 
-def elemental_shannon_system(variables: Sequence[str]) -> ConstraintSystem:
-    """Minimal generating set of the Shannon constraints.
+def elemental_forms(ground: int) -> list[LinearForm]:
+    """Elemental Shannon inequalities over the variables of a subset mask.
 
-    For n >= 2 this is one monotonicity per variable and one conditional
-    mutual-information positivity per ordered pair and conditioning subset,
-    n + n(n-1)*2^(n-3) inequalities in total.  For a single variable the
-    system degenerates to plain positivity.
+    For n >= 2 members this is one monotonicity per member and one
+    conditional mutual-information positivity per pair of members and
+    subset of the others, n + n(n-1)*2^(n-3) inequalities in total.  For a
+    single member it degenerates to plain positivity.
     """
+    bits = [1 << p for p in _bit_positions(ground)]
+    if len(bits) == 1:
+        return [LinearForm.build({ground: 1})]
+    forms = [LinearForm.build({ground: 1, ground & ~b: -1}) for b in bits]
+    for i, bi in enumerate(bits):
+        for bj in bits[i + 1:]:
+            others = ground & ~bi & ~bj
+            # iterate over all subsets of the remaining members
+            s = others
+            while True:
+                forms.append(conditional_mutual_information(bi, bj, s))
+                if s == 0:
+                    break
+                s = (s - 1) & others
+    return forms
+
+
+def elemental_shannon_system(variables: Sequence[str]) -> ConstraintSystem:
+    """Minimal generating set of the Shannon constraints: the elemental forms of all variables."""
     if not variables:
         raise InvalidParameter("variable list must be nonempty")
     index = CoordinateIndex(tuple(variables))
-    n = len(variables)
-    full = (1 << n) - 1
-    forms: list[LinearForm] = []
-    if n == 1:
-        forms.append(LinearForm.build({1: Fraction(1)}))
-        return ConstraintSystem(index, (), tuple(forms))
-    for i in range(n):
-        rest = full & ~(1 << i)
-        forms.append(LinearForm.build({full: Fraction(1), rest: Fraction(-1)}))
-    for i in range(n):
-        for j in range(i + 1, n):
-            others = full & ~(1 << i) & ~(1 << j)
-            sub = others
-            # iterate over all subsets of the remaining variables
-            s = sub
-            while True:
-                forms.append(conditional_mutual_information(1 << i, 1 << j, s))
-                if s == 0:
-                    break
-                s = (s - 1) & sub
-    return ConstraintSystem(index, (), tuple(forms))
+    full = (1 << len(index.variables)) - 1
+    return ConstraintSystem(index, (), tuple(elemental_forms(full)))
 
 
 def classical_ci_system(structure) -> ConstraintSystem:
@@ -244,10 +243,10 @@ def reduced_line_system(n: int) -> ConstraintSystem:
     full = (1 << n) - 1
     forms: list[LinearForm] = []
     if n == 1:
-        forms.append(LinearForm.build({1: Fraction(1)}))
+        forms.append(LinearForm.build({1: 1}))
         return ConstraintSystem(index, (), tuple(forms))
     for i in range(n):
-        forms.append(LinearForm.build({full: Fraction(1), full & ~(1 << i): Fraction(-1)}))
+        forms.append(LinearForm.build({full: 1, full & ~(1 << i): -1}))
     for i in range(n):
         for j in range(i + 1, n):
             between = 0
@@ -277,9 +276,17 @@ def contiguous_blocks(mask: int) -> list[int]:
     return blocks
 
 
-def _block_position(n: int, start: int, length: int) -> int:
-    # coordinates ordered by (length, start); lengths 1..length-1 precede
-    return sum(n - L + 1 for L in range(1, length)) + start
+def _block_positions(mask: int, n: int) -> list[int]:
+    """Block coordinates of the maximal contiguous runs of a subset of n positions.
+
+    Block coordinates are ordered by (length, start): the runs of length
+    below L take (L-1)(2n+2-L)/2 coordinates.
+    """
+    positions = []
+    for block in contiguous_blocks(mask):
+        length, start = block.bit_count(), (block & -block).bit_length() - 1
+        positions.append((length - 1) * (2 * n + 2 - length) // 2 + start)
+    return positions
 
 
 def substitute_contiguous(system: ConstraintSystem) -> list[tuple[int, ...]]:
@@ -293,14 +300,12 @@ def substitute_contiguous(system: ConstraintSystem) -> list[tuple[int, ...]]:
     if system.equalities:
         raise InvalidParameter("substitution expects an inequality-only system")
     n = len(system.index.variables)
-    dim = n * (n + 1) // 2
     rows = []
     for form in system.inequalities:
-        row = [Fraction(0)] * dim
+        row = [0] * (n * (n + 1) // 2)
         for mask, coeff in form.coefficients:
-            for block in contiguous_blocks(mask):
-                positions = _bit_positions(block)
-                row[_block_position(n, positions[0], len(positions))] += coeff
+            for position in _block_positions(mask, n):
+                row[position] += coeff
         rows.append(primitive(row))
     return rows
 
@@ -308,14 +313,7 @@ def substitute_contiguous(system: ConstraintSystem) -> list[tuple[int, ...]]:
 def lift_block_vector(values: Sequence[int], n: int) -> tuple[int, ...]:
     """Expand a contiguous-block vector to the full subset-coordinate vector."""
     index = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
-    out = []
-    for mask in index.masks:
-        total = 0
-        for block in contiguous_blocks(mask):
-            positions = _bit_positions(block)
-            total += values[_block_position(n, positions[0], len(positions))]
-        out.append(total)
-    return tuple(out)
+    return tuple(sum(values[p] for p in _block_positions(mask, n)) for mask in index.masks)
 
 
 def contiguous_decomposition_equalities(n: int) -> tuple[LinearForm, ...]:
@@ -325,10 +323,7 @@ def contiguous_decomposition_equalities(n: int) -> tuple[LinearForm, ...]:
     for mask in index.masks:
         blocks = contiguous_blocks(mask)
         if len(blocks) > 1:
-            coeffs: dict[int, Fraction] = {mask: Fraction(1)}
-            for block in blocks:
-                coeffs[block] = coeffs.get(block, Fraction(0)) - 1
-            forms.append(LinearForm.build(coeffs, "=="))
+            forms.append(LinearForm.build({mask: 1} | dict.fromkeys(blocks, -1), "=="))
     return tuple(forms)
 
 

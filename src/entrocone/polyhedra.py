@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -378,18 +378,13 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     minimal ancestries only); the final system is minimized by the
     double-description dual pass.
     """
-    targets = sorted(set(coords))
-    if not targets:
+    keep, out_labels = _kept_coordinates(h, coords)
+    remaining = set(range(h.dimension)).difference(keep)
+    if not remaining:
         return remove_redundancies(h)
-    if len(targets) >= h.dimension:
-        raise InvalidParameter("cannot eliminate every coordinate")
-    for c in targets:
-        if not 0 <= c < h.dimension:
-            raise InvalidParameter(f"coordinate {c} out of range")
 
     eqs = list(h.equalities)
     ineqs = [_FMRow(r, 1 << i) for i, r in enumerate(h.inequalities)]
-    remaining = set(targets)
     k_pair = 0
     while remaining:
         # prefer coordinates removable by equality substitution
@@ -435,15 +430,11 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
                     produced[combo] = ancestry
         ineqs = _prune(zero + [_FMRow(v, anc) for v, anc in produced.items()])
 
-    keep = [i for i in range(h.dimension) if i not in set(targets)]
     project = lambda row: tuple(row[i] for i in keep)
-    out_labels = tuple(h.labels[i] for i in keep) if h.labels else None
-    projected = HRep(len(keep),
-                     equalities=tuple(project(e) for e in eqs),
-                     inequalities=tuple(project(r.vector) for r in ineqs),
-                     labels=out_labels)
-    minimal = remove_redundancies(projected)
-    return replace(minimal, labels=out_labels)
+    return remove_redundancies(HRep(len(keep),
+                                    equalities=tuple(project(e) for e in eqs),
+                                    inequalities=tuple(project(r.vector) for r in ineqs),
+                                    labels=out_labels))
 
 
 def _prune(rows: list[_FMRow]) -> list[_FMRow]:
@@ -469,17 +460,25 @@ def _prune(rows: list[_FMRow]) -> list[_FMRow]:
     return [_FMRow(v, a) for v, a in best.items() if a in kept]
 
 
-def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
-    """Projection via ray enumeration: drop coordinates, re-extremalize."""
-    targets = sorted(set(coords))
+def _kept_coordinates(h: HRep, coords: Iterable[int]) -> tuple[list[int], tuple[str, ...] | None]:
+    """Positions and labels left after eliminating ``coords``, which must be in range."""
+    targets = set(coords)
+    for c in sorted(targets):
+        if not 0 <= c < h.dimension:
+            raise InvalidParameter(f"coordinate {c} out of range")
     if len(targets) >= h.dimension:
         raise InvalidParameter("cannot eliminate every coordinate")
-    keep = [i for i in range(h.dimension) if i not in set(targets)]
+    keep = [i for i in range(h.dimension) if i not in targets]
+    return keep, tuple(h.labels[i] for i in keep) if h.labels else None
+
+
+def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
+    """Projection via ray enumeration: drop coordinates, re-extremalize."""
+    keep, out_labels = _kept_coordinates(h, coords)
     v = enumerate_rays(h)
     rays = {primitive(tuple(r[i] for i in keep)) for r in v.rays}
     rays = {r for r in rays if any(r)}
     lineality = [tuple(l[i] for i in keep) for l in v.lineality]
-    out_labels = tuple(h.labels[i] for i in keep) if h.labels else None
     projected = VRep(len(keep), tuple(sorted(rays)), tuple(lineality), out_labels)
     minimal_h = facets_from_rays(projected)
     return minimal_h

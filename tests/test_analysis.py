@@ -1,6 +1,7 @@
 """Pipeline-level behaviour: outer cones, tightness, projections, reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,10 +14,10 @@ from entrocone.analysis import (_independence_equalities_rows, _nice_equalities,
 from entrocone.causal import (CausalStructure, Node, bell_structure,
                               build_line_structure, build_post_selected_line,
                               structure_from_name)
-from entrocone.entropy_space import elemental_shannon_system, system_rows
+from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
 from entrocone.polyhedra import (HRep, cones_equal, facets_from_rays, membership,
-                                 reduce_mod_span, rref)
+                                 primitive, reduce_mod_span, rref)
 
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
@@ -288,7 +289,7 @@ def _rref_per_candidate(hrep, structure, index):
     if not hrep.equalities:
         return hrep
     base, pivots = rref(hrep.equalities)
-    candidates = _independence_equalities_rows(structure, index, maximal_only=False)
+    candidates = _independence_equalities_rows(structure, index)
     chosen = []
     for row in candidates:
         if len(chosen) == len(base):
@@ -319,7 +320,7 @@ def test_equality_choice_passes_over_rows_outside_the_span(selector):
     # between lie outside the span and must be passed over
     structure = structure_from_name(selector)
     report = observed_outer_cone(structure)
-    rows = _independence_equalities_rows(structure, report.index, maximal_only=False)
+    rows = _independence_equalities_rows(structure, report.index)
     partial = HRep(report.hrep.dimension, tuple(rows[::2]), report.hrep.inequalities,
                    report.hrep.labels)
     expected = _rref_per_candidate(partial, structure, report.index)
@@ -332,6 +333,35 @@ def test_rows_outside_the_span_do_not_block_later_rows(monkeypatch):
     # is in it; passing them over must leave (1,0,0) free to be chosen
     candidates = [(1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
     monkeypatch.setattr("entrocone.analysis._independence_equalities_rows",
-                        lambda structure, index, maximal_only: candidates)
+                        lambda structure, index: candidates)
     hrep = HRep(3, equalities=((1, 1, 0), (0, 1, 0)), inequalities=((0, 0, 1),))
     assert _nice_equalities(hrep, None, None).equalities == ((1, 0, 0), (0, 1, 0))
+
+
+# -- oracle: the scenario pool against the Fraction re-indexing it replaced ----
+
+def _fraction_scenario_shannon_pool(index):
+    """_scenario_shannon_pool as it was: each maximal subset's Fraction elemental
+    system over its own variables, re-indexed into the scenario coordinates."""
+    from test_entropy_space import _fraction_elemental_forms
+    masks = set(index.masks)
+    maximal = [m for m in masks if not any(m != m2 and (m | m2) == m2 for m2 in masks)]
+    pool = set()
+    for m in sorted(maximal):
+        sub = CoordinateIndex(tuple(v for i, v in enumerate(index.variables) if m >> i & 1))
+        for coeffs in _fraction_elemental_forms(len(sub.variables)):
+            row = [Fraction(0)] * len(index)
+            for smask, coeff in coeffs.items():
+                gmask = index.mask_of(v for i, v in enumerate(sub.variables) if smask >> i & 1)
+                row[index.position(gmask)] += coeff
+            pool.add(primitive(row))
+    return sorted(pool)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_scenario_pool_matches_the_fraction_reindexing(k):
+    from entrocone.analysis import _marginal_scenario, _scenario_shannon_pool
+    _, marginal_index, _ = _marginal_scenario(build_post_selected_line(k))
+    pool = _scenario_shannon_pool(marginal_index)
+    assert pool == _fraction_scenario_shannon_pool(marginal_index)
+    assert all(type(v) is int for row in pool for v in row)

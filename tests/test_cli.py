@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entrocone
 from entrocone.analysis import verify_line_tightness
 from entrocone.causal import build_line_structure
 from entrocone.cli import main
@@ -292,6 +297,19 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+    @pytest.mark.parametrize("command", ["outer", "verify"])
+    def test_closed_stdout_exits_quietly(self, command):
+        # ~200 kB of JSON outgrows the pipe, so the writer meets the closed end
+        env = dict(os.environ, PYTHONPATH=str(Path(entrocone.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "entrocone.cli", "--format", "json",
+                                 command, "pn:7"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""  # no traceback, and no complaint from the exit flush
 
     def test_verbose_timing_on_stderr_only(self, capsys):
         _, out, err = run_cli(capsys, "--verbose", "outer", "pn:2")

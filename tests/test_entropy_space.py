@@ -1,18 +1,22 @@
 """Coordinate order, constraint generation and the contiguous reduction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrocone.causal import build_line_structure, bell_structure
+from entrocone.causal import (build_line_structure, bell_structure,
+                              observed_independence_constraints, structure_from_name)
 from entrocone.distributions import compile_model, entropy_vector
 from entrocone.entropy_space import (CoordinateIndex,
                                      classical_ci_system, conditional_mutual_information,
                                      contiguous_blocks, contiguous_decomposition_equalities,
-                                     elemental_shannon_system, lift_block_vector,
-                                     reduced_line_system, substitute_contiguous,
-                                     system_rows)
+                                     elemental_forms, elemental_shannon_system,
+                                     lift_block_vector, reduced_line_system,
+                                     substitute_contiguous, system_rows)
 from entrocone.errors import InvalidParameter
+from entrocone.polyhedra import primitive
 
 from conftest import random_model
 
@@ -222,3 +226,101 @@ class TestSerialization:
 def test_count_identity_property(n):
     system = elemental_shannon_system([f"V{i}" for i in range(n)])
     assert len(system.inequalities) == n + n * (n - 1) * 2 ** (n - 3)
+
+
+# -- oracle: the integer generators against the Fraction code they replaced ---
+
+def _fraction_elemental_forms(n):
+    """The elemental Shannon forms over n variables as they were built, in order."""
+    full = (1 << n) - 1
+    if n == 1:
+        return [{1: Fraction(1)}]
+    forms = [{full: Fraction(1), full & ~(1 << i): Fraction(-1)} for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            sub = full & ~(1 << i) & ~(1 << j)
+            s = sub
+            while True:
+                coeffs = {}
+                for mask, c in (((1 << i) | s, 1), ((1 << j) | s, 1),
+                                ((1 << i) | (1 << j) | s, -1), (s, -1)):
+                    if mask:
+                        coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
+                forms.append(coeffs)
+                if s == 0:
+                    break
+                s = (s - 1) & sub
+    return forms
+
+
+def _fraction_block_position(n, start, length):
+    return sum(n - L + 1 for L in range(1, length)) + start
+
+
+def _block_runs(mask):
+    """(start, length) of every maximal contiguous block."""
+    for block in contiguous_blocks(mask):
+        positions = [i for i in range(block.bit_length()) if block >> i & 1]
+        yield positions[0], len(positions)
+
+
+def _fraction_substitute_contiguous(system):
+    n = len(system.index.variables)
+    rows = []
+    for form in system.inequalities:
+        row = [Fraction(0)] * (n * (n + 1) // 2)
+        for mask, coeff in form.coefficients:
+            for start, length in _block_runs(mask):
+                row[_fraction_block_position(n, start, length)] += Fraction(coeff)
+        rows.append(primitive(row))
+    return rows
+
+
+def _fraction_lift_block_vector(values, n):
+    index = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
+    return tuple(sum(values[_fraction_block_position(n, start, length)]
+                     for start, length in _block_runs(mask))
+                 for mask in index.masks)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_elemental_forms_match_the_fraction_generator_in_order(n):
+    system = elemental_shannon_system([f"V{i}" for i in range(n)])
+    forms = elemental_forms((1 << n) - 1)
+    assert list(system.inequalities) == forms
+    assert [dict(f.coefficients) for f in forms] == _fraction_elemental_forms(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_contiguous_block_code_matches_the_fraction_code(n):
+    reduced = reduced_line_system(n)
+    assert substitute_contiguous(reduced) == _fraction_substitute_contiguous(reduced)
+    values = [3 * i * i - 7 * i + 2 for i in range(n * (n + 1) // 2)]
+    assert lift_block_vector(values, n) == _fraction_lift_block_vector(values, n)
+
+
+def _plain_int_rows(rows):
+    return all(type(row) is tuple and all(type(v) is int for v in row) for row in rows)
+
+
+@pytest.mark.parametrize("selector", ["pn:1", "pn:4", "bell", "ptilde:3", "ptilde:4"])
+def test_structure_rows_are_plain_ints(selector):
+    structure = structure_from_name(selector)
+    observed = structure.observed_ids()
+    for system in (elemental_shannon_system(observed), classical_ci_system(structure)):
+        eqs, ineqs = system_rows(system)
+        assert _plain_int_rows(eqs + ineqs)
+        assert _plain_int_rows([f.row(system.index)
+                                for f in (*system.equalities, *system.inequalities)])
+    index = CoordinateIndex(observed)
+    assert _plain_int_rows([f.row(index) for f in observed_independence_constraints(structure)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_line_rows_are_plain_ints(n):
+    reduced = reduced_line_system(n)
+    assert _plain_int_rows(substitute_contiguous(reduced))
+    assert _plain_int_rows(system_rows(reduced)[1])
+    assert _plain_int_rows([f.row(reduced.index) for f in reduced.inequalities])
+    assert _plain_int_rows([f.row(reduced.index)
+                            for f in contiguous_decomposition_equalities(n)])

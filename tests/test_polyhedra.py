@@ -172,6 +172,13 @@ class TestFourierMotzkin:
         with pytest.raises(InvalidParameter):
             fm_eliminate(HRep(2, inequalities=((1, 0),)), [0, 5])
 
+    @pytest.mark.parametrize("coord", [99, -1])
+    @pytest.mark.parametrize("project", [fm_eliminate, dd_project], ids=["fm", "dd"])
+    def test_rejects_out_of_range_coordinates(self, project, coord):
+        h = HRep(3, inequalities=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(InvalidParameter, match=f"coordinate {coord} out of range"):
+            project(h, [coord])
+
     def test_equality_substitution_path(self):
         # x = y and x >= 0 projected to y gives y >= 0
         h = HRep(2, equalities=((1, -1),), inequalities=((1, 0),))
