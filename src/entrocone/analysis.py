@@ -13,16 +13,17 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from . import distributions as dist
 from .causal import (CausalStructure, build_post_selected_line,
                      observed_independence_constraints)
-from .entropy_space import (CoordinateIndex, contiguous_decomposition_equalities,
+from .entropy_space import (CoordinateIndex, LinearForm, contiguous_decomposition_equalities,
                             elemental_forms, elemental_shannon_system, classical_ci_system,
                             lift_block_vector, reduced_line_system, substitute_contiguous,
                             system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
-from .polyhedra import (Echelon, HRep, VRep, _row_text, dd_project, enumerate_rays,
+from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, enumerate_rays,
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
                         reduce_mod_span, rref)
 
@@ -60,42 +61,42 @@ def _roman(k: int) -> str:
     return "".join(out)
 
 
-def _independence_equalities_rows(structure: CausalStructure,
-                                  index: CoordinateIndex) -> list[tuple[int, ...]]:
+def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> list[Row]:
+    """Rows of the forms in ``index``, skipping those a restricted scenario cannot express.
+
+    The pipelines pass every ancestor-disjoint independence, maximal or not,
+    and compute those forms (and their d-separation checks) once.  The
+    non-maximal pairs are implied by the maximal ones on the Shannon cone,
+    so adding them changes nothing but shrinks the effective dimension
+    before ray enumeration or projection.
+    """
     rows = []
-    for form in observed_independence_constraints(structure, maximal_only=False):
+    for form in forms:
         try:
             rows.append(form.row(index))
         except InvalidParameter:
-            continue  # not expressible in a restricted scenario index
+            continue
     return rows
 
 
-def _observed_outer_hrep(structure: CausalStructure, index: CoordinateIndex) -> HRep:
-    """Elemental Shannon inequalities plus every ancestor-disjoint equality.
-
-    The non-maximal pairs are implied by the maximal ones on the Shannon
-    cone, so adding them changes nothing but shrinks the effective
-    dimension before ray enumeration or projection.
-    """
+def _observed_outer_hrep(index: CoordinateIndex, equalities: Sequence[Row]) -> HRep:
+    """Elemental Shannon inequalities plus the given independence equalities."""
     shannon = elemental_shannon_system(index.variables)
-    return HRep(len(index), tuple(_independence_equalities_rows(structure, index)),
+    return HRep(len(index), tuple(equalities),
                 tuple(form.row(index) for form in shannon.inequalities), labels=index.labels)
 
 
-def _nice_equalities(hrep: HRep, structure: CausalStructure,
-                     index: CoordinateIndex) -> HRep:
-    """Present the equality space through independence forms when they span it.
+def _nice_equalities(hrep: HRep, candidates: Sequence[Row]) -> HRep:
+    """Present the equality space through independence rows when they span it.
 
     The canonical equality basis coming out of the double-description dual
-    is echelon-reduced; replacing it with ancestor-disjointness equalities
-    of the structure (when those span the same space) keeps reports
-    readable and diffable.
+    is echelon-reduced; replacing it with ``candidates``, the structure's
+    ancestor-disjointness equalities (when those span the same space),
+    keeps reports readable and diffable.
     """
     if not hrep.equalities:
         return hrep
     base, pivots = rref(hrep.equalities)
-    candidates = _independence_equalities_rows(structure, index)
     independent = Echelon()
     chosen: list[tuple[int, ...]] = []
     for row in candidates:
@@ -119,8 +120,10 @@ def observed_outer_cone(structure: CausalStructure,
     """
     start = time.perf_counter()
     index = CoordinateIndex(structure.observed_ids())
-    vrep = enumerate_rays(_observed_outer_hrep(structure, index))
-    minimal = _nice_equalities(facets_from_rays(vrep), structure, index)
+    forms = observed_independence_constraints(structure, maximal_only=False)
+    equalities = _independence_rows(forms, index)
+    vrep = enumerate_rays(_observed_outer_hrep(index, equalities))
+    minimal = _nice_equalities(facets_from_rays(vrep), equalities)
     return ConeReport(
         structure_name=name or structure.name or "structure",
         index=index,
@@ -241,10 +244,11 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
             if any((mask >> p) & 1 for p in hidden_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     observed_index = CoordinateIndex(structure.observed_ids())
+    forms = observed_independence_constraints(structure, maximal_only=False)
     minimal = _nice_equalities(
         HRep(projected.dimension, projected.equalities, projected.inequalities,
              labels=observed_index.labels),
-        structure, observed_index)
+        _independence_rows(forms, observed_index))
     vrep = enumerate_rays(minimal)
     return ConeReport(
         structure_name=name or structure.name or "structure",
@@ -313,12 +317,13 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     start = time.perf_counter()
     structure = build_post_selected_line(k)
     index, marginal_index, keep_positions = _marginal_scenario(structure)
-    hrep = _observed_outer_hrep(structure, index)
+    forms = observed_independence_constraints(structure, maximal_only=False)
+    hrep = _observed_outer_hrep(index, _independence_rows(forms, index))
     drop = [i for i in range(len(index)) if i not in set(keep_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     projected = HRep(projected.dimension, projected.equalities, projected.inequalities,
                      labels=marginal_index.labels)
-    minimal = _nice_equalities(projected, structure, marginal_index)
+    minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
     vrep = enumerate_rays(minimal)
     shannon_facets, extra_facets = classify_shannon_facets(minimal, marginal_index)
     notes = (

@@ -3,8 +3,9 @@
 H-representations are integer inequality/equality rows (a row r constrains
 r . v >= 0 or r . v = 0); V-representations are primitive integer extremal
 rays plus a lineality basis.  Conversions run the double description
-method; projections run either Fourier-Motzkin elimination with Chernikov
-pruning or the double-description route (enumerate rays, drop coordinates,
+method; projections run either Fourier-Motzkin elimination (equality
+substitution, then pairing pruned by Chernikov's rules and Kohler's rank
+test) or the double-description route (enumerate rays, drop coordinates,
 re-extremalize).  Everything is computed in exact integer arithmetic.
 """
 
@@ -370,13 +371,16 @@ class _FMRow:
 def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     """Project the cone by eliminating the given coordinate positions.
 
-    Coordinates are eliminated one at a time, preferring substitution via
-    an equality row when one involves the coordinate, otherwise combining
-    positive and negative rows.  Intermediate growth is controlled by
-    primitive-form deduplication and the Chernikov ancestry rules (count
-    bound and ancestry-superset drop, the latter tested against the
-    minimal ancestries only); the final system is minimized by the
-    double-description dual pass.
+    Two phases.  Substitution eliminates, through an equality row, every
+    coordinate that some equality involves.  Pairing then eliminates the
+    rest one at a time, combining positive and negative rows; it never
+    changes the equalities, so each of its rows is a positive combination
+    of the base rows (the inequalities as substitution left them) named by
+    its ancestry.  Pairing growth is controlled by primitive-form
+    deduplication, the Chernikov ancestry rules (count bound and
+    ancestry-superset drop, the latter tested against the minimal
+    ancestries only) and Kohler's rank test (:func:`_rank_filter`); the
+    final system is minimized by the double-description dual pass.
     """
     keep, out_labels = _kept_coordinates(h, coords)
     remaining = set(range(h.dimension)).difference(keep)
@@ -385,32 +389,35 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
 
     eqs = list(h.equalities)
     ineqs = [_FMRow(r, 1 << i) for i, r in enumerate(h.inequalities)]
+    # phase 1: substitution
+    while eq_coords := [c for c in remaining if any(e[c] for e in eqs)]:
+        c = min(eq_coords)
+        pivot = min((e for e in eqs if e[c]), key=lambda e: (sum(1 for v in e if v), e))
+        eqs.remove(pivot)
+        eqs = [_eliminate(e, pivot, c) if e[c] else e for e in eqs]
+        eqs = [e for e in eqs if any(e)]
+        # a positive lead keeps every inequality's direction
+        flipped = pivot if pivot[c] > 0 else tuple(-v for v in pivot)
+        ineqs = [_FMRow(_eliminate(r.vector, flipped, c), r.ancestry) if r.vector[c] else r
+                 for r in ineqs]
+        ineqs = _prune([r for r in ineqs if any(r.vector)])
+        remaining.discard(c)
+
+    # phase 2: pairing, cheapest coordinate first.  ``base`` holds each base
+    # row on the coordinates paired so far, for the rank test.
+    vectors = {r.ancestry: r.vector for r in ineqs}
+    base = dict.fromkeys(vectors, ())
+    def cost(c: int) -> tuple[int, int]:
+        p = sum(1 for r in ineqs if r.vector[c] > 0)
+        n = sum(1 for r in ineqs if r.vector[c] < 0)
+        return (p * n - p - n, c)
+
     k_pair = 0
     while remaining:
-        # prefer coordinates removable by equality substitution
-        eq_coords = [c for c in remaining if any(e[c] for e in eqs)]
-        if eq_coords:
-            c = min(eq_coords)
-            pivot = min((e for e in eqs if e[c]), key=lambda e: (sum(1 for v in e if v), e))
-            eqs.remove(pivot)
-            eqs = [_eliminate(e, pivot, c) if e[c] else e for e in eqs]
-            eqs = [e for e in eqs if any(e)]
-            # a positive lead keeps every inequality's direction
-            flipped = pivot if pivot[c] > 0 else tuple(-v for v in pivot)
-            ineqs = [_FMRow(_eliminate(r.vector, flipped, c), r.ancestry) if r.vector[c] else r
-                     for r in ineqs]
-            ineqs = _prune([r for r in ineqs if any(r.vector)])
-            remaining.discard(c)
-            continue
-        # otherwise pick the cheapest pairing coordinate
-        def cost(c: int) -> tuple[int, int]:
-            p = sum(1 for r in ineqs if r.vector[c] > 0)
-            n = sum(1 for r in ineqs if r.vector[c] < 0)
-            return (p * n - p - n, c)
-
         c = min(remaining, key=cost)
         remaining.discard(c)
         k_pair += 1
+        base = {bit: (*row, vectors[bit][c]) for bit, row in base.items()}
         pos = [r for r in ineqs if r.vector[c] > 0]
         neg = [r for r in ineqs if r.vector[c] < 0]
         zero = [r for r in ineqs if r.vector[c] == 0]
@@ -422,19 +429,48 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
                 ancestry = p.ancestry | n.ancestry
                 if ancestry.bit_count() > k_pair + 1:
                     continue  # Chernikov count bound: necessarily redundant
-                combo = primitive(tuple(vp * x - vn * y for x, y in zip(n.vector, p.vector)))
+                combo = primitive([vp * x - vn * y for x, y in zip(n.vector, p.vector)])
                 if not any(combo):
                     continue
                 old = produced.get(combo)
                 if old is None or ancestry.bit_count() < old.bit_count():
                     produced[combo] = ancestry
         ineqs = _prune(zero + [_FMRow(v, anc) for v, anc in produced.items()])
+        ineqs = _rank_filter(ineqs, {r.ancestry for r in zero}, base)
 
     project = lambda row: tuple(row[i] for i in keep)
     return remove_redundancies(HRep(len(keep),
                                     equalities=tuple(project(e) for e in eqs),
                                     inequalities=tuple(project(r.vector) for r in ineqs),
                                     labels=out_labels))
+
+
+def _rank_filter(rows: list[_FMRow], carried: set[int], base: dict[int, Row]) -> list[_FMRow]:
+    """Kohler's rank test: the rows whose multipliers are extreme.
+
+    A row with ancestry S is a positive combination of the base rows in S
+    that vanishes on the paired coordinates, whose columns ``base`` holds.
+    When those base rows have rank below |S| - 1 the multiplier vector is
+    not an extreme ray of {lambda >= 0 : lambda^T A[:, paired] = 0}, so the
+    row is a positive combination of rows with smaller ancestry and is
+    dropped.  Rows of one or two ancestors always pass, and so do rows
+    ``carried`` unchanged from the previous step (their ancestries), whose
+    rank was already |S| - 1 and cannot grow past it.
+    """
+    kept = []
+    for r in rows:
+        size = r.ancestry.bit_count()
+        if size < 3 or r.ancestry in carried:
+            kept.append(r)
+            continue
+        span, misses, rest = Echelon(), 0, r.ancestry
+        while rest and misses < 2:  # the second row in the span settles it
+            bit = rest & -rest
+            rest ^= bit
+            misses += not span.add(base[bit])
+        if len(span.rows) == size - 1:
+            kept.append(r)
+    return kept
 
 
 def _prune(rows: list[_FMRow]) -> list[_FMRow]:
@@ -448,15 +484,22 @@ def _prune(rows: list[_FMRow]) -> list[_FMRow]:
     # another row's ancestors is redundant.  A strict subset has fewer bits,
     # and whatever dominates a dominated ancestry dominates its supersets
     # too, so in popcount order each ancestry is tested against the minimal
-    # ones found so far only.
-    minimal: list[int] = []
+    # ones found so far only.  Those are filed under their highest bit, and
+    # a subset of anc has its highest bit in anc.
+    minimal: dict[int, list[int]] = {}
+    kept = set()
     for anc in sorted(set(best.values()), key=int.bit_count):
-        for m in minimal:
-            if m & anc == m:
-                break
-        else:
-            minimal.append(anc)
-    kept = set(minimal)
+        rest, dominated = anc, False
+        while rest and not dominated:
+            bit = rest & -rest
+            rest ^= bit
+            for m in minimal.get(bit, ()):
+                if m & anc == m:
+                    dominated = True
+                    break
+        if not dominated:
+            minimal.setdefault(1 << (anc.bit_length() - 1), []).append(anc)
+            kept.add(anc)
     return [_FMRow(v, a) for v, a in best.items() if a in kept]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from entrocone.analysis import (_independence_equalities_rows, _nice_equalities,
+from entrocone.analysis import (_independence_rows, _nice_equalities,
                                 classify_shannon_facets,
                                 full_marginal_outer_cone, observed_outer_cone,
                                 post_selected_marginal_cone, report_to_json,
@@ -13,7 +13,7 @@ from entrocone.analysis import (_independence_equalities_rows, _nice_equalities,
                                 verify_line_tightness)
 from entrocone.causal import (CausalStructure, Node, bell_structure,
                               build_line_structure, build_post_selected_line,
-                              structure_from_name)
+                              observed_independence_constraints, structure_from_name)
 from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
 from entrocone.polyhedra import (HRep, cones_equal, facets_from_rays, membership,
@@ -284,12 +284,16 @@ class TestReports:
 
 # -- oracle: the incremental equality choice against one rref per candidate ----
 
-def _rref_per_candidate(hrep, structure, index):
+def _candidates(structure, index):
+    return _independence_rows(observed_independence_constraints(structure, maximal_only=False),
+                              index)
+
+
+def _rref_per_candidate(hrep, candidates):
     """_nice_equalities as it was: a full rref of the chosen rows for every candidate."""
     if not hrep.equalities:
         return hrep
     base, pivots = rref(hrep.equalities)
-    candidates = _independence_equalities_rows(structure, index)
     chosen = []
     for row in candidates:
         if len(chosen) == len(base):
@@ -308,9 +312,10 @@ def test_incremental_equality_choice_matches_rref_per_candidate(selector):
     structure = structure_from_name(selector)
     report = observed_outer_cone(structure)
     dual = facets_from_rays(report.vrep)  # the H-rep observed_outer_cone presents
-    expected = _rref_per_candidate(dual, structure, report.index)
+    candidates = _candidates(structure, report.index)
+    expected = _rref_per_candidate(dual, candidates)
     assert expected is not dual  # independence rows span the equalities
-    assert _nice_equalities(dual, structure, report.index) == expected
+    assert _nice_equalities(dual, candidates) == expected
     assert report.hrep == expected
 
 
@@ -320,22 +325,35 @@ def test_equality_choice_passes_over_rows_outside_the_span(selector):
     # between lie outside the span and must be passed over
     structure = structure_from_name(selector)
     report = observed_outer_cone(structure)
-    rows = _independence_equalities_rows(structure, report.index)
+    rows = _candidates(structure, report.index)
     partial = HRep(report.hrep.dimension, tuple(rows[::2]), report.hrep.inequalities,
                    report.hrep.labels)
-    expected = _rref_per_candidate(partial, structure, report.index)
+    expected = _rref_per_candidate(partial, rows)
     assert expected is not partial
-    assert _nice_equalities(partial, structure, report.index) == expected
+    assert _nice_equalities(partial, rows) == expected
 
 
-def test_rows_outside_the_span_do_not_block_later_rows(monkeypatch):
+def test_rows_outside_the_span_do_not_block_later_rows():
     # (1,0,1) and (0,0,1) lie outside span(E) but their difference (1,0,0)
     # is in it; passing them over must leave (1,0,0) free to be chosen
     candidates = [(1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
-    monkeypatch.setattr("entrocone.analysis._independence_equalities_rows",
-                        lambda structure, index: candidates)
     hrep = HRep(3, equalities=((1, 1, 0), (0, 1, 0)), inequalities=((0, 0, 1),))
-    assert _nice_equalities(hrep, None, None).equalities == ((1, 0, 0), (0, 1, 0))
+    assert _nice_equalities(hrep, candidates).equalities == ((1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("pipeline", [
+    lambda: observed_outer_cone(build_line_structure(4)),
+    lambda: full_marginal_outer_cone(bell_structure()),
+    lambda: post_selected_marginal_cone(3),
+], ids=["outer", "marginalize", "bc-cone"])
+def test_each_pipeline_derives_the_independences_once(monkeypatch, pipeline):
+    calls = []
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return observed_independence_constraints(*args, **kwargs)
+    monkeypatch.setattr("entrocone.analysis.observed_independence_constraints", counted)
+    pipeline()
+    assert len(calls) == 1
 
 
 # -- oracle: the scenario pool against the Fraction re-indexing it replaced ----

@@ -6,11 +6,15 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrocone import polyhedra
 from entrocone._simplex import conic_combination
-from entrocone.causal import build_line_structure, observed_independence_constraints
-from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
+from entrocone.causal import (bell_structure, build_line_structure,
+                              observed_independence_constraints)
+from entrocone.entropy_space import (CoordinateIndex, classical_ci_system,
+                                     elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality, _FMRow, _prune,
+                                 _rank_filter,
                                  cones_equal, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
                                  membership, nullspace, primitive, reduce_mod_span,
@@ -693,3 +697,72 @@ def test_candidate_adjacency_scan_matches_full_scan(case):
     basis, rows = case
     assert _dd_pointed_with_lineality(basis, rows) == _full_scan_dd(basis, rows)
 
+
+# -- oracle: Kohler's rank test drops only rows that the kept rows imply --------
+
+def test_rank_filter_drops_rank_deficient_ancestries():
+    # two paired columns: rows 1, 2, 4 have rank 1 there, rows 1, 2, 8 rank 2
+    base = {1: (1, 1), 2: (-1, -1), 4: (-2, -2), 8: (-1, 0)}
+    deficient, full = _FMRow((1, 0, 0), 0b111), _FMRow((0, 1, 0), 0b1011)
+    assert _rank_filter([deficient, full], set(), base) == [full]
+    assert _rank_filter([deficient], {0b111}, base) == [deficient]  # carried over
+
+
+def _record_rank_filter(monkeypatch):
+    """Every pairing's rows before the rank test, and the rows it keeps."""
+    steps = []
+    def recording(rows, carried, base):
+        kept = _rank_filter(rows, carried, base)
+        steps.append((rows, kept))
+        return kept
+    monkeypatch.setattr(polyhedra, "_rank_filter", recording)
+    return steps
+
+
+def _count_dropped_rows_checking_implied(steps):
+    """Dropped rows, each checked on every ray and line of the cone the kept rows cut out.
+
+    The double description takes the kept rows in their own order:
+    enumerate_rays puts sparse rows first, which on the bell system takes
+    over a minute instead of hundredths of a second.
+    """
+    dropped_count = 0
+    for rows, kept in steps:
+        kept_ids = {(r.vector, r.ancestry) for r in kept}
+        dropped = [r.vector for r in rows if (r.vector, r.ancestry) not in kept_ids]
+        if not dropped:
+            continue
+        dim = len(dropped[0])
+        rays, lineality = _dd_pointed_with_lineality(nullspace((), dim), [r.vector for r in kept])
+        for row in dropped:
+            assert all(dot(row, ray) >= 0 for ray in rays)
+            assert all(dot(row, line) == 0 for line in lineality)
+        dropped_count += len(dropped)
+    return dropped_count
+
+
+def test_rank_test_keeps_random_projections(rng, monkeypatch):
+    steps = _record_rank_filter(monkeypatch)
+    for trial in range(80):
+        dim = int(rng.integers(4, 8))
+        h = random_cone_hrep(rng, dim, int(rng.integers(4, 13)))
+        if trial % 2:  # an equality row sends some coordinates through substitution
+            h = HRep(dim, random_cone_hrep(rng, dim, 1).inequalities, h.inequalities)
+        coords = sorted(rng.choice(dim, size=dim - 2, replace=False).tolist())
+        assert cones_equal(fm_eliminate(h, coords), dd_project(h, coords))
+    _count_dropped_rows_checking_implied(steps)
+    assert any(r.ancestry.bit_count() >= 3 for rows, _ in steps for r in rows)
+
+
+def test_rank_test_drops_only_implied_rows_on_bell(monkeypatch):
+    structure = bell_structure()
+    names = structure.node_ids()
+    ci = classical_ci_system(structure)
+    eqs, _ = system_rows(ci)
+    _, ineqs = system_rows(elemental_shannon_system(names))
+    h = HRep(len(ci.index), tuple(eqs), tuple(ineqs))
+    hidden = names.index(structure.unobserved_ids()[0])
+    drop = [i for i, mask in enumerate(ci.index.masks) if mask >> hidden & 1]
+    steps = _record_rank_filter(monkeypatch)
+    assert cones_equal(fm_eliminate(h, drop), dd_project(h, drop))
+    assert _count_dropped_rows_checking_implied(steps) > 0
