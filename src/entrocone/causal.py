@@ -150,7 +150,7 @@ class CausalStructure:
     def from_json(text: str) -> "CausalStructure":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
             raise InvalidParameter(f"structure file is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or "nodes" not in data:
             raise InvalidParameter("structure file must be an object with a 'nodes' field")

@@ -403,7 +403,7 @@ def model_to_json(model: CausalModel) -> str:
 def model_from_json(text: str) -> CausalModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
         raise InvalidParameter(f"model file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameter("model file must be a JSON object")
@@ -437,7 +437,7 @@ def tables_from_json(text: str) -> dict[tuple[int, int], np.ndarray]:
     """Parse the four setting-conditioned tables for the functional."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
         raise InvalidParameter(f"tables file is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("tables"), dict):
         raise InvalidParameter("tables file must be an object with a 'tables' object")

@@ -4,8 +4,10 @@ H-representations are integer inequality/equality rows (a row r constrains
 r . v >= 0 or r . v = 0); V-representations are primitive integer extremal
 rays plus a lineality basis.  Conversions run the double description
 method; projections run either Fourier-Motzkin elimination (equality
-substitution, then pairing pruned by Chernikov's rules and Kohler's rank
-test) or the double-description route (enumerate rays, drop coordinates,
+substitution, then pairing pruned by Chernikov's count bound and Kohler's
+exact rank test, which subsumes the ancestry-superset rule; the final
+double description keeps the elimination's row order) or the
+double-description route (enumerate rays, drop coordinates,
 re-extremalize).  Everything is computed in exact integer arithmetic.
 """
 
@@ -276,15 +278,23 @@ def enumerate_rays(h: HRep) -> VRep:
     equalities as its lineality; any lineality remaining after the
     inequalities is reported explicitly rather than folded into rays.
     Rays are canonicalized modulo the lineality span so outputs are
-    deterministic.
+    deterministic.  The inequalities are taken sparse rows first.
     """
-    # Sparse rows go first.  Rows equal modulo span(E) cut the equality space
-    # alike and rows in span(E) do not cut it; extra copies would only weaken
-    # the DD prefilter, so the sparsest row of each class is kept.
+    return _rays_in_order(h, sorted(h.inequalities, key=lambda r: (sum(1 for v in r if v), r)))
+
+
+def _rays_in_order(h: HRep, rows: Sequence[Row]) -> VRep:
+    """:func:`enumerate_rays` with the inequalities of ``h`` taken in the order of ``rows``.
+
+    The result does not depend on the order, only the time does.
+    """
+    # Rows equal modulo span(E) cut the equality space alike and rows in span(E)
+    # do not cut it; extra copies would only weaken the DD prefilter, so the
+    # first row of each class is kept.
     zero = tuple([0] * h.dimension)
     eq_rref, eq_pivots = rref(h.equalities)
     classes: dict[Row, Row] = {}
-    for a in sorted(h.inequalities, key=lambda r: (sum(1 for v in r if v), r)):
+    for a in rows:
         classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
     classes.pop(zero, None)
     rays, lineality = _dd_pointed_with_lineality(nullspace(eq_rref, h.dimension),
@@ -376,11 +386,14 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     rest one at a time, combining positive and negative rows; it never
     changes the equalities, so each of its rows is a positive combination
     of the base rows (the inequalities as substitution left them) named by
-    its ancestry.  Pairing growth is controlled by primitive-form
-    deduplication, the Chernikov ancestry rules (count bound and
-    ancestry-superset drop, the latter tested against the minimal
-    ancestries only) and Kohler's rank test (:func:`_rank_filter`); the
-    final system is minimized by the double-description dual pass.
+    its ancestry.  A pair's ancestry must pass Chernikov's count bound and
+    then Kohler's rank test (:class:`_ParentQuotient`), which is exact: it
+    keeps a row iff its multiplier is an extreme ray, so it also drops every
+    row whose ancestry strictly contains another's, and no separate
+    ancestry-superset sweep is needed.  The vector is built only for an
+    ancestry that passes, and equal vectors keep the smallest ancestry.
+    The final system is minimized by the double-description dual pass with
+    its rows in the order elimination left them.
     """
     keep, out_labels = _kept_coordinates(h, coords)
     remaining = set(range(h.dimension)).difference(keep)
@@ -400,7 +413,7 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
         flipped = pivot if pivot[c] > 0 else tuple(-v for v in pivot)
         ineqs = [_FMRow(_eliminate(r.vector, flipped, c), r.ancestry) if r.vector[c] else r
                  for r in ineqs]
-        ineqs = _prune([r for r in ineqs if any(r.vector)])
+        ineqs = _dedupe([r for r in ineqs if any(r.vector)])
         remaining.discard(c)
 
     # phase 2: pairing, cheapest coordinate first.  ``base`` holds each base
@@ -418,89 +431,121 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
         remaining.discard(c)
         k_pair += 1
         base = {bit: (*row, vectors[bit][c]) for bit, row in base.items()}
-        pos = [r for r in ineqs if r.vector[c] > 0]
-        neg = [r for r in ineqs if r.vector[c] < 0]
-        zero = [r for r in ineqs if r.vector[c] == 0]
-        produced: dict[Row, int] = {}
-        for p in pos:
-            vp = p.vector[c]
-            for n in neg:
-                vn = n.vector[c]
-                ancestry = p.ancestry | n.ancestry
-                if ancestry.bit_count() > k_pair + 1:
-                    continue  # Chernikov count bound: necessarily redundant
-                combo = primitive([vp * x - vn * y for x, y in zip(n.vector, p.vector)])
-                if not any(combo):
-                    continue
-                old = produced.get(combo)
-                if old is None or ancestry.bit_count() < old.bit_count():
-                    produced[combo] = ancestry
-        ineqs = _prune(zero + [_FMRow(v, anc) for v, anc in produced.items()])
-        ineqs = _rank_filter(ineqs, {r.ancestry for r in zero}, base)
+        ineqs = _pair(ineqs, c, k_pair, base)
 
     project = lambda row: tuple(row[i] for i in keep)
-    return remove_redundancies(HRep(len(keep),
-                                    equalities=tuple(project(e) for e in eqs),
-                                    inequalities=tuple(project(r.vector) for r in ineqs),
-                                    labels=out_labels))
+    projected = HRep(len(keep), equalities=tuple(project(e) for e in eqs),
+                     inequalities=tuple(project(r.vector) for r in ineqs), labels=out_labels)
+    # sparse-first order blows the double description up on these systems
+    return facets_from_rays(_rays_in_order(projected, projected.inequalities))
 
 
-def _rank_filter(rows: list[_FMRow], carried: set[int], base: dict[int, Row]) -> list[_FMRow]:
-    """Kohler's rank test: the rows whose multipliers are extreme.
+def _pair(rows: list[_FMRow], c: int, k_pair: int, base: dict[int, Row]) -> list[_FMRow]:
+    """One pairing: the rows zero on coordinate c, and each extreme positive combination.
+
+    ``k_pair`` counts the pairings so far, this one included, and ``base``
+    holds the base rows on the coordinates they paired.  Ancestries come
+    first: a pair is skipped on the count bound, or when its ancestry was
+    already met (if the rank test passes, every pair with that ancestry,
+    a carried row's included, gives the same row).  Only a pair that passes
+    the rank test gets its vector built.
+    """
+    pos = [r for r in rows if r.vector[c] > 0]
+    neg = [r for r in rows if r.vector[c] < 0]
+    zero = [r for r in rows if r.vector[c] == 0]
+    seen = {r.ancestry for r in zero}
+    produced = []
+    for p in pos:
+        vp, quotient = p.vector[c], None
+        for n in neg:
+            ancestry = p.ancestry | n.ancestry
+            if ancestry.bit_count() > k_pair + 1 or ancestry in seen:
+                continue  # over Chernikov's count bound, so redundant; or already met
+            seen.add(ancestry)
+            quotient = quotient or _ParentQuotient(base, p.ancestry)
+            if quotient.extreme(n.ancestry & ~p.ancestry):
+                vn = n.vector[c]
+                combo = primitive([vp * x - vn * y for x, y in zip(n.vector, p.vector)])
+                if any(combo):
+                    produced.append(_FMRow(combo, ancestry))
+    return _dedupe(zero + produced)
+
+
+class _ParentQuotient:
+    """Kohler's rank test for the pairs of one parent row, on cached reductions.
 
     A row with ancestry S is a positive combination of the base rows in S
-    that vanishes on the paired coordinates, whose columns ``base`` holds.
-    When those base rows have rank below |S| - 1 the multiplier vector is
-    not an extreme ray of {lambda >= 0 : lambda^T A[:, paired] = 0}, so the
-    row is a positive combination of rows with smaller ancestry and is
-    dropped.  Rows of one or two ancestors always pass, and so do rows
-    ``carried`` unchanged from the previous step (their ancestries), whose
-    rank was already |S| - 1 and cannot grow past it.
+    that vanishes on the paired coordinates, whose columns ``base`` holds,
+    so those rows have rank at most |S| - 1.  The row is kept iff the rank
+    is exactly |S| - 1: only then is its multiplier an extreme ray of
+    {lambda >= 0 : lambda^T A[:, paired] = 0}; otherwise the row is a
+    positive combination of rows with smaller ancestry.  For S = P | D with
+    P the parent's ancestry, rank A_S = rank A_P + rank(A_D mod span A_P),
+    so one forward echelon of A_P and each base row's reduction modulo it
+    serve every pair of the parent.
     """
-    kept = []
-    for r in rows:
-        size = r.ancestry.bit_count()
-        if size < 3 or r.ancestry in carried:
-            kept.append(r)
-            continue
-        span, misses, rest = Echelon(), 0, r.ancestry
-        while rest and misses < 2:  # the second row in the span settles it
-            bit = rest & -rest
-            rest ^= bit
-            misses += not span.add(base[bit])
-        if len(span.rows) == size - 1:
-            kept.append(r)
-    return kept
+
+    def __init__(self, base: dict[int, Row], parent: int) -> None:
+        self.base = base
+        self.rows: list[Row] = []
+        self.pivots: list[int] = []
+        rank = sum(_extend(self.rows, self.pivots, base[bit]) for bit in _bits(parent))
+        # rank A_S = |S| - 1 iff the rows of D miss the span exactly this often
+        self.allowed = rank - parent.bit_count() + 1
+        width = len(base[parent & -parent])  # the number of paired coordinates
+        # reductions vanish on the pivot columns, so those are left out
+        self.free = [i for i in range(width) if i not in self.pivots]
+        self.reduced: dict[int, Row | None] = {}  # None: in the span
+
+    def extreme(self, extra: int) -> bool:
+        """Whether the parent's base rows with those of ``extra`` have rank |S| - 1."""
+        rows: list[Row] = []
+        pivots: list[int] = []
+        misses = 0
+        for bit in _bits(extra):
+            if bit not in self.reduced:
+                row = reduce_mod_span(self.base[bit], self.rows, self.pivots)
+                row = tuple([row[i] for i in self.free])
+                self.reduced[bit] = row if any(row) else None
+            row = self.reduced[bit]
+            if row is None or not _extend(rows, pivots, row):
+                misses += 1
+                if misses > self.allowed:
+                    return False
+        return misses == self.allowed
 
 
-def _prune(rows: list[_FMRow]) -> list[_FMRow]:
-    # dedupe on primitive vectors, keeping the smallest ancestry
+def _extend(rows: list[Row], pivots: list[int], vector: Row) -> bool:
+    """Append ``vector`` to a forward echelon unless it lies in the span; whether it did.
+
+    Each row is reduced modulo the rows before it and pivots on its first
+    nonzero entry, which :func:`reduce_mod_span` accepts in insertion order.
+    """
+    new = reduce_mod_span(vector, rows, pivots)
+    pc = next((c for c, v in enumerate(new) if v), None)
+    if pc is None:
+        return False
+    rows.append(new)
+    pivots.append(pc)
+    return True
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _dedupe(rows: list[_FMRow]) -> list[_FMRow]:
+    """One row per primitive vector, with the smallest ancestry."""
     best: dict[Row, int] = {}
     for r in rows:
         old = best.get(r.vector)
         if old is None or r.ancestry.bit_count() < old.bit_count():
             best[r.vector] = r.ancestry
-    # ancestry-superset rule: a row derived from a strict superset of
-    # another row's ancestors is redundant.  A strict subset has fewer bits,
-    # and whatever dominates a dominated ancestry dominates its supersets
-    # too, so in popcount order each ancestry is tested against the minimal
-    # ones found so far only.  Those are filed under their highest bit, and
-    # a subset of anc has its highest bit in anc.
-    minimal: dict[int, list[int]] = {}
-    kept = set()
-    for anc in sorted(set(best.values()), key=int.bit_count):
-        rest, dominated = anc, False
-        while rest and not dominated:
-            bit = rest & -rest
-            rest ^= bit
-            for m in minimal.get(bit, ()):
-                if m & anc == m:
-                    dominated = True
-                    break
-        if not dominated:
-            minimal.setdefault(1 << (anc.bit_length() - 1), []).append(anc)
-            kept.add(anc)
-    return [_FMRow(v, a) for v, a in best.items() if a in kept]
+    return [_FMRow(v, a) for v, a in best.items()]
 
 
 def _kept_coordinates(h: HRep, coords: Iterable[int]) -> tuple[list[int], tuple[str, ...] | None]:
@@ -557,7 +602,7 @@ def rep_to_json(rep: HRep | VRep) -> str:
 def rep_from_json(text: str) -> HRep | VRep:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
         raise InvalidParameter(f"cone file is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "type" not in data:
         raise InvalidParameter("cone file must be an object with a 'type' field")

@@ -283,13 +283,10 @@ class TestCliContract:
         _, t2, _ = run_cli(capsys, "verify", "pn:4")
         assert t1 == t2
 
-    # fm marginalize pn:3 takes ~5 s, so it is compared in one format only
-    @pytest.mark.parametrize("command, fmt", [
-        pytest.param(command, fmt, id=f"{'-'.join(command)}-{fmt}")
-        for command, formats in ((("marginalize", "bell"), ("text", "json")),
-                                 (("bc-cone", "3"), ("text", "json")),
-                                 (("marginalize", "pn:3"), ("text",)))
-        for fmt in formats])
+    # fm marginalize pn:3 takes ~2.5 s in each format
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [("marginalize", "bell"), ("bc-cone", "3"),
+                                         ("marginalize", "pn:3")], ids="-".join)
     def test_engines_print_the_same_bytes(self, capsys, command, fmt):
         fm = run_cli(capsys, "--format", fmt, "--engine", "fm", *command)
         dd = run_cli(capsys, "--format", fmt, "--engine", "dd", *command)

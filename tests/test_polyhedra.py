@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,9 +14,9 @@ from entrocone.causal import (bell_structure, build_line_structure,
 from entrocone.entropy_space import (CoordinateIndex, classical_ci_system,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality, _FMRow, _prune,
-                                 _rank_filter,
-                                 cones_equal, dd_project, dot, enumerate_rays,
+from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality, _FMRow,
+                                 _pair, _ParentQuotient, _rays_in_order,
+                                 cones_equal, contains, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
                                  membership, nullspace, primitive, reduce_mod_span,
                                  remove_redundancies, rep_from_json, rep_to_json,
@@ -546,44 +547,23 @@ def test_equalities_as_starting_lineality_match_substitute_and_lift(h):
     assert enumerate_rays(h) == _substitute_and_lift(h)
 
 
-# -- oracle: minimal-ancestry pruning against the all-pairs scan it replaced ---
-
-def _all_pairs_prune(rows):
-    best = {}
-    for r in rows:
-        old = best.get(r.vector)
-        if old is None or r.ancestry.bit_count() < old.bit_count():
-            best[r.vector] = r.ancestry
-    items = [_FMRow(v, a) for v, a in best.items()]
-    keep = []
-    for r in items:
-        dominated = False
-        for other in items:
-            if other is r:
-                continue
-            if other.ancestry != r.ancestry and other.ancestry & r.ancestry == other.ancestry:
-                dominated = True
-                break
-        if not dominated:
-            keep.append(r)
-    return keep
-
+# -- oracle: the double description does not depend on the row order ----------
 
 @st.composite
-def _fm_rows(draw):
-    # few vectors and at most six ancestry bits, so that equal ancestries,
-    # strict-subset chains and one vector with several ancestries all occur
-    dim = draw(st.integers(1, 2))
-    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(tuple)
-    ancestry = st.integers(1, 2 ** draw(st.integers(1, 6)) - 1)
-    return [_FMRow(v, a) for v, a in draw(st.lists(st.tuples(vector, ancestry), max_size=14))]
+def _hrep_and_row_order(draw):
+    h = draw(_hrep_with_equalities())
+    if draw(st.booleans()):
+        h = HRep(h.dimension, (), h.inequalities)
+    return h, draw(st.permutations(h.inequalities))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_fm_rows())
-@example([_FMRow((0, 0), 1), _FMRow((0, 1), 1)])  # an equal ancestry must not dominate
-def test_minimal_ancestry_prune_matches_all_pairs(rows):
-    assert _prune(rows) == _all_pairs_prune(rows)
+@given(_hrep_and_row_order())
+@example((HRep(2, (), ((1, 0), (0, 1), (1, 1))), ((1, 1), (0, 1), (1, 0))))  # dense row first
+@example((HRep(2, ((0, 1),), ((1, 0), (1, 1))), ((1, 1), (1, 0))))  # one class modulo span(E)
+def test_rays_do_not_depend_on_the_row_order(case):
+    h, rows = case
+    assert _rays_in_order(h, rows) == enumerate_rays(h)
 
 
 # -- oracle: the candidate-restricted adjacency scan against the full scan -----
@@ -698,71 +678,214 @@ def test_candidate_adjacency_scan_matches_full_scan(case):
     assert _dd_pointed_with_lineality(basis, rows) == _full_scan_dd(basis, rows)
 
 
-# -- oracle: Kohler's rank test drops only rows that the kept rows imply --------
+# -- oracle: Kohler's rank test on parent quotients against the from-scratch rule -
 
-def test_rank_filter_drops_rank_deficient_ancestries():
+def _scratch_extreme(ancestry, base):
+    """Whether the base rows in ``ancestry`` have rank |S| - 1, by one echelon from scratch."""
+    span, misses, rest = Echelon(), 0, ancestry
+    while rest and misses < 2:  # the second row in the span settles it
+        bit = rest & -rest
+        rest ^= bit
+        misses += not span.add(base[bit])
+    return len(span.rows) == ancestry.bit_count() - 1
+
+
+def _scratch_rank_filter(rows, carried, base):
+    """The rank test as fm_eliminate ran it on every row after the superset sweep."""
+    return [r for r in rows
+            if r.ancestry.bit_count() < 3 or r.ancestry in carried
+            or _scratch_extreme(r.ancestry, base)]
+
+
+def test_parent_quotient_drops_rank_deficient_ancestries():
     # two paired columns: rows 1, 2, 4 have rank 1 there, rows 1, 2, 8 rank 2
-    base = {1: (1, 1), 2: (-1, -1), 4: (-2, -2), 8: (-1, 0)}
-    deficient, full = _FMRow((1, 0, 0), 0b111), _FMRow((0, 1, 0), 0b1011)
-    assert _rank_filter([deficient, full], set(), base) == [full]
-    assert _rank_filter([deficient], {0b111}, base) == [deficient]  # carried over
+    quotient = _ParentQuotient({1: (1, 1), 2: (-1, -1), 4: (-2, -2), 8: (-1, 0)}, 0b1)
+    assert not quotient.extreme(0b110)
+    assert quotient.extreme(0b1010)
 
 
-def _record_rank_filter(monkeypatch):
-    """Every pairing's rows before the rank test, and the rows it keeps."""
+@st.composite
+def _quotient_case(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-2, 2), min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    # zero, repeated and proportional rows make ranks deficient
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "copy", "multiple"]))
+        old = draw(st.sampled_from(rows))
+        factor = draw(st.sampled_from((-3, -1, 2, 3)))
+        new = {"zero": (0,) * width, "copy": old,
+               "multiple": tuple(factor * v for v in old)}[kind]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    rows = rows[:8]
+    full = (1 << len(rows)) - 1
+    parent = draw(st.integers(1, full))
+    extras = draw(st.lists(st.integers(1, full).map(lambda m: m & ~parent), max_size=6))
+    return {1 << i: r for i, r in enumerate(rows)}, parent, extras
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quotient_case())
+@example(({1: (1, 1), 2: (-1, -1), 4: (-2, -2), 8: (-1, 0)}, 0b1, [0b110, 0b1010]))
+@example(({1: (0,), 2: (1,), 4: (1,)}, 0b1, [0b110]))  # a zero parent row: no miss allowed
+@example(({1: (1, 0), 2: (0, 1), 4: (1, 1)}, 0b11, [0b100, 0]))  # full rank, and no extra
+def test_parent_quotient_matches_scratch_rank(case):
+    base, parent, extras = case
+    quotient = _ParentQuotient(base, parent)
+    for extra in extras:  # later pairs reuse the cached reductions
+        assert quotient.extreme(extra) == _scratch_extreme(parent | extra, base)
+
+
+# -- oracle: each pairing keeps the cone of the superset-sweep route ------------
+
+def _old_prune(rows):
+    """Vector dedupe and the ancestry-superset sweep that fm_eliminate used to run."""
+    best = {}
+    for r in rows:
+        old = best.get(r.vector)
+        if old is None or r.ancestry.bit_count() < old.bit_count():
+            best[r.vector] = r.ancestry
+    minimal, kept = {}, set()
+    for anc in sorted(set(best.values()), key=int.bit_count):
+        rest, dominated = anc, False
+        while rest and not dominated:
+            bit = rest & -rest
+            rest ^= bit
+            for m in minimal.get(bit, ()):
+                if m & anc == m:
+                    dominated = True
+                    break
+        if not dominated:
+            minimal.setdefault(1 << (anc.bit_length() - 1), []).append(anc)
+            kept.add(anc)
+    return [_FMRow(v, a) for v, a in best.items() if a in kept]
+
+
+def _old_pairing(step):
+    """The pairing as it ran before: every pair's vector, the sweep, then the rank test."""
+    c = step.c
+    zero = [r for r in step.rows if r.vector[c] == 0]
+    produced = {}
+    for p in (r for r in step.rows if r.vector[c] > 0):
+        for n in (r for r in step.rows if r.vector[c] < 0):
+            ancestry = p.ancestry | n.ancestry
+            if ancestry.bit_count() > step.k_pair + 1:
+                continue
+            combo = primitive([p.vector[c] * x - n.vector[c] * y
+                               for x, y in zip(n.vector, p.vector)])
+            if not any(combo):
+                continue
+            old = produced.get(combo)
+            if old is None or ancestry.bit_count() < old.bit_count():
+                produced[combo] = ancestry
+    rows = _old_prune(zero + [_FMRow(v, a) for v, a in produced.items()])
+    return _scratch_rank_filter(rows, {r.ancestry for r in zero}, step.base)
+
+
+def _record_pairings(monkeypatch):
+    """Every pairing's input, its rank-test verdicts by ancestry, and the rows it keeps."""
     steps = []
-    def recording(rows, carried, base):
-        kept = _rank_filter(rows, carried, base)
-        steps.append((rows, kept))
-        return kept
-    monkeypatch.setattr(polyhedra, "_rank_filter", recording)
+
+    class Recording(_ParentQuotient):
+        def __init__(self, base, parent):
+            super().__init__(base, parent)
+            self.parent = parent
+
+        def extreme(self, extra):
+            ok = super().extreme(extra)
+            steps[-1].verdicts[self.parent | extra] = ok
+            return ok
+
+    def recording(rows, c, k_pair, base):
+        step = SimpleNamespace(rows=rows, c=c, k_pair=k_pair, base=base, verdicts={})
+        steps.append(step)
+        step.kept = _pair(rows, c, k_pair, base)
+        return step.kept
+
+    monkeypatch.setattr(polyhedra, "_ParentQuotient", Recording)
+    monkeypatch.setattr(polyhedra, "_pair", recording)
     return steps
 
 
-def _count_dropped_rows_checking_implied(steps):
-    """Dropped rows, each checked on every ray and line of the cone the kept rows cut out.
+def _kept_cone(rows):
+    """H- and V-rep of the cone the rows cut out, the DD taking them in their own order.
 
-    The double description takes the kept rows in their own order:
     enumerate_rays puts sparse rows first, which on the bell system takes
     over a minute instead of hundredths of a second.
     """
+    h = HRep(len(rows[0].vector), (), tuple(r.vector for r in rows))
+    return h, _rays_in_order(h, h.inequalities)
+
+
+def _count_dropped_rows_checking_implied(steps):
+    """Rows of the pairs the rank test rejected, each checked on the cone of the kept rows.
+
+    Each rejected pair's row is computed here from the pairing's input, and
+    it must hold on every ray and line of that cone.
+    """
     dropped_count = 0
-    for rows, kept in steps:
-        kept_ids = {(r.vector, r.ancestry) for r in kept}
-        dropped = [r.vector for r in rows if (r.vector, r.ancestry) not in kept_ids]
+    for step in steps:
+        c = step.c
+        dropped = {primitive([p.vector[c] * x - n.vector[c] * y
+                              for x, y in zip(n.vector, p.vector)])
+                   for p in step.rows if p.vector[c] > 0
+                   for n in step.rows if n.vector[c] < 0
+                   if step.verdicts.get(p.ancestry | n.ancestry) is False}
         if not dropped:
             continue
-        dim = len(dropped[0])
-        rays, lineality = _dd_pointed_with_lineality(nullspace((), dim), [r.vector for r in kept])
+        _, v = _kept_cone(step.kept)
         for row in dropped:
-            assert all(dot(row, ray) >= 0 for ray in rays)
-            assert all(dot(row, line) == 0 for line in lineality)
+            assert all(dot(row, ray) >= 0 for ray in v.rays)
+            assert all(dot(row, line) == 0 for line in v.lineality)
         dropped_count += len(dropped)
     return dropped_count
 
 
-def test_rank_test_keeps_random_projections(rng, monkeypatch):
-    steps = _record_rank_filter(monkeypatch)
+def _random_projections(rng):
     for trial in range(80):
         dim = int(rng.integers(4, 8))
         h = random_cone_hrep(rng, dim, int(rng.integers(4, 13)))
         if trial % 2:  # an equality row sends some coordinates through substitution
             h = HRep(dim, random_cone_hrep(rng, dim, 1).inequalities, h.inequalities)
-        coords = sorted(rng.choice(dim, size=dim - 2, replace=False).tolist())
-        assert cones_equal(fm_eliminate(h, coords), dd_project(h, coords))
-    _count_dropped_rows_checking_implied(steps)
-    assert any(r.ancestry.bit_count() >= 3 for rows, _ in steps for r in rows)
+        yield h, sorted(rng.choice(dim, size=dim - 2, replace=False).tolist())
 
 
-def test_rank_test_drops_only_implied_rows_on_bell(monkeypatch):
+def _bell_projection():
     structure = bell_structure()
     names = structure.node_ids()
     ci = classical_ci_system(structure)
     eqs, _ = system_rows(ci)
     _, ineqs = system_rows(elemental_shannon_system(names))
-    h = HRep(len(ci.index), tuple(eqs), tuple(ineqs))
     hidden = names.index(structure.unobserved_ids()[0])
     drop = [i for i, mask in enumerate(ci.index.masks) if mask >> hidden & 1]
-    steps = _record_rank_filter(monkeypatch)
+    return HRep(len(ci.index), tuple(eqs), tuple(ineqs)), drop
+
+
+def test_each_pairing_keeps_the_cone_of_the_superset_sweep_route(rng, monkeypatch):
+    steps = _record_pairings(monkeypatch)
+    for h, coords in [_bell_projection(), *_random_projections(rng)]:
+        fm_eliminate(h, coords)
+    for step in steps:
+        for ancestry, ok in step.verdicts.items():
+            assert ok == _scratch_extreme(ancestry, step.base)
+        old = _old_pairing(step)
+        if not step.kept or not old:
+            assert step.kept == old == []
+            continue
+        (new_h, new_v), (old_h, old_v) = _kept_cone(step.kept), _kept_cone(old)
+        assert contains(new_h, old_v) and contains(old_h, new_v)
+
+
+def test_rank_test_keeps_random_projections(rng, monkeypatch):
+    steps = _record_pairings(monkeypatch)
+    for h, coords in _random_projections(rng):
+        assert cones_equal(fm_eliminate(h, coords), dd_project(h, coords))
+    _count_dropped_rows_checking_implied(steps)
+    assert any(ancestry.bit_count() >= 3 for step in steps for ancestry in step.verdicts)
+
+
+def test_rank_test_drops_only_implied_rows_on_bell(monkeypatch):
+    h, drop = _bell_projection()
+    steps = _record_pairings(monkeypatch)
     assert cones_equal(fm_eliminate(h, drop), dd_project(h, drop))
     assert _count_dropped_rows_checking_implied(steps) > 0
