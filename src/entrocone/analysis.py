@@ -374,7 +374,7 @@ def split_generated_rays(tolerance: float = DEFAULT_TOLERANCE) -> VRep:
 # -- report rendering -----------------------------------------------------------
 
 
-def report_to_text(report: ConeReport, include_timing: bool = False) -> str:
+def report_to_text(report: ConeReport) -> str:
     labels = report.index.labels
     lines = [f"structure: {report.structure_name}",
              f"coordinates ({len(labels)}): {' '.join(labels)}"]
@@ -402,12 +402,10 @@ def report_to_text(report: ConeReport, include_timing: bool = False) -> str:
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"verdict: {report.verdict}")
-    if include_timing:
-        lines.append(f"timing: {report.timing:.3f}s")
     return "\n".join(lines)
 
 
-def report_to_json(report: ConeReport, include_timing: bool = False) -> str:
+def report_to_json(report: ConeReport) -> str:
     payload = {
         "structure": report.structure_name,
         "coordinates": list(report.index.labels),
@@ -422,6 +420,4 @@ def report_to_json(report: ConeReport, include_timing: bool = False) -> str:
         "notes": list(report.notes),
         "verdict": report.verdict,
     }
-    if include_timing:
-        payload["timing_seconds"] = report.timing
     return json.dumps(payload, indent=2)

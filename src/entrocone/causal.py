@@ -39,10 +39,10 @@ class CausalStructure:
     copies: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        known = frozenset(n.id for n in self.nodes)
+        if len(known) != len(self.nodes):
             raise InvalidParameter("node ids must be unique")
-        known = set(ids)
+        object.__setattr__(self, "_known", known)
         for parent, child in self.edges:
             if parent not in known or child not in known:
                 raise InvalidParameter(f"edge ({parent!r}, {child!r}) names an unknown node")
@@ -76,18 +76,16 @@ class CausalStructure:
         return tuple(n.id for n in self.nodes if n.kind == "unobserved")
 
     def parents_map(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for parent, child in self.edges:
-            out[child].append(parent)
-        order = {n.id: i for i, n in enumerate(self.nodes)}
-        for lst in out.values():
-            lst.sort(key=order.__getitem__)
-        return out
+        return self._links((child, parent) for parent, child in self.edges)
 
     def children_map(self) -> dict[str, list[str]]:
+        return self._links(self.edges)
+
+    def _links(self, pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+        """Each node's linked nodes in node order, from (node, linked) pairs."""
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for parent, child in self.edges:
-            out[parent].append(child)
+        for node, linked in pairs:
+            out[node].append(linked)
         order = {n.id: i for i, n in enumerate(self.nodes)}
         for lst in out.values():
             lst.sort(key=order.__getitem__)
@@ -101,38 +99,23 @@ class CausalStructure:
         """Strict ancestors of a node (the node itself excluded)."""
         self._require(node)
         parents = self.parents_map()
-        seen: set[str] = set()
-        stack = list(parents[node])
-        while stack:
-            cur = stack.pop()
-            if cur not in seen:
-                seen.add(cur)
-                stack.extend(parents[cur])
-        return frozenset(seen)
+        return _reach(parents[node], parents)
 
     def descendants(self, node: str) -> frozenset[str]:
         """Strict descendants of a node."""
         self._require(node)
         children = self.children_map()
-        seen: set[str] = set()
-        stack = list(children[node])
-        while stack:
-            cur = stack.pop()
-            if cur not in seen:
-                seen.add(cur)
-                stack.extend(children[cur])
-        return frozenset(seen)
+        return _reach(children[node], children)
 
     def ancestor_closure(self, nodes: Iterable[str]) -> frozenset[str]:
         """Nodes together with all of their ancestors."""
-        out: set[str] = set()
+        nodes = list(nodes)
         for node in nodes:
-            out.add(node)
-            out |= self.ancestors(node)
-        return frozenset(out)
+            self._require(node)
+        return _reach(nodes, self.parents_map())
 
     def _require(self, node: str) -> None:
-        if node not in {n.id for n in self.nodes}:
+        if node not in self._known:
             raise InvalidParameter(f"unknown node {node!r}")
 
     # -- serialization ---------------------------------------------------
@@ -164,13 +147,28 @@ class CausalStructure:
             kind = entry.get("kind", "observed")
             if kind not in ("observed", "unobserved"):
                 raise InvalidParameter(f"nodes[{i}].kind must be 'observed' or 'unobserved'")
-            nodes.append(Node(str(entry["id"]), kind))
+            if not (isinstance(entry["id"], str) and entry["id"]):
+                raise InvalidParameter(f"nodes[{i}].id must be a nonempty string")
+            nodes.append(Node(entry["id"], kind))
         edges = []
         for i, entry in enumerate(data.get("edges", [])):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise InvalidParameter(f"edges[{i}] must be a [parent, child] pair")
-            edges.append((str(entry[0]), str(entry[1])))
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(v, str) and v for v in entry)):
+                raise InvalidParameter(f"edges[{i}] must be a [parent, child] pair of node ids")
+            edges.append(tuple(entry))
         return CausalStructure(tuple(nodes), tuple(edges))
+
+
+def _reach(starts: Iterable[str], links: dict[str, list[str]]) -> frozenset[str]:
+    """``starts`` and every node reachable from them along ``links``."""
+    seen: set[str] = set()
+    stack = list(starts)
+    while stack:
+        cur = stack.pop()
+        if cur not in seen:
+            seen.add(cur)
+            stack.extend(links[cur])
+    return frozenset(seen)
 
 
 # -- built-in structures ----------------------------------------------------
@@ -262,10 +260,13 @@ def structure_from_name(name: str) -> CausalStructure:
         return bell_structure()
     for prefix, builder in (("pn:", build_line_structure), ("ptilde:", build_post_selected_line)):
         if name.startswith(prefix):
+            text = name[len(prefix):]
             try:
-                value = int(name[len(prefix):])
+                value = int(text)
             except ValueError:
-                raise InvalidParameter(f"bad structure selector {name!r}") from None
+                value = None
+            if value is None or str(value) != text:  # int() also takes " 3", "1_2", "03"
+                raise InvalidParameter(f"bad structure selector {name!r}")
             return builder(value)
     raise InvalidParameter(f"unknown structure name {name!r}")
 
@@ -290,14 +291,8 @@ def d_separated(structure: CausalStructure, x: Iterable[str], y: Iterable[str],
         return True
     parents = structure.parents_map()
     children = structure.children_map()
-    # nodes with a descendant in z (including z itself): collider openers
-    opens_collider: set[str] = set()
-    stack = list(zs)
-    while stack:
-        cur = stack.pop()
-        if cur not in opens_collider:
-            opens_collider.add(cur)
-            stack.extend(parents[cur])
+    # collider openers: the ancestor closure of z (nodes with a descendant in z, z included)
+    opens_collider = _reach(zs, parents)
     # states: (node, direction); direction 'up' = entered from a child,
     # 'down' = entered from a parent
     visited: set[tuple[str, str]] = set()

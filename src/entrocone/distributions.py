@@ -421,16 +421,22 @@ def model_from_json(text: str) -> CausalModel:
     sizes = {str(k): v for k, v in alphabets.items()}
     if not isinstance(data["cpts"], dict):
         raise InvalidParameter("the 'cpts' field must map node ids to arrays")
-    cpts = {}
-    for node, raw in data["cpts"].items():
-        try:
-            cpts[str(node)] = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidParameter(f"cpts[{node!r}] is not a numeric array") from None
+    cpts = {node: _numeric_array(raw, f"cpts[{node!r}]") for node, raw in data["cpts"].items()}
     try:
         return CausalModel(structure, sizes, cpts)
     except InvalidModel as exc:
         raise InvalidParameter(f"model file invalid: {exc}") from None
+
+
+def _numeric_array(raw: object, field: str) -> np.ndarray:
+    """A JSON array of finite numbers as floats; null, NaN and strings are refused."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise InvalidParameter(f"{field} is not a numeric array of finite numbers")
+    return arr.astype(float)
 
 
 def tables_from_json(text: str) -> dict[tuple[int, int], np.ndarray]:
@@ -449,10 +455,7 @@ def tables_from_json(text: str) -> dict[tuple[int, int], np.ndarray]:
     for key in ("00", "01", "10", "11"):
         if key not in data["tables"]:
             raise InvalidParameter(f"tables.{key} is missing")
-        try:
-            arr = np.asarray(data["tables"][key], dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidParameter(f"tables.{key} is not a numeric array") from None
+        arr = _numeric_array(data["tables"][key], f"tables.{key}")
         if arr.shape != (nx, ny):
             raise InvalidParameter(f"tables.{key} must have shape ({nx}, {ny})")
         out[(int(key[0]), int(key[1]))] = arr

@@ -8,13 +8,14 @@ substitution, then pairing pruned by Chernikov's count bound and Kohler's
 exact rank test, which subsumes the ancestry-superset rule; the final
 double description keeps the elimination's row order) or the
 double-description route (enumerate rays, drop coordinates,
-re-extremalize).  Everything is computed in exact integer arithmetic.
+re-extremalize).  Rank and span queries grow one forward integer echelon,
+:class:`Echelon`; :func:`rref` is the only back-elimination.  Everything
+is computed in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -62,11 +63,12 @@ def _eliminate(row: Row, pivot_row: Row, pc: int) -> Row:
 
 
 class Echelon:
-    """Reduced row echelon form of a growing set of rows, in integers.
+    """Forward row echelon form of a growing set of rows, in integers.
 
-    ``rows`` are primitive with positive pivots, sorted by pivot column, and
-    each pivot column is zero in every other row: the reduced echelon form
-    of the span, which is unique, scaled to coprime integers.
+    ``rows`` are kept in insertion order.  Each is primitive, pivots on its
+    first nonzero entry and is zero on the pivots of the rows inserted
+    before it, which is the order :func:`reduce_mod_span` reduces in.
+    :func:`rref` turns it into the unique reduced form.
     """
 
     def __init__(self, rows: Iterable[Sequence[int | Fraction]] = ()) -> None:
@@ -75,29 +77,37 @@ class Echelon:
         for row in rows:
             self.add(row)
 
-    def reduce(self, vector: Sequence[int | Fraction]) -> Row:
-        """Canonical representative of a vector modulo the span: zero on every pivot."""
-        return reduce_mod_span(vector, self.rows, self.pivots)
-
     def add(self, vector: Sequence[int | Fraction]) -> bool:
-        """Insert a row unless it lies in the span; whether it was inserted."""
-        new = self.reduce(vector)
+        """Append a row unless it lies in the span; whether it was appended."""
+        new = reduce_mod_span(vector, self.rows, self.pivots)
         pc = next((c for c, v in enumerate(new) if v), None)
         if pc is None:
             return False
-        if new[pc] < 0:
-            new = tuple(-v for v in new)
-        self.rows = [_eliminate(row, new, pc) if row[pc] else row for row in self.rows]
-        at = bisect(self.pivots, pc)
-        self.rows.insert(at, new)
-        self.pivots.insert(at, pc)
+        self.rows.append(new)
+        self.pivots.append(pc)
         return True
 
 
 def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]]:
-    """The nonzero rows and pivot columns of the :class:`Echelon` form of ``rows``."""
-    span = Echelon(rows)
-    return span.rows, span.pivots
+    """Reduced row echelon form of ``rows``: its nonzero rows and their pivot columns.
+
+    The rows are primitive with positive leads, sorted by pivot, and each
+    pivot column is zero in every other row, so the form is unique.  It is
+    the :class:`Echelon` of ``rows`` with each pivot column cleared once,
+    the last pivot first.  The echelon takes the rows last first, which
+    keeps it sparser on the pipeline's equality rows and lineality bases
+    (the result does not depend on the order, only the time does).
+    """
+    span = Echelon(list(rows)[::-1])
+    ranked = sorted(zip(span.pivots, span.rows))  # pivots are distinct
+    pivots = [pc for pc, _ in ranked]
+    reduced = [row if row[pc] > 0 else tuple(-v for v in row) for pc, row in ranked]
+    for j in range(len(reduced) - 1, 0, -1):
+        pc = pivots[j]
+        for i in range(j):
+            if reduced[i][pc]:
+                reduced[i] = _eliminate(reduced[i], reduced[j], pc)
+    return reduced, pivots
 
 
 def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
@@ -120,7 +130,11 @@ def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
 
 def reduce_mod_span(vector: Sequence[int | Fraction], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
-    """Canonical representative of a vector modulo the row span of an :func:`rref` basis."""
+    """Canonical representative of a vector modulo the row span of an :func:`rref` basis.
+
+    ``basis_rref`` may also be the rows of an :class:`Echelon` in insertion order;
+    the result is then zero on every pivot and canonical up to sign.
+    """
     vec = primitive(vector)
     for row, pc in zip(basis_rref, pivots):
         if vec[pc] != 0:
@@ -487,47 +501,29 @@ class _ParentQuotient:
 
     def __init__(self, base: dict[int, Row], parent: int) -> None:
         self.base = base
-        self.rows: list[Row] = []
-        self.pivots: list[int] = []
-        rank = sum(_extend(self.rows, self.pivots, base[bit]) for bit in _bits(parent))
+        self.span = Echelon(base[bit] for bit in _bits(parent))
         # rank A_S = |S| - 1 iff the rows of D miss the span exactly this often
-        self.allowed = rank - parent.bit_count() + 1
+        self.allowed = len(self.span.rows) - parent.bit_count() + 1
         width = len(base[parent & -parent])  # the number of paired coordinates
         # reductions vanish on the pivot columns, so those are left out
-        self.free = [i for i in range(width) if i not in self.pivots]
+        self.free = [i for i in range(width) if i not in self.span.pivots]
         self.reduced: dict[int, Row | None] = {}  # None: in the span
 
     def extreme(self, extra: int) -> bool:
         """Whether the parent's base rows with those of ``extra`` have rank |S| - 1."""
-        rows: list[Row] = []
-        pivots: list[int] = []
+        span = Echelon()
         misses = 0
         for bit in _bits(extra):
             if bit not in self.reduced:
-                row = reduce_mod_span(self.base[bit], self.rows, self.pivots)
+                row = reduce_mod_span(self.base[bit], self.span.rows, self.span.pivots)
                 row = tuple([row[i] for i in self.free])
                 self.reduced[bit] = row if any(row) else None
             row = self.reduced[bit]
-            if row is None or not _extend(rows, pivots, row):
+            if row is None or not span.add(row):
                 misses += 1
                 if misses > self.allowed:
                     return False
         return misses == self.allowed
-
-
-def _extend(rows: list[Row], pivots: list[int], vector: Row) -> bool:
-    """Append ``vector`` to a forward echelon unless it lies in the span; whether it did.
-
-    Each row is reduced modulo the rows before it and pivots on its first
-    nonzero entry, which :func:`reduce_mod_span` accepts in insertion order.
-    """
-    new = reduce_mod_span(vector, rows, pivots)
-    pc = next((c for c, v in enumerate(new) if v), None)
-    if pc is None:
-        return False
-    rows.append(new)
-    pivots.append(pc)
-    return True
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -612,7 +608,7 @@ def rep_from_json(text: str) -> HRep | VRep:
     dim = data["dimension"]
     if type(dim) is not int:  # bool and float are refused too
         raise InvalidParameter(f"cone file 'dimension' must be an integer, not {dim!r}")
-    coords = data.get("coordinates") or None
+    coords = data.get("coordinates")  # absent or null: no labels
     if coords is not None and not (isinstance(coords, list) and len(coords) == dim
                                    and all(type(c) is str for c in coords)):
         raise InvalidParameter(f"cone file 'coordinates' must be a list of {dim} strings")

@@ -268,8 +268,6 @@ class TestReports:
         assert len(data["rays"]) == 6
         assert data["coordinates"][0] == "H(X1)"
         assert "timing_seconds" not in data
-        with_timing = json.loads(report_to_json(report, include_timing=True))
-        assert "timing_seconds" in with_timing
 
     def test_label_note_for_bell_coordinates(self):
         report = observed_outer_cone(bell_structure(), name="bell")

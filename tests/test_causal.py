@@ -1,6 +1,7 @@
 """Structure builders, graph queries and d-separation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from entrocone.causal import (CausalStructure, Node, ancestor_disjoint_pairs,
                               build_post_selected_line, d_separated,
                               observed_independence_constraints,
                               structure_from_name)
+from entrocone.cli import main
 from entrocone.distributions import compile_model, conditional_mutual_information_bits
 from entrocone.entropy_space import CoordinateIndex
 from entrocone.errors import InvalidParameter
@@ -92,7 +94,7 @@ class TestBuilders:
         assert again.node_ids() == g.node_ids()
         assert again.edges == g.edges
 
-    def test_json_diagnostics_name_the_field(self):
+    def test_json_diagnostics_name_the_field(self, tmp_path, capsys):
         with pytest.raises(InvalidParameter, match="nodes"):
             CausalStructure.from_json('{"edges": []}')
         with pytest.raises(InvalidParameter, match=r"nodes\[0\]"):
@@ -103,6 +105,23 @@ class TestBuilders:
             CausalStructure.from_json('{"nodes": 5}')
         with pytest.raises(InvalidParameter, match="'edges' must be a list"):
             CausalStructure.from_json('{"nodes": [{"id": "a"}], "edges": 5}')
+        # ids and endpoints are nonempty strings, never coerced with str()
+        for text, field in [
+                ('{"nodes": [{"id": [1]}, {"id": null}], "edges": [[[1], "None"]]}', "nodes[0].id"),
+                ('{"nodes": [{"id": "a"}, {"id": null}]}', "nodes[1].id"),
+                ('{"nodes": [{"id": 3}]}', "nodes[0].id"),
+                ('{"nodes": [{"id": ""}]}', "nodes[0].id"),
+                ('{"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", 1]]}', "edges[0]"),
+                ('{"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"], [null, "b"]]}',
+                 "edges[1]"),
+                ('{"nodes": [{"id": "a"}], "edges": [["a", ""]]}', "edges[0]")]:
+            with pytest.raises(InvalidParameter, match=re.escape(field)):
+                CausalStructure.from_json(text)
+            path = tmp_path / "structure.json"
+            path.write_text(text)
+            assert main(["outer", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and field in captured.err
 
 
 class TestDSeparation:

@@ -1,14 +1,16 @@
 """Malformed input files parse or are refused with InvalidParameter, never with a traceback."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrocone.causal import CausalStructure
+from entrocone.causal import CausalStructure, structure_from_name
 from entrocone.cli import main
-from entrocone.distributions import model_from_json, tables_from_json
-from entrocone.errors import InvalidParameter
+from entrocone.distributions import bc_functional, compile_model, model_from_json, tables_from_json
+from entrocone.errors import InvalidModel, InvalidParameter
 from entrocone.polyhedra import HRep, VRep, rep_from_json
 
 JSON_VALUES = st.recursive(
@@ -88,6 +90,107 @@ def test_structure_files_parse_or_are_refused(text):
     assert isinstance(structure, CausalStructure)
 
 
+_IDS = st.sampled_from(["A", "B", "X1", "X2", "C1"]) | st.text(max_size=2)
+_NUMBERS = st.sampled_from([0, 0.25, 0.5, 1]) | st.floats() | JSON_VALUES
+_TWO_NODES = {"nodes": [{"id": "A"}, {"id": "B"}], "edges": [["A", "B"]]}
+_VALID_MODEL = {"structure": _TWO_NODES, "alphabets": {"A": 2, "B": 2},
+                "cpts": {"A": [0.5, 0.5], "B": [[1, 0], [0, 1]]}}
+
+
+@st.composite
+def _model_texts(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=12) | JSON_VALUES.map(json.dumps))
+    vector = st.lists(_NUMBERS, max_size=3)
+    cpt = (st.sampled_from([[1], [0.5, 0.5], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5, 0.5]]])
+           | vector | st.lists(vector, max_size=3) | JSON_VALUES)
+    return json.dumps(_fields(draw, {
+        "structure": st.sampled_from(["pn:1", "pn:2", "bell", _TWO_NODES]) | JSON_VALUES,
+        "alphabets": st.dictionaries(_IDS, st.integers(-1, 3) | JSON_VALUES, max_size=4)
+                     | JSON_VALUES,
+        "cpts": st.dictionaries(_IDS, cpt, max_size=4) | JSON_VALUES}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_texts())
+@example(json.dumps(_VALID_MODEL))
+@example(json.dumps({**_VALID_MODEL, "cpts": {"A": [math.nan, 0.5], "B": [[1, 0], [0, 1]]}}))
+@example(json.dumps({**_VALID_MODEL, "cpts": {"A": [None, 1], "B": [[1, 0], [0, 1]]}}))
+@example(json.dumps({**_VALID_MODEL, "cpts": {"A": ["0.5", "0.5"], "B": [[1, 0], [0, 1]]}}))
+def test_model_files_compile_or_are_refused(text):
+    try:
+        joint = compile_model(model_from_json(text))
+    except (InvalidParameter, InvalidModel):
+        return
+    assert np.isfinite(joint.table).all() and joint.table.sum() == pytest.approx(1)
+
+
+_VALID_TABLE = [[0.5, 0], [0, 0.5]]
+
+
+@st.composite
+def _tables_texts(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=12) | JSON_VALUES.map(json.dumps))
+    nx, ny = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+    table = (st.just(_VALID_TABLE) | st.sampled_from([[[1]], [[0.5, 0.5]]])
+             | st.lists(st.lists(_NUMBERS, min_size=max(ny, 0), max_size=max(ny, 0)),
+                        min_size=max(nx, 0), max_size=max(nx, 0))
+             | JSON_VALUES)
+    keys = ("00", "01", "10", "11")
+    return json.dumps(_fields(draw, {
+        "alphabets": st.just([nx, ny]) | st.just([2, 2]) | JSON_VALUES,
+        "tables": st.fixed_dictionaries({}, optional=dict.fromkeys(keys, table))
+                  | JSON_VALUES}))
+
+
+def _tables(table):
+    return json.dumps({"alphabets": [2, 2], "tables": dict.fromkeys(("00", "01", "10", "11"),
+                                                                    table)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_texts())
+@example(_tables(_VALID_TABLE))
+@example(_tables([[math.nan, 0], [0, 1]]))
+@example(_tables([[None, 0], [0, 1]]))
+@example(_tables([["0.5", 0], [0, "0.5"]]))
+def test_tables_files_evaluate_or_are_refused(text):
+    try:
+        tables = tables_from_json(text)
+        value = bc_functional(tables)
+    except (InvalidParameter, InvalidModel):
+        return
+    assert all(np.isfinite(t).all() for t in tables.values()) and math.isfinite(value)
+
+
+# selector noise holds no decimal digit, so every size stays at most 12
+_NOISE = st.text(st.characters(blacklist_categories=("Nd",)), max_size=3)
+
+
+@st.composite
+def _selectors(draw):
+    prefix = draw(st.sampled_from(["pn:", "ptilde:", "bell", "", "PN:"]))
+    number = draw(st.sampled_from(["", str(draw(st.integers(-3, 12)))]))
+    parts = [prefix, number]
+    parts.insert(draw(st.integers(0, 2)), draw(_NOISE))
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selectors())
+@example("pn: 3")
+@example("pn:1_2")
+@example("ptilde:+3")
+@example("pn:None")
+def test_selectors_parse_or_are_refused(name):
+    try:
+        structure = structure_from_name(name)
+    except InvalidParameter:
+        return
+    assert structure.name == name  # a selector that parses names what it builds
+
+
 @pytest.mark.parametrize("parse", [model_from_json, tables_from_json])
 @pytest.mark.parametrize("text", [HUGE_INTEGER, DEEP_NESTING], ids=["huge-integer", "deep"])
 def test_other_readers_refuse_unparsable_json(parse, text):
@@ -103,7 +206,12 @@ def test_other_readers_refuse_unparsable_json(parse, text):
     ('{"type": "cone", "dimension": 2}', "'type'"),
     (HUGE_INTEGER, "not valid JSON"),
     (DEEP_NESTING, "not valid JSON"),
-], ids=["dimension", "row", "section", "coordinates", "type", "huge-integer", "deep"])
+    # only an absent or null field means "no labels"
+    *(('{"type": "hrep", "dimension": 2, "coordinates": %s}' % falsy, "'coordinates'")
+      for falsy in ("false", "0", '""', "{}", "[]")),
+], ids=["dimension", "row", "section", "coordinates", "type", "huge-integer", "deep",
+        "coordinates-false", "coordinates-0", "coordinates-empty-string",
+        "coordinates-empty-object", "coordinates-empty-list"])
 def test_rays_command_names_the_field(tmp_path, capsys, text, field):
     path = tmp_path / "cone.json"
     path.write_text(text)

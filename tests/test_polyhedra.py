@@ -469,11 +469,21 @@ def test_incremental_echelon_matches_fraction_elimination(case):
         rank = len(span.rows)
         inserted = span.add(row)
         base, pivots = _fraction_rref(rows[:k])
-        assert (span.rows, span.pivots) == (base, pivots)
+        assert rref(rows[:k]) == (base, pivots)
         assert inserted == (len(base) > rank)
-        assert all(type(v) is int for r in span.rows for v in r)
-        assert span.reduce(probe) == _fraction_reduce_mod_span(probe, base, pivots)
+        assert sorted(span.pivots) == pivots
+        # the forward form: primitive rows in insertion order, each pivoting on
+        # its first nonzero entry and zero on the pivots of the rows before it
+        for i, (r, pc) in enumerate(zip(span.rows, span.pivots)):
+            assert all(type(v) is int for v in r) and gcd(*r) == 1
+            assert next(c for c, v in enumerate(r) if v) == pc
+            assert not any(r[p] for p in span.pivots[:i])
+        assert reduce_mod_span(probe, *rref(rows[:k])) == _fraction_reduce_mod_span(probe, base, pivots)
+        # the echelon itself spans the rows, and reduces in insertion order
         assert nullspace(span.rows, width) == _fraction_nullspace(rows[:k], width)
+        forward = reduce_mod_span(probe, span.rows, span.pivots)
+        canonical = _fraction_reduce_mod_span(probe, base, pivots)
+        assert forward in (canonical, tuple(-v for v in canonical))
 
 
 def _lcm_primitive(vector):
@@ -734,6 +744,29 @@ def test_parent_quotient_matches_scratch_rank(case):
     quotient = _ParentQuotient(base, parent)
     for extra in extras:  # later pairs reuse the cached reductions
         assert quotient.extreme(extra) == _scratch_extreme(parent | extra, base)
+
+
+@st.composite
+def _base_rows(draw):
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return {1 << i: r for i, r in enumerate(rows)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_base_rows())
+@example({1: (0, 0), 2: (1, -1), 4: (-2, 2), 8: (0, 3)})
+def test_parent_quotient_matches_scratch_rank_on_every_pair(base):
+    # every parent against every disjoint extra, and the ranks from Fraction elimination
+    full = sum(base)
+    for parent in range(1, full + 1):
+        quotient = _ParentQuotient(base, parent)
+        for extra in (e for e in range(full + 1) if not e & parent):
+            ancestry = parent | extra
+            rank = len(_fraction_rref([base[bit] for bit in base if bit & ancestry])[0])
+            expected = rank == ancestry.bit_count() - 1
+            assert quotient.extreme(extra) == _scratch_extreme(ancestry, base) == expected
 
 
 # -- oracle: each pairing keeps the cone of the superset-sweep route ------------
