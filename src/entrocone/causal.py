@@ -187,8 +187,7 @@ def build_line_structure(n: int) -> CausalStructure:
     return CausalStructure(tuple(nodes), tuple(edges), name=f"pn:{n}")
 
 
-def reduced_line_structure(n: int, names: Sequence[str] | None = None,
-                           hidden_prefix: str = "C") -> CausalStructure:
+def reduced_line_structure(n: int, names: Sequence[str] | None = None) -> CausalStructure:
     """Line structure with the outermost hidden nodes identified with the
     outer observed nodes, which generate the same observed correlations.
 
@@ -201,8 +200,7 @@ def reduced_line_structure(n: int, names: Sequence[str] | None = None,
     obs = list(names) if names is not None else [f"X{i}" for i in range(1, n + 1)]
     if len(obs) != n:
         raise InvalidParameter("names must match the node count")
-    hidden = [f"{hidden_prefix}{i}" if n > 4 else hidden_prefix
-              for i in range(2, n - 1)]
+    hidden = [f"C{i}" if n > 4 else "C" for i in range(2, n - 1)]
     nodes = [Node(v, "observed") for v in obs] + [Node(h, "unobserved") for h in hidden]
     edges: list[tuple[str, str]] = [(obs[0], obs[1]), (obs[-1], obs[-2])]
     for k, h in enumerate(hidden, start=2):

@@ -71,11 +71,11 @@ class CausalModel:
 
     def __post_init__(self) -> None:
         parents = self.structure.parents_map()
-        for node in self.structure.node_ids():
-            if node not in self.alphabet_sizes:
-                raise InvalidModel(f"no alphabet size for node {node!r}")
-            if node not in self.cpts:
-                raise InvalidModel(f"no CPT for node {node!r}")
+        # every node before any shape: a CPT's shape reads its parents' alphabets
+        for what, given in (("an alphabet size", self.alphabet_sizes), ("a CPT", self.cpts)):
+            if missing := [node for node in parents if node not in given]:
+                raise InvalidModel(f"nodes without {what}: {', '.join(map(repr, missing))}")
+        for node in parents:
             cpt = np.asarray(self.cpts[node], dtype=float)
             expected = tuple(self.alphabet_sizes[p] for p in parents[node])
             expected += (self.alphabet_sizes[node],)

@@ -3,14 +3,14 @@
 H-representations are integer inequality/equality rows (a row r constrains
 r . v >= 0 or r . v = 0); V-representations are primitive integer extremal
 rays plus a lineality basis.  Conversions run the double description
-method; projections run either Fourier-Motzkin elimination (equality
-substitution, then pairing pruned by Chernikov's count bound and Kohler's
-exact rank test, which subsumes the ancestry-superset rule; the final
-double description keeps the elimination's row order) or the
-double-description route (enumerate rays, drop coordinates,
-re-extremalize).  Rank and span queries grow one forward integer echelon,
-:class:`Echelon`; :func:`rref` is the only back-elimination.  Everything
-is computed in exact integer arithmetic.
+method, which inserts the inequality rows in the order they are given;
+projections run either Fourier-Motzkin elimination (equality substitution,
+then pairing pruned by Chernikov's count bound and Kohler's exact rank
+test, which subsumes the ancestry-superset rule) or the double-description
+route (enumerate rays, drop coordinates, re-extremalize).  Rank and span
+queries grow one forward integer echelon, :class:`Echelon`; :func:`rref`
+is the only back-elimination.  Everything is computed in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -292,15 +292,9 @@ def enumerate_rays(h: HRep) -> VRep:
     equalities as its lineality; any lineality remaining after the
     inequalities is reported explicitly rather than folded into rays.
     Rays are canonicalized modulo the lineality span so outputs are
-    deterministic.  The inequalities are taken sparse rows first.
-    """
-    return _rays_in_order(h, sorted(h.inequalities, key=lambda r: (sum(1 for v in r if v), r)))
-
-
-def _rays_in_order(h: HRep, rows: Sequence[Row]) -> VRep:
-    """:func:`enumerate_rays` with the inequalities of ``h`` taken in the order of ``rows``.
-
-    The result does not depend on the order, only the time does.
+    deterministic.  The inequalities are inserted in the order given: the
+    result does not depend on it, only the time does, so the order is
+    chosen where the rows are built (see ``elemental_forms``).
     """
     # Rows equal modulo span(E) cut the equality space alike and rows in span(E)
     # do not cut it; extra copies would only weaken the DD prefilter, so the
@@ -308,7 +302,7 @@ def _rays_in_order(h: HRep, rows: Sequence[Row]) -> VRep:
     zero = tuple([0] * h.dimension)
     eq_rref, eq_pivots = rref(h.equalities)
     classes: dict[Row, Row] = {}
-    for a in rows:
+    for a in h.inequalities:
         classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
     classes.pop(zero, None)
     rays, lineality = _dd_pointed_with_lineality(nullspace(eq_rref, h.dimension),
@@ -406,14 +400,11 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     row whose ancestry strictly contains another's, and no separate
     ancestry-superset sweep is needed.  The vector is built only for an
     ancestry that passes, and equal vectors keep the smallest ancestry.
-    The final system is minimized by the double-description dual pass with
-    its rows in the order elimination left them.
+    The final system is minimized by :func:`remove_redundancies`, whose
+    double description takes the rows in the order elimination left them.
     """
     keep, out_labels = _kept_coordinates(h, coords)
     remaining = set(range(h.dimension)).difference(keep)
-    if not remaining:
-        return remove_redundancies(h)
-
     eqs = list(h.equalities)
     ineqs = [_FMRow(r, 1 << i) for i, r in enumerate(h.inequalities)]
     # phase 1: substitution
@@ -450,8 +441,7 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     project = lambda row: tuple(row[i] for i in keep)
     projected = HRep(len(keep), equalities=tuple(project(e) for e in eqs),
                      inequalities=tuple(project(r.vector) for r in ineqs), labels=out_labels)
-    # sparse-first order blows the double description up on these systems
-    return facets_from_rays(_rays_in_order(projected, projected.inequalities))
+    return remove_redundancies(projected)
 
 
 def _pair(rows: list[_FMRow], c: int, k_pair: int, base: dict[int, Row]) -> list[_FMRow]:

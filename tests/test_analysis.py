@@ -118,6 +118,26 @@ class TestFullMarginalization:
         report = full_marginal_outer_cone(g, engine="dd")
         assert report.hrep.equalities == ((1, 1, -1),)  # I(X:Y) = 0 survives
 
+    # The rays do not depend on the row order, so only the work shows a reorder.
+    # Adjacency tests with elemental_forms' order: pn:3 884, bell 121.  A
+    # sparse-first sort in the DD made 56,884 on pn:3; each pair's conditioning
+    # sets largest first made 523 on bell.
+    @pytest.mark.parametrize("name, adjacency_tests", [("pn:3", 884), ("bell", 121)])
+    def test_elemental_order_keeps_the_double_description_small(self, monkeypatch, name,
+                                                                 adjacency_tests):
+        from entrocone import polyhedra
+        calls = 0
+        adjacent = polyhedra._adjacent
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return adjacent(*args)
+
+        monkeypatch.setattr(polyhedra, "_adjacent", counted)
+        full_marginal_outer_cone(structure_from_name(name))
+        assert calls <= 2 * adjacency_tests
+
     def test_guard_refuses_and_names_flag(self):
         with pytest.raises(NodeGuardExceeded, match="max-nodes"):
             full_marginal_outer_cone(build_line_structure(4))  # 7 nodes

@@ -17,6 +17,7 @@ from entrocone.distributions import model_to_json, witness_line
 from entrocone.polyhedra import rep_to_json, HRep, VRep
 
 from reference_tables import LINE4_RAYS
+from test_malformed_input import MISSING_PARENT_ALPHABET
 
 
 # SHA-256 of stdout, recorded before the incremental echelon kernel replaced
@@ -211,6 +212,15 @@ class TestEntropyCommand:
         code, _, err = run_cli(capsys, "entropy", str(path))
         assert code == 1
         assert "cpts" in err
+
+    def test_missing_parent_alphabet_names_the_node(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MISSING_PARENT_ALPHABET))
+        code, out, err = run_cli(capsys, "entropy", str(path))
+        assert code == 1
+        assert out == ""
+        assert "C1" in err
+        assert "Traceback" not in err
 
     def test_inline_structure_model(self, tmp_path, capsys):
         model = {

@@ -231,7 +231,7 @@ def test_count_identity_property(n):
 # -- oracle: the integer generators against the Fraction code they replaced ---
 
 def _fraction_elemental_forms(n):
-    """The elemental Shannon forms over n variables as they were built, in order."""
+    """The elemental Shannon forms over n variables, in the order they are generated."""
     full = (1 << n) - 1
     if n == 1:
         return [{1: Fraction(1)}]
@@ -239,17 +239,16 @@ def _fraction_elemental_forms(n):
     for i in range(n):
         for j in range(i + 1, n):
             sub = full & ~(1 << i) & ~(1 << j)
-            s = sub
-            while True:
+            # the conditioning sets in increasing order, the order the DD inserts them
+            for s in range(sub + 1):
+                if s & ~sub:
+                    continue
                 coeffs = {}
                 for mask, c in (((1 << i) | s, 1), ((1 << j) | s, 1),
                                 ((1 << i) | (1 << j) | s, -1), (s, -1)):
                     if mask:
                         coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
                 forms.append(coeffs)
-                if s == 0:
-                    break
-                s = (s - 1) & sub
     return forms
 
 

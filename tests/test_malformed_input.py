@@ -95,6 +95,7 @@ _NUMBERS = st.sampled_from([0, 0.25, 0.5, 1]) | st.floats() | JSON_VALUES
 _TWO_NODES = {"nodes": [{"id": "A"}, {"id": "B"}], "edges": [["A", "B"]]}
 _VALID_MODEL = {"structure": _TWO_NODES, "alphabets": {"A": 2, "B": 2},
                 "cpts": {"A": [0.5, 0.5], "B": [[1, 0], [0, 1]]}}
+MISSING_PARENT_ALPHABET = {"structure": "pn:2", "alphabets": {"X1": 0}, "cpts": {"X1": [1]}}
 
 
 @st.composite
@@ -117,6 +118,7 @@ def _model_texts(draw):
 @example(json.dumps({**_VALID_MODEL, "cpts": {"A": [math.nan, 0.5], "B": [[1, 0], [0, 1]]}}))
 @example(json.dumps({**_VALID_MODEL, "cpts": {"A": [None, 1], "B": [[1, 0], [0, 1]]}}))
 @example(json.dumps({**_VALID_MODEL, "cpts": {"A": ["0.5", "0.5"], "B": [[1, 0], [0, 1]]}}))
+@example(json.dumps(MISSING_PARENT_ALPHABET))  # X1's shape needs C1's alphabet
 def test_model_files_compile_or_are_refused(text):
     try:
         joint = compile_model(model_from_json(text))

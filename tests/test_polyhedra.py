@@ -15,7 +15,7 @@ from entrocone.entropy_space import (CoordinateIndex, classical_ci_system,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality, _FMRow,
-                                 _pair, _ParentQuotient, _rays_in_order,
+                                 _pair, _ParentQuotient,
                                  cones_equal, contains, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
                                  membership, nullspace, primitive, reduce_mod_span,
@@ -190,6 +190,13 @@ class TestFourierMotzkin:
         out = fm_eliminate(h, [0])
         assert out.inequalities == ((1,),)
         assert out.equalities == ()
+
+    def test_eliminating_nothing_removes_redundancies(self, rng):
+        cones = [line4_outer_hrep(), HRep(2, inequalities=((1, 0), (0, 1), (1, 1), (2, 0))),
+                 HRep(3, ((1, -1, 0),), ((1, 0, 0), (0, 1, 1), (2, 1, 1)))]
+        cones += [random_cone_hrep(rng, 4, 6) for _ in range(5)]
+        for h in cones:
+            assert fm_eliminate(h, []) == remove_redundancies(h)
 
     def test_unbounded_coordinate_drops_rows(self):
         # eliminating x from {x >= y} leaves no constraint on y
@@ -573,7 +580,7 @@ def _hrep_and_row_order(draw):
 @example((HRep(2, ((0, 1),), ((1, 0), (1, 1))), ((1, 1), (1, 0))))  # one class modulo span(E)
 def test_rays_do_not_depend_on_the_row_order(case):
     h, rows = case
-    assert _rays_in_order(h, rows) == enumerate_rays(h)
+    assert enumerate_rays(HRep(h.dimension, h.equalities, tuple(rows))) == enumerate_rays(h)
 
 
 # -- oracle: the candidate-restricted adjacency scan against the full scan -----
@@ -841,13 +848,9 @@ def _record_pairings(monkeypatch):
 
 
 def _kept_cone(rows):
-    """H- and V-rep of the cone the rows cut out, the DD taking them in their own order.
-
-    enumerate_rays puts sparse rows first, which on the bell system takes
-    over a minute instead of hundredths of a second.
-    """
+    """H- and V-rep of the cone the rows cut out, the DD taking them in their own order."""
     h = HRep(len(rows[0].vector), (), tuple(r.vector for r in rows))
-    return h, _rays_in_order(h, h.inequalities)
+    return h, enumerate_rays(h)
 
 
 def _count_dropped_rows_checking_implied(steps):
