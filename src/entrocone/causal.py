@@ -252,11 +252,22 @@ def build_post_selected_line(k: int) -> CausalStructure:
                            copies=(first, last))
 
 
+# Twenty observed nodes already make 1,048,575 entropy coordinates; the
+# largest run the pipelines aim at, verify pn:12, has 4,095.
+_MAX_SELECTOR_OBSERVED = 20
+
+
 def structure_from_name(name: str) -> CausalStructure:
-    """Resolve the built-in structure selectors pn:<n>, bell, ptilde:<k>."""
+    """Resolve the built-in structure selectors pn:<n>, bell, ptilde:<k>.
+
+    A selector with more than 20 observed nodes is refused before anything
+    is built.
+    """
     if name == "bell":
         return bell_structure()
-    for prefix, builder in (("pn:", build_line_structure), ("ptilde:", build_post_selected_line)):
+    # ptilde:<k> doubles both outer nodes of the k-node line
+    for prefix, builder, doubled in (("pn:", build_line_structure, 0),
+                                     ("ptilde:", build_post_selected_line, 2)):
         if name.startswith(prefix):
             text = name[len(prefix):]
             try:
@@ -265,6 +276,10 @@ def structure_from_name(name: str) -> CausalStructure:
                 value = None
             if value is None or str(value) != text:  # int() also takes " 3", "1_2", "03"
                 raise InvalidParameter(f"bad structure selector {name!r}")
+            if value + doubled > _MAX_SELECTOR_OBSERVED:
+                raise InvalidParameter(
+                    f"structure selector {name!r} has {value + doubled} observed nodes; "
+                    f"the ceiling is {_MAX_SELECTOR_OBSERVED}")
             return builder(value)
     raise InvalidParameter(f"unknown structure name {name!r}")
 

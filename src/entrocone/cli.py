@@ -107,10 +107,7 @@ def _emit_rep(rep: HRep | VRep, args: argparse.Namespace) -> None:
 
 def _line_size(selector: str) -> int:
     if selector.startswith("pn:"):
-        try:
-            return int(selector[3:])
-        except ValueError:
-            pass
+        return len(structure_from_name(selector).observed_ids())
     raise InvalidParameter(f"verify expects a line structure selector pn:<n>, not {selector!r}")
 
 

@@ -4,13 +4,12 @@ H-representations are integer inequality/equality rows (a row r constrains
 r . v >= 0 or r . v = 0); V-representations are primitive integer extremal
 rays plus a lineality basis.  Conversions run the double description
 method, which inserts the inequality rows in the order they are given;
-projections run either Fourier-Motzkin elimination (equality substitution,
-then pairing pruned by Chernikov's count bound and Kohler's exact rank
-test, which subsumes the ancestry-superset rule) or the double-description
-route (enumerate rays, drop coordinates, re-extremalize).  Rank and span
-queries grow one forward integer echelon, :class:`Echelon`; :func:`rref`
-is the only back-elimination.  Everything is computed in exact integer
-arithmetic.
+projections run either Fourier-Motzkin elimination (one coordinate at a
+time: substitution through an equality, or pairing followed by one
+redundancy removal) or the double-description route (enumerate rays, drop
+coordinates, re-extremalize).  Rank and span queries grow one forward
+integer echelon, :class:`Echelon`; :func:`rref` is the only
+back-elimination.  Everything is computed in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -380,158 +379,58 @@ def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
 
 # -- Fourier-Motzkin elimination ------------------------------------------------
 
-@dataclass
-class _FMRow:
-    vector: Row
-    ancestry: int  # bitmask over original inequality indices
-
-
 def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     """Project the cone by eliminating the given coordinate positions.
 
-    Two phases.  Substitution eliminates, through an equality row, every
-    coordinate that some equality involves.  Pairing then eliminates the
-    rest one at a time, combining positive and negative rows; it never
-    changes the equalities, so each of its rows is a positive combination
-    of the base rows (the inequalities as substitution left them) named by
-    its ancestry.  A pair's ancestry must pass Chernikov's count bound and
-    then Kohler's rank test (:class:`_ParentQuotient`), which is exact: it
-    keeps a row iff its multiplier is an extreme ray, so it also drops every
-    row whose ancestry strictly contains another's, and no separate
-    ancestry-superset sweep is needed.  The vector is built only for an
-    ancestry that passes, and equal vectors keep the smallest ancestry.
-    The final system is minimized by :func:`remove_redundancies`, whose
-    double description takes the rows in the order elimination left them.
+    The coordinates go one at a time, each from the system over the columns
+    still present.  A coordinate that some equality involves is substituted
+    out through the sparsest such equality; that adds no row.  Otherwise the
+    coordinate with the cheapest pairing goes: the rows zero on it stay, and
+    each positive row is combined with each negative one.  Every pairing is
+    followed by :func:`remove_redundancies`, so the next one starts from one
+    row per facet, and the implicit equalities it finds send later
+    coordinates through substitution.  A system that did not end in a
+    pairing is minimized once at the end, so the result is the canonical
+    minimal H-representation of the projection.
     """
-    keep, out_labels = _kept_coordinates(h, coords)
-    remaining = set(range(h.dimension)).difference(keep)
-    eqs = list(h.equalities)
-    ineqs = [_FMRow(r, 1 << i) for i, r in enumerate(h.inequalities)]
-    # phase 1: substitution
-    while eq_coords := [c for c in remaining if any(e[c] for e in eqs)]:
-        c = min(eq_coords)
-        pivot = min((e for e in eqs if e[c]), key=lambda e: (sum(1 for v in e if v), e))
-        eqs.remove(pivot)
-        eqs = [_eliminate(e, pivot, c) if e[c] else e for e in eqs]
-        eqs = [e for e in eqs if any(e)]
-        # a positive lead keeps every inequality's direction
-        flipped = pivot if pivot[c] > 0 else tuple(-v for v in pivot)
-        ineqs = [_FMRow(_eliminate(r.vector, flipped, c), r.ancestry) if r.vector[c] else r
-                 for r in ineqs]
-        ineqs = _dedupe([r for r in ineqs if any(r.vector)])
-        remaining.discard(c)
-
-    # phase 2: pairing, cheapest coordinate first.  ``base`` holds each base
-    # row on the coordinates paired so far, for the rank test.
-    vectors = {r.ancestry: r.vector for r in ineqs}
-    base = dict.fromkeys(vectors, ())
-    def cost(c: int) -> tuple[int, int]:
-        p = sum(1 for r in ineqs if r.vector[c] > 0)
-        n = sum(1 for r in ineqs if r.vector[c] < 0)
-        return (p * n - p - n, c)
-
-    k_pair = 0
-    while remaining:
-        c = min(remaining, key=cost)
-        remaining.discard(c)
-        k_pair += 1
-        base = {bit: (*row, vectors[bit][c]) for bit, row in base.items()}
-        ineqs = _pair(ineqs, c, k_pair, base)
-
-    project = lambda row: tuple(row[i] for i in keep)
-    projected = HRep(len(keep), equalities=tuple(project(e) for e in eqs),
-                     inequalities=tuple(project(r.vector) for r in ineqs), labels=out_labels)
-    return remove_redundancies(projected)
+    keep, _ = _kept_coordinates(h, coords)
+    targets = set(range(h.dimension)).difference(keep)
+    cols = list(range(h.dimension))  # the original position of each column left
+    system, minimal = h, False
+    while targets:
+        at = {c: j for j, c in enumerate(cols)}
+        eqs, ineqs = system.equalities, system.inequalities
+        if eq_coords := [c for c in targets if any(e[at[c]] for e in eqs)]:
+            c = min(eq_coords)
+            j = at[c]
+            pivot = min((e for e in eqs if e[j]), key=lambda e: (sum(1 for v in e if v), e))
+            # a positive lead keeps every inequality's direction; the pivot itself becomes zero
+            pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
+            substitute = lambda row: _eliminate(row, pivot, j) if row[j] else row
+            eqs, ineqs = map(substitute, eqs), map(substitute, ineqs)
+        else:
+            c = min(targets, key=lambda c: (_pairing_cost(ineqs, at[c]), c))
+            j = at[c]
+            pos = [r for r in ineqs if r[j] > 0]
+            neg = [r for r in ineqs if r[j] < 0]
+            ineqs = [r for r in ineqs if r[j] == 0] + [
+                primitive([p[j] * x - n[j] * y for x, y in zip(n, p)]) for p in pos for n in neg]
+        targets.discard(c)
+        del cols[j]
+        drop = lambda row: row[:j] + row[j + 1:]
+        labels = tuple(h.labels[i] for i in cols) if h.labels else None
+        system = HRep(len(cols), tuple(map(drop, eqs)), tuple(map(drop, ineqs)), labels)
+        minimal = not eq_coords
+        if minimal:
+            system = remove_redundancies(system)
+    return system if minimal else remove_redundancies(system)
 
 
-def _pair(rows: list[_FMRow], c: int, k_pair: int, base: dict[int, Row]) -> list[_FMRow]:
-    """One pairing: the rows zero on coordinate c, and each extreme positive combination.
-
-    ``k_pair`` counts the pairings so far, this one included, and ``base``
-    holds the base rows on the coordinates they paired.  Ancestries come
-    first: a pair is skipped on the count bound, or when its ancestry was
-    already met (if the rank test passes, every pair with that ancestry,
-    a carried row's included, gives the same row).  Only a pair that passes
-    the rank test gets its vector built.
-    """
-    pos = [r for r in rows if r.vector[c] > 0]
-    neg = [r for r in rows if r.vector[c] < 0]
-    zero = [r for r in rows if r.vector[c] == 0]
-    seen = {r.ancestry for r in zero}
-    produced = []
-    for p in pos:
-        vp, quotient = p.vector[c], None
-        for n in neg:
-            ancestry = p.ancestry | n.ancestry
-            if ancestry.bit_count() > k_pair + 1 or ancestry in seen:
-                continue  # over Chernikov's count bound, so redundant; or already met
-            seen.add(ancestry)
-            quotient = quotient or _ParentQuotient(base, p.ancestry)
-            if quotient.extreme(n.ancestry & ~p.ancestry):
-                vn = n.vector[c]
-                combo = primitive([vp * x - vn * y for x, y in zip(n.vector, p.vector)])
-                if any(combo):
-                    produced.append(_FMRow(combo, ancestry))
-    return _dedupe(zero + produced)
-
-
-class _ParentQuotient:
-    """Kohler's rank test for the pairs of one parent row, on cached reductions.
-
-    A row with ancestry S is a positive combination of the base rows in S
-    that vanishes on the paired coordinates, whose columns ``base`` holds,
-    so those rows have rank at most |S| - 1.  The row is kept iff the rank
-    is exactly |S| - 1: only then is its multiplier an extreme ray of
-    {lambda >= 0 : lambda^T A[:, paired] = 0}; otherwise the row is a
-    positive combination of rows with smaller ancestry.  For S = P | D with
-    P the parent's ancestry, rank A_S = rank A_P + rank(A_D mod span A_P),
-    so one forward echelon of A_P and each base row's reduction modulo it
-    serve every pair of the parent.
-    """
-
-    def __init__(self, base: dict[int, Row], parent: int) -> None:
-        self.base = base
-        self.span = Echelon(base[bit] for bit in _bits(parent))
-        # rank A_S = |S| - 1 iff the rows of D miss the span exactly this often
-        self.allowed = len(self.span.rows) - parent.bit_count() + 1
-        width = len(base[parent & -parent])  # the number of paired coordinates
-        # reductions vanish on the pivot columns, so those are left out
-        self.free = [i for i in range(width) if i not in self.span.pivots]
-        self.reduced: dict[int, Row | None] = {}  # None: in the span
-
-    def extreme(self, extra: int) -> bool:
-        """Whether the parent's base rows with those of ``extra`` have rank |S| - 1."""
-        span = Echelon()
-        misses = 0
-        for bit in _bits(extra):
-            if bit not in self.reduced:
-                row = reduce_mod_span(self.base[bit], self.span.rows, self.span.pivots)
-                row = tuple([row[i] for i in self.free])
-                self.reduced[bit] = row if any(row) else None
-            row = self.reduced[bit]
-            if row is None or not span.add(row):
-                misses += 1
-                if misses > self.allowed:
-                    return False
-        return misses == self.allowed
-
-
-def _bits(mask: int) -> Iterable[int]:
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
-
-
-def _dedupe(rows: list[_FMRow]) -> list[_FMRow]:
-    """One row per primitive vector, with the smallest ancestry."""
-    best: dict[Row, int] = {}
-    for r in rows:
-        old = best.get(r.vector)
-        if old is None or r.ancestry.bit_count() < old.bit_count():
-            best[r.vector] = r.ancestry
-    return [_FMRow(v, a) for v, a in best.items()]
+def _pairing_cost(rows: Sequence[Row], j: int) -> int:
+    """How many rows pairing on column j adds: p * n new, p + n gone."""
+    p = sum(1 for r in rows if r[j] > 0)
+    n = sum(1 for r in rows if r[j] < 0)
+    return p * n - p - n
 
 
 def _kept_coordinates(h: HRep, coords: Iterable[int]) -> tuple[list[int], tuple[str, ...] | None]:

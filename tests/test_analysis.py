@@ -138,6 +138,27 @@ class TestFullMarginalization:
         full_marginal_outer_cone(structure_from_name(name))
         assert calls <= 2 * adjacency_tests
 
+    # The largest system an fm pairing hands to remove_redundancies, in rows:
+    # bell 99, bc-cone 4 1,147.  Before a minimization followed every pairing,
+    # bell's final pass took 1,668 rows and bc-cone 4's eighth pairing made
+    # 790,488.
+    @pytest.mark.parametrize("run, largest", [
+        (lambda: full_marginal_outer_cone(bell_structure(), engine="fm"), 99),
+        (lambda: post_selected_marginal_cone(4, engine="fm"), 1147)],
+        ids=["bell", "bc-cone-4"])
+    def test_each_fm_pairing_stays_small(self, monkeypatch, run, largest):
+        from entrocone import polyhedra
+        sizes = []
+        minimize = polyhedra.remove_redundancies
+
+        def recorded(h):
+            sizes.append(len(h.equalities) + len(h.inequalities))
+            return minimize(h)
+
+        monkeypatch.setattr(polyhedra, "remove_redundancies", recorded)
+        run()
+        assert 0 < max(sizes) <= 2 * largest
+
     def test_guard_refuses_and_names_flag(self):
         with pytest.raises(NodeGuardExceeded, match="max-nodes"):
             full_marginal_outer_cone(build_line_structure(4))  # 7 nodes

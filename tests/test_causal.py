@@ -75,6 +75,14 @@ class TestBuilders:
         with pytest.raises(InvalidParameter):
             structure_from_name("pn:x")
 
+    def test_selectors_stop_at_twenty_observed_nodes(self):
+        assert len(structure_from_name("pn:20").observed_ids()) == 20
+        assert len(structure_from_name("ptilde:18").observed_ids()) == 20
+        for name, observed in (("pn:21", 21), ("ptilde:19", 21), ("pn:100000", 100000)):
+            with pytest.raises(InvalidParameter,
+                               match=f"'{name}' has {observed} observed nodes; the ceiling is 20"):
+                structure_from_name(name)
+
     def test_cycle_rejected(self):
         with pytest.raises(InvalidParameter):
             CausalStructure((Node("a", "observed"), Node("b", "observed")),

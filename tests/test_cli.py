@@ -73,6 +73,15 @@ class TestOuter:
         assert "neither a built-in structure name nor an existing file" in err
         assert reason in err
 
+    @pytest.mark.parametrize("argv", [("outer", "pn:100000"), ("verify", "pn:30")],
+                             ids=" ".join)
+    def test_oversized_selector_is_refused_before_it_is_built(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"{argv[1]!r}" in err and "ceiling is 20" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_line4_tight_exit_zero(self, capsys):
@@ -293,10 +302,11 @@ class TestCliContract:
         _, t2, _ = run_cli(capsys, "verify", "pn:4")
         assert t1 == t2
 
-    # fm marginalize pn:3 takes ~2.5 s in each format
+    # in process, fm bc-cone 4 takes 0.5-0.75 s in each format and fm marginalize pn:3 0.02-0.03 s
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", [("marginalize", "bell"), ("bc-cone", "3"),
-                                         ("marginalize", "pn:3")], ids="-".join)
+                                         ("marginalize", "pn:3"), ("bc-cone", "4")],
+                             ids="-".join)
     def test_engines_print_the_same_bytes(self, capsys, command, fmt):
         fm = run_cli(capsys, "--format", fmt, "--engine", "fm", *command)
         dd = run_cli(capsys, "--format", fmt, "--engine", "dd", *command)

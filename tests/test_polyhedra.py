@@ -2,21 +2,18 @@
 
 from fractions import Fraction
 from math import gcd, lcm
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entrocone import polyhedra
 from entrocone._simplex import conic_combination
 from entrocone.causal import (bell_structure, build_line_structure,
                               observed_independence_constraints)
 from entrocone.entropy_space import (CoordinateIndex, classical_ci_system,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality, _FMRow,
-                                 _pair, _ParentQuotient,
-                                 cones_equal, contains, dd_project, dot, enumerate_rays,
+from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality,
+                                 cones_equal, dd_project, dot, enumerate_rays,
                                  extremalize, facets_from_rays, fm_eliminate,
                                  membership, nullspace, primitive, reduce_mod_span,
                                  remove_redundancies, rep_from_json, rep_to_json,
@@ -212,9 +209,7 @@ class TestFourierMotzkin:
             h = random_cone_hrep(rng, dim, int(rng.integers(2, 11)))
             n_drop = int(rng.integers(1, dim - 1))
             coords = sorted(rng.choice(dim, size=n_drop, replace=False).tolist())
-            fm = fm_eliminate(h, coords)
-            dd = dd_project(h, coords)
-            assert cones_equal(fm, dd)
+            assert fm_eliminate(h, coords) == dd_project(h, coords)
 
     def test_projection_soundness_sample_points(self, rng):
         # points of the projection lift to points of the original cone:
@@ -695,188 +690,6 @@ def test_candidate_adjacency_scan_matches_full_scan(case):
     assert _dd_pointed_with_lineality(basis, rows) == _full_scan_dd(basis, rows)
 
 
-# -- oracle: Kohler's rank test on parent quotients against the from-scratch rule -
-
-def _scratch_extreme(ancestry, base):
-    """Whether the base rows in ``ancestry`` have rank |S| - 1, by one echelon from scratch."""
-    span, misses, rest = Echelon(), 0, ancestry
-    while rest and misses < 2:  # the second row in the span settles it
-        bit = rest & -rest
-        rest ^= bit
-        misses += not span.add(base[bit])
-    return len(span.rows) == ancestry.bit_count() - 1
-
-
-def _scratch_rank_filter(rows, carried, base):
-    """The rank test as fm_eliminate ran it on every row after the superset sweep."""
-    return [r for r in rows
-            if r.ancestry.bit_count() < 3 or r.ancestry in carried
-            or _scratch_extreme(r.ancestry, base)]
-
-
-def test_parent_quotient_drops_rank_deficient_ancestries():
-    # two paired columns: rows 1, 2, 4 have rank 1 there, rows 1, 2, 8 rank 2
-    quotient = _ParentQuotient({1: (1, 1), 2: (-1, -1), 4: (-2, -2), 8: (-1, 0)}, 0b1)
-    assert not quotient.extreme(0b110)
-    assert quotient.extreme(0b1010)
-
-
-@st.composite
-def _quotient_case(draw):
-    width = draw(st.integers(1, 6))
-    row = st.lists(st.integers(-2, 2), min_size=width, max_size=width).map(tuple)
-    rows = draw(st.lists(row, min_size=1, max_size=8))
-    # zero, repeated and proportional rows make ranks deficient
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["zero", "copy", "multiple"]))
-        old = draw(st.sampled_from(rows))
-        factor = draw(st.sampled_from((-3, -1, 2, 3)))
-        new = {"zero": (0,) * width, "copy": old,
-               "multiple": tuple(factor * v for v in old)}[kind]
-        rows.insert(draw(st.integers(0, len(rows))), new)
-    rows = rows[:8]
-    full = (1 << len(rows)) - 1
-    parent = draw(st.integers(1, full))
-    extras = draw(st.lists(st.integers(1, full).map(lambda m: m & ~parent), max_size=6))
-    return {1 << i: r for i, r in enumerate(rows)}, parent, extras
-
-
-@settings(max_examples=400, deadline=None)
-@given(_quotient_case())
-@example(({1: (1, 1), 2: (-1, -1), 4: (-2, -2), 8: (-1, 0)}, 0b1, [0b110, 0b1010]))
-@example(({1: (0,), 2: (1,), 4: (1,)}, 0b1, [0b110]))  # a zero parent row: no miss allowed
-@example(({1: (1, 0), 2: (0, 1), 4: (1, 1)}, 0b11, [0b100, 0]))  # full rank, and no extra
-def test_parent_quotient_matches_scratch_rank(case):
-    base, parent, extras = case
-    quotient = _ParentQuotient(base, parent)
-    for extra in extras:  # later pairs reuse the cached reductions
-        assert quotient.extreme(extra) == _scratch_extreme(parent | extra, base)
-
-
-@st.composite
-def _base_rows(draw):
-    width = draw(st.integers(1, 5))
-    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple)
-    rows = draw(st.lists(row, min_size=1, max_size=6))
-    return {1 << i: r for i, r in enumerate(rows)}
-
-
-@settings(max_examples=100, deadline=None)
-@given(_base_rows())
-@example({1: (0, 0), 2: (1, -1), 4: (-2, 2), 8: (0, 3)})
-def test_parent_quotient_matches_scratch_rank_on_every_pair(base):
-    # every parent against every disjoint extra, and the ranks from Fraction elimination
-    full = sum(base)
-    for parent in range(1, full + 1):
-        quotient = _ParentQuotient(base, parent)
-        for extra in (e for e in range(full + 1) if not e & parent):
-            ancestry = parent | extra
-            rank = len(_fraction_rref([base[bit] for bit in base if bit & ancestry])[0])
-            expected = rank == ancestry.bit_count() - 1
-            assert quotient.extreme(extra) == _scratch_extreme(ancestry, base) == expected
-
-
-# -- oracle: each pairing keeps the cone of the superset-sweep route ------------
-
-def _old_prune(rows):
-    """Vector dedupe and the ancestry-superset sweep that fm_eliminate used to run."""
-    best = {}
-    for r in rows:
-        old = best.get(r.vector)
-        if old is None or r.ancestry.bit_count() < old.bit_count():
-            best[r.vector] = r.ancestry
-    minimal, kept = {}, set()
-    for anc in sorted(set(best.values()), key=int.bit_count):
-        rest, dominated = anc, False
-        while rest and not dominated:
-            bit = rest & -rest
-            rest ^= bit
-            for m in minimal.get(bit, ()):
-                if m & anc == m:
-                    dominated = True
-                    break
-        if not dominated:
-            minimal.setdefault(1 << (anc.bit_length() - 1), []).append(anc)
-            kept.add(anc)
-    return [_FMRow(v, a) for v, a in best.items() if a in kept]
-
-
-def _old_pairing(step):
-    """The pairing as it ran before: every pair's vector, the sweep, then the rank test."""
-    c = step.c
-    zero = [r for r in step.rows if r.vector[c] == 0]
-    produced = {}
-    for p in (r for r in step.rows if r.vector[c] > 0):
-        for n in (r for r in step.rows if r.vector[c] < 0):
-            ancestry = p.ancestry | n.ancestry
-            if ancestry.bit_count() > step.k_pair + 1:
-                continue
-            combo = primitive([p.vector[c] * x - n.vector[c] * y
-                               for x, y in zip(n.vector, p.vector)])
-            if not any(combo):
-                continue
-            old = produced.get(combo)
-            if old is None or ancestry.bit_count() < old.bit_count():
-                produced[combo] = ancestry
-    rows = _old_prune(zero + [_FMRow(v, a) for v, a in produced.items()])
-    return _scratch_rank_filter(rows, {r.ancestry for r in zero}, step.base)
-
-
-def _record_pairings(monkeypatch):
-    """Every pairing's input, its rank-test verdicts by ancestry, and the rows it keeps."""
-    steps = []
-
-    class Recording(_ParentQuotient):
-        def __init__(self, base, parent):
-            super().__init__(base, parent)
-            self.parent = parent
-
-        def extreme(self, extra):
-            ok = super().extreme(extra)
-            steps[-1].verdicts[self.parent | extra] = ok
-            return ok
-
-    def recording(rows, c, k_pair, base):
-        step = SimpleNamespace(rows=rows, c=c, k_pair=k_pair, base=base, verdicts={})
-        steps.append(step)
-        step.kept = _pair(rows, c, k_pair, base)
-        return step.kept
-
-    monkeypatch.setattr(polyhedra, "_ParentQuotient", Recording)
-    monkeypatch.setattr(polyhedra, "_pair", recording)
-    return steps
-
-
-def _kept_cone(rows):
-    """H- and V-rep of the cone the rows cut out, the DD taking them in their own order."""
-    h = HRep(len(rows[0].vector), (), tuple(r.vector for r in rows))
-    return h, enumerate_rays(h)
-
-
-def _count_dropped_rows_checking_implied(steps):
-    """Rows of the pairs the rank test rejected, each checked on the cone of the kept rows.
-
-    Each rejected pair's row is computed here from the pairing's input, and
-    it must hold on every ray and line of that cone.
-    """
-    dropped_count = 0
-    for step in steps:
-        c = step.c
-        dropped = {primitive([p.vector[c] * x - n.vector[c] * y
-                              for x, y in zip(n.vector, p.vector)])
-                   for p in step.rows if p.vector[c] > 0
-                   for n in step.rows if n.vector[c] < 0
-                   if step.verdicts.get(p.ancestry | n.ancestry) is False}
-        if not dropped:
-            continue
-        _, v = _kept_cone(step.kept)
-        for row in dropped:
-            assert all(dot(row, ray) >= 0 for ray in v.rays)
-            assert all(dot(row, line) == 0 for line in v.lineality)
-        dropped_count += len(dropped)
-    return dropped_count
-
-
 def _random_projections(rng):
     for trial in range(80):
         dim = int(rng.integers(4, 8))
@@ -897,31 +710,46 @@ def _bell_projection():
     return HRep(len(ci.index), tuple(eqs), tuple(ineqs)), drop
 
 
-def test_each_pairing_keeps_the_cone_of_the_superset_sweep_route(rng, monkeypatch):
-    steps = _record_pairings(monkeypatch)
-    for h, coords in [_bell_projection(), *_random_projections(rng)]:
-        fm_eliminate(h, coords)
-    for step in steps:
-        for ancestry, ok in step.verdicts.items():
-            assert ok == _scratch_extreme(ancestry, step.base)
-        old = _old_pairing(step)
-        if not step.kept or not old:
-            assert step.kept == old == []
-            continue
-        (new_h, new_v), (old_h, old_v) = _kept_cone(step.kept), _kept_cone(old)
-        assert contains(new_h, old_v) and contains(old_h, new_v)
+# -- oracle: textbook Fourier-Motzkin --------------------------------------------
+
+def _textbook_fm(h, coords):
+    """Fourier-Motzkin as first taught, minimized once at the end.
+
+    The coordinates go in the given order.  One that an equality involves is
+    substituted through the first such equality; any other is paired, every
+    positive row with every negative one, with no pruning at all.
+    """
+    keep = [i for i in range(h.dimension) if i not in coords]
+    eqs, ineqs = list(h.equalities), list(h.inequalities)
+    for c in coords:
+        pivot = next((e for e in eqs if e[c]), None)
+        if pivot is not None:
+            lead = abs(pivot[c])
+            sign = 1 if pivot[c] > 0 else -1
+            eqs = [tuple(lead * v - e[c] * sign * w for v, w in zip(e, pivot)) for e in eqs]
+            ineqs = [tuple(lead * v - r[c] * sign * w for v, w in zip(r, pivot)) for r in ineqs]
+        else:
+            ineqs = ([r for r in ineqs if r[c] == 0]
+                     + [tuple(p[c] * x - n[c] * y for x, y in zip(n, p))
+                        for p in ineqs if p[c] > 0 for n in ineqs if n[c] < 0])
+    project = lambda row: tuple(row[i] for i in keep)
+    labels = tuple(h.labels[i] for i in keep) if h.labels else None
+    return remove_redundancies(HRep(len(keep), tuple(map(project, eqs)),
+                                    tuple(map(project, ineqs)), labels))
 
 
-def test_rank_test_keeps_random_projections(rng, monkeypatch):
-    steps = _record_pairings(monkeypatch)
+# The textbook route's rows grow doubly exponentially with the pairings, so it
+# gets a prefix of each projection's coordinates.  On the random projections
+# three coordinates take 0.2 s in all and four take 9 s; bell's whole
+# projection makes 209,068 rows at its ninth coordinate.
+
+
+def test_matches_textbook_fm_on_random_projections(rng):
     for h, coords in _random_projections(rng):
-        assert cones_equal(fm_eliminate(h, coords), dd_project(h, coords))
-    _count_dropped_rows_checking_implied(steps)
-    assert any(ancestry.bit_count() >= 3 for step in steps for ancestry in step.verdicts)
+        assert fm_eliminate(h, coords[:3]) == _textbook_fm(h, coords[:3])
 
 
-def test_rank_test_drops_only_implied_rows_on_bell(monkeypatch):
+def test_matches_textbook_fm_on_bell():
     h, drop = _bell_projection()
-    steps = _record_pairings(monkeypatch)
-    assert cones_equal(fm_eliminate(h, drop), dd_project(h, drop))
-    assert _count_dropped_rows_checking_implied(steps) > 0
+    assert fm_eliminate(h, drop[:8]) == _textbook_fm(h, drop[:8])
+    assert fm_eliminate(h, drop) == dd_project(h, drop)
