@@ -27,7 +27,6 @@ from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, enumera
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
                         reduce_mod_span, rref)
 
-DEFAULT_TOLERANCE = 1e-9
 NODE_GUARD = 6
 
 
@@ -134,15 +133,16 @@ def observed_outer_cone(structure: CausalStructure,
     )
 
 
-def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeReport:
+def verify_line_tightness(n: int) -> ConeReport:
     """Certify that the line-structure outer cone is achieved classically.
 
     Works in the contiguous-block coordinates (dimension n(n+1)/2), lifts
     the extremal rays back to the full subset coordinates, and attaches to
     each ray the witness model with matching entropy vector.  The verdict
     is "tight" exactly when the rays and witnesses are in bijection and
-    each witness makes exactly one reduced-system form strictly positive;
-    tightness certifies that the classical and quantum closures agree.
+    each witness's entropy vector is integral and makes exactly one
+    reduced-system form strictly positive; tightness certifies that the
+    classical and quantum closures agree.
     """
     if n < 1:
         raise InvalidParameter("need n >= 1")
@@ -170,10 +170,10 @@ def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeR
     for key in sorted(models):
         joint = dist.compile_model(models[key]).marginal(observed)
         vector = dist.entropy_vector(joint, index)
-        snapped = vector.snapped(tolerance)
+        snapped = vector.snapped()
         if snapped is None:
             tight = False
-            notes.append(f"witness {key} entropy vector is not near-integer")
+            notes.append(f"witness {key} entropy vector is not integral")
             continue
         ray = primitive(snapped)
         if ray not in lifted:
@@ -189,7 +189,7 @@ def verify_line_tightness(n: int, tolerance: float = DEFAULT_TOLERANCE) -> ConeR
             notes.append(f"witness {key} leaves the outer cone")
             continue
         positive = [f for f in reduced.inequalities
-                    if f.evaluate(vector.values, index) > tolerance]
+                    if f.evaluate(snapped, index) > 0]
         if len(positive) != 1:
             tight = False
             notes.append(f"witness {key} has {len(positive)} strictly positive forms")
@@ -344,12 +344,12 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     )
 
 
-def split_generated_rays(tolerance: float = DEFAULT_TOLERANCE) -> VRep:
+def split_generated_rays() -> VRep:
     """Extremal set of the split three-node-line witnesses.
 
     Splits each of the six line witnesses over all nine outer-mode pairs,
-    snaps the entropy vectors to integers on the marginal scenario, and
-    extracts the extremal subset.
+    restricts their exactly integral entropy vectors to the marginal
+    scenario, and extracts the extremal subset.
     """
     structure = build_post_selected_line(3)
     index, marginal_index, _ = _marginal_scenario(structure)
@@ -359,10 +359,10 @@ def split_generated_rays(tolerance: float = DEFAULT_TOLERANCE) -> VRep:
             for z_mode in ("keep0", "keep1", "copy"):
                 joint = dist.split_p3_witness(model, x_mode, z_mode)
                 vec = dist.entropy_vector(joint, index)
-                snapped = vec.snapped(tolerance)
+                snapped = vec.snapped()
                 if snapped is None:
                     raise InvalidParameter(
-                        f"split witness ({i},{j},{x_mode},{z_mode}) is not near-integer")
+                        f"split witness ({i},{j},{x_mode},{z_mode}) is not integral")
                 restricted = tuple(snapped[index.position(m)] for m in marginal_index.masks)
                 if any(restricted):
                     vectors.add(primitive(restricted))

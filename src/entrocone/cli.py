@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -34,8 +33,6 @@ def _build_parser() -> _Parser:
                         help="output serialization (default: text)")
     parser.add_argument("--engine", choices=("fm", "dd"), default="dd",
                         help="projection strategy (default: dd)")
-    parser.add_argument("--tolerance", type=float, default=analysis.DEFAULT_TOLERANCE,
-                        help="entropy comparison tolerance (default: 1e-9)")
     parser.add_argument("--max-nodes", type=int, default=analysis.NODE_GUARD,
                         help="node guard for full marginalization (default: 6)")
     parser.add_argument("--verbose", action="store_true",
@@ -112,8 +109,6 @@ def _line_size(selector: str) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if not 0 <= args.tolerance < math.inf:  # also refuses NaN
-        raise InvalidParameter(f"--tolerance must be a finite number >= 0, not {args.tolerance}")
     if args.max_nodes < 1:
         raise InvalidParameter(f"--max-nodes must be at least 1, not {args.max_nodes}")
     if args.command == "outer":
@@ -122,8 +117,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit_report(report, args)
         return 0
     if args.command == "verify":
-        report = analysis.verify_line_tightness(_line_size(args.structure),
-                                                tolerance=args.tolerance)
+        report = analysis.verify_line_tightness(_line_size(args.structure))
         _emit_report(report, args)
         return 0 if report.verdict == "tight" else 2
     if args.command == "marginalize":

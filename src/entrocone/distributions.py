@@ -11,6 +11,7 @@ three-node-line witnesses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,6 +22,7 @@ from .entropy_space import CoordinateIndex
 from .errors import InvalidModel, InvalidParameter
 
 _PROB_TOL = 1e-12
+_MAX_JOINT_CELLS = 2 ** 26  # 512 MiB of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +95,10 @@ def compile_model(model: CausalModel) -> JointDistribution:
     """Joint distribution over all nodes: the product of the CPTs."""
     names = model.structure.node_ids()
     sizes = tuple(model.alphabet_sizes[v] for v in names)
+    cells = math.prod(sizes)
+    if cells > _MAX_JOINT_CELLS:
+        raise InvalidModel(f"the joint of {len(names)} nodes has {cells} cells, "
+                           f"above the ceiling of {_MAX_JOINT_CELLS}")
     parents = model.structure.parents_map()
     joint = np.ones(sizes, dtype=float)
     pos = {v: i for i, v in enumerate(names)}
@@ -121,10 +127,14 @@ class EntropyVector:
     def __getitem__(self, names: Sequence[str]) -> float:
         return float(self.values[self.index.position(self.index.mask_of(names))])
 
-    def snapped(self, tolerance: float = 1e-9) -> tuple[int, ...] | None:
-        """Integer form of the vector, or None if any entry is off-integer."""
+    def snapped(self) -> tuple[int, ...] | None:
+        """Integer form of the vector, or None unless every entry is exactly an integer.
+
+        Exact for the witnesses: a uniform marginal on 2^k outcomes has dyadic
+        probabilities, and its 2^k equal terms k 2^-k sum to exactly k.
+        """
         ints = np.rint(self.values)
-        if np.max(np.abs(self.values - ints)) <= tolerance:
+        if np.array_equal(ints, self.values):
             return tuple(int(v) for v in ints)
         return None
 
@@ -169,61 +179,38 @@ def _uniform_bit() -> np.ndarray:
 
 def _deterministic(parent_sizes: Sequence[int], out_size: int, fn) -> np.ndarray:
     cpt = np.zeros((*parent_sizes, out_size))
-    if parent_sizes:
-        for idx in np.ndindex(*parent_sizes):
-            cpt[idx + (fn(*idx),)] = 1.0
-    else:
-        cpt[fn()] = 1.0
+    for idx in np.ndindex(*parent_sizes):
+        cpt[idx + (fn(*idx),)] = 1.0
     return cpt
 
 
 def witness_line(i: int, j: int, n: int) -> CausalModel:
     """The line-structure model whose entropy vector generates one extremal ray.
 
-    Shared causes are uniform bits.  For i < j the chain copies the left
-    cause at position i, XORs neighbouring causes in the interior, and
-    copies the right cause at position j; everything outside is the
-    constant 1.  The diagonal case puts a single fresh bit at position i.
-    All alphabets are binary so the table shapes stay uniform.
+    Shared causes are uniform bits.  Each observed node is the XOR of a set
+    of its parent causes, or the constant 1 when the set is empty: C_m with
+    i <= m < j for i < j, and C_min(i, n-1) at position i on the diagonal.
+    The model is GF(2)-linear, so its entropy vector is integral.
     """
     if not (1 <= i <= j <= n):
         raise InvalidParameter("need 1 <= i <= j <= n")
     structure = build_line_structure(n)
     sizes = {v: 2 for v in structure.node_ids()}
     cpts: dict[str, np.ndarray] = {f"C{k}": _uniform_bit() for k in range(1, n)}
-
-    def constant(_c1=None, _c2=None) -> int:
-        return 1
-
     if n == 1:
         # degenerate line: a single observed root carries one uniform bit
         cpts["X1"] = _uniform_bit()
         return CausalModel(structure, sizes, cpts)
 
     for k in range(1, n + 1):
-        parents = structure.parents(f"X{k}")
-        if i == j:
-            source = f"C{i}" if i <= n - 1 else f"C{n - 1}"
-            if k == i:
-                pos = parents.index(source)
-                cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
-                                               lambda *cs, p=pos: cs[p])
-            else:
-                cpts[f"X{k}"] = _deterministic([2] * len(parents), 2, constant)
+        if i < j:
+            causes = {f"C{m}" for m in range(i, j)}
         else:
-            if k < i or k > j:
-                cpts[f"X{k}"] = _deterministic([2] * len(parents), 2, constant)
-            elif k == i:
-                pos = parents.index(f"C{i}")
-                cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
-                                               lambda *cs, p=pos: cs[p])
-            elif k == j:
-                pos = parents.index(f"C{j - 1}")
-                cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
-                                               lambda *cs, p=pos: cs[p])
-            else:
-                cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
-                                               lambda c_left, c_right: c_left ^ c_right)
+            causes = {f"C{min(i, n - 1)}"} if k == i else set()
+        parents = structure.parents(f"X{k}")
+        picked = [pos for pos, p in enumerate(parents) if p in causes]
+        cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
+                                       lambda *cs: sum(cs[p] for p in picked) % 2 if picked else 1)
     return CausalModel(structure, sizes, cpts)
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_tightness_up_to_seven(capsys):
     start = time.perf_counter()
     for n in range(1, 8):
         t0 = time.perf_counter()
-        report = verify_line_tightness(n, tolerance=1e-9)
+        report = verify_line_tightness(n)
         t_n = time.perf_counter() - t0
         expected = n * (n + 1) // 2
         assert report.verdict == "tight", f"n={n} not tight: {report.notes}"
@@ -204,7 +204,7 @@ def test_criterion_6_post_selected_3(capsys):
 
 def test_criterion_7_splitting_recovers_rays(capsys):
     start = time.perf_counter()
-    split = split_generated_rays(tolerance=1e-9)
+    split = split_generated_rays()
     assert set(split.rays) == set(POST_SELECTED3_RAYS.values())
     assert len(split.rays) == 20
     elapsed = time.perf_counter() - start

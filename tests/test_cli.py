@@ -101,12 +101,12 @@ class TestVerify:
         assert out == ""
         assert "'pn:x'" in err
 
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_bad_tolerance_rejected(self, capsys, value):
-        code, out, err = run_cli(capsys, "--tolerance", value, "verify", "pn:2")
+    def test_tolerance_option_is_gone(self, capsys):
+        # witness vectors are checked as exact integers, with no threshold to set
+        code, out, err = run_cli(capsys, "--tolerance", "1e-9", "verify", "pn:2")
         assert code == 1
         assert out == ""
-        assert "--tolerance" in err
+        assert "usage:" in err
 
     def test_thin_adapter_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "pn:3")
@@ -118,7 +118,7 @@ class TestVerify:
     def test_outer_only_verdict_exits_two(self, capsys, monkeypatch):
         import entrocone.analysis as analysis_mod
 
-        def fake_verify(n, tolerance=1e-9):
+        def fake_verify(n):
             report = verify_line_tightness(n)
             report.verdict = "outer-only"
             return report
@@ -229,6 +229,22 @@ class TestEntropyCommand:
         assert code == 1
         assert out == ""
         assert "C1" in err
+        assert "Traceback" not in err
+
+    def test_joint_above_the_ceiling_is_refused(self, tmp_path, capsys):
+        roots = [f"R{k}" for k in range(27)]  # 2^27 cells, 1 GiB of float64
+        model = {
+            "structure": {"nodes": [{"id": r, "kind": "observed"} for r in roots],
+                          "edges": []},
+            "alphabets": {r: 2 for r in roots},
+            "cpts": {r: [0.5, 0.5] for r in roots},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run_cli(capsys, "entropy", str(path))
+        assert code == 1
+        assert out == ""
+        assert "ceiling" in err
         assert "Traceback" not in err
 
     def test_inline_structure_model(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Models, compilation, entropy vectors and witness constructions."""
 
+import hashlib
 import itertools
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from entrocone.causal import (CausalStructure, Node, build_line_structure,
                               build_post_selected_line, reduced_line_structure)
-from entrocone.distributions import (CausalModel, bc_functional,
+from entrocone.distributions import (CausalModel, EntropyVector, bc_functional,
                                      bc_functional_variants, compile_model,
                                      entropy_vector, line_witness_models, marginal,
                                      model_from_json, model_to_json, post_select_joint,
@@ -20,6 +21,19 @@ from entrocone.errors import InvalidModel, InvalidParameter
 
 from conftest import random_model
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
+
+
+# SHA-256 of model_to_json(witness_line(i, j, n)) over every (i, j) in order,
+# recorded while the witnesses were still written branch by branch: the XOR
+# form must not change a single CPT
+WITNESS_MODEL_SHA256 = {
+    1: "6fdea2e4cc67256cc8836a661e4b9efbd230fe0aded7c41f2389b1fc74f80401",
+    2: "76e29e5b254fa168efcc3091a96a130f1dbd85db03110c6e7d34823c756aab72",
+    3: "65aaee2275370c544cf758c0ba1e009ab339493e6c6e5d2bed8c5c7bc1bc7763",
+    4: "f99adfbb7fdceb514e5250adc22afbbeb00e3f4d2ef79b2cf33c6e59b7dfe889",
+    5: "abdde32dbf3ec084e4fe9ae8f22d281c0a64ea42998b2f0b7822d411843162e8",
+    6: "d973c7dafde7ac07ec314d6aef17520254eb2cd4bc6805d8d1b1c72fc3d86a99",
+}
 
 
 def _two_bits() -> CausalModel:
@@ -87,6 +101,11 @@ class TestEntropyVector:
         model = CausalModel(s, {"X": 3}, {"X": np.array([0.5, 0.25, 0.25])})
         assert entropy_vector(compile_model(model)).snapped() is None
 
+    def test_snapped_rejects_entries_just_off_an_integer(self):
+        index = CoordinateIndex(("X",))
+        assert EntropyVector(index, np.array([1.0 + 1e-12])).snapped() is None
+        assert EntropyVector(index, np.array([1.0])).snapped() == (1,)
+
     def test_getitem(self):
         vector = entropy_vector(compile_model(_two_bits()))
         assert vector[["X", "Y"]] == pytest.approx(2.0)
@@ -150,10 +169,25 @@ class TestLineWitnesses:
             witness_line(1, 4, 3)
 
     def test_dyadic_vectors_are_integral(self):
-        for n in (2, 3, 4, 5):
+        for n in range(2, 9):
             for model in line_witness_models(n).values():
                 joint = compile_model(model).marginal([f"X{k}" for k in range(1, n + 1)])
-                assert entropy_vector(joint).snapped(1e-10) is not None
+                assert entropy_vector(joint).snapped() is not None
+        splits = [split_p3_witness(model, x_mode, z_mode)
+                  for model in line_witness_models(3).values()
+                  for x_mode in ("keep0", "keep1", "copy")
+                  for z_mode in ("keep0", "keep1", "copy")]
+        assert len(splits) == 54
+        for joint in splits:
+            assert entropy_vector(joint).snapped() is not None
+
+    @pytest.mark.parametrize("n", sorted(WITNESS_MODEL_SHA256))
+    def test_witness_models_are_pinned(self, n):
+        digest = hashlib.sha256()
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                digest.update(model_to_json(witness_line(i, j, n)).encode())
+        assert digest.hexdigest() == WITNESS_MODEL_SHA256[n]
 
 
 def _force_binary_settings(model: CausalModel, rng) -> CausalModel:
