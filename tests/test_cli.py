@@ -108,6 +108,15 @@ class TestVerify:
         assert out == ""
         assert "usage:" in err
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_rejected(self, capsys, value):
+        # with the option gone, a malformed value is refused as a usage error
+        code, out, err = run_cli(capsys, "--tolerance", value, "verify", "pn:2")
+        assert code == 1
+        assert out == ""
+        assert "usage:" in err
+        assert "--tolerance" not in err.split("error:")[0]
+
     def test_thin_adapter_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "pn:3")
         data = json.loads(out)
