@@ -245,10 +245,7 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     observed_index = CoordinateIndex(structure.observed_ids())
     forms = observed_independence_constraints(structure, maximal_only=False)
-    minimal = _nice_equalities(
-        HRep(projected.dimension, projected.equalities, projected.inequalities,
-             labels=observed_index.labels),
-        _independence_rows(forms, observed_index))
+    minimal = _nice_equalities(projected, _independence_rows(forms, observed_index))
     vrep = enumerate_rays(minimal)
     return ConeReport(
         structure_name=name or structure.name or "structure",
@@ -321,8 +318,6 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     hrep = _observed_outer_hrep(index, _independence_rows(forms, index))
     drop = [i for i in range(len(index)) if i not in set(keep_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
-    projected = HRep(projected.dimension, projected.equalities, projected.inequalities,
-                     labels=marginal_index.labels)
     minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
     vrep = enumerate_rays(minimal)
     shannon_facets, extra_facets = classify_shannon_facets(minimal, marginal_index)

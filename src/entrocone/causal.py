@@ -12,10 +12,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .entropy_space import CoordinateIndex, LinearForm, conditional_mutual_information
+from .entropy_space import LinearForm, _bit_positions, conditional_mutual_information
 from .errors import InvalidParameter
 
 NodeKind = Literal["observed", "unobserved"]
+
+# The most observed nodes a selector or a structure file may have.  Twenty
+# already make 1,048,575 entropy coordinates; the largest run the pipelines
+# aim at, verify pn:12, has 4,095.
+_MAX_SELECTOR_OBSERVED = 20
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,10 @@ class CausalStructure:
                     and all(isinstance(v, str) and v for v in entry)):
                 raise InvalidParameter(f"edges[{i}] must be a [parent, child] pair of node ids")
             edges.append(tuple(entry))
+        observed = sum(1 for n in nodes if n.kind == "observed")
+        if observed > _MAX_SELECTOR_OBSERVED:
+            raise InvalidParameter(f"structure file has {observed} observed nodes; "
+                                   f"the ceiling is {_MAX_SELECTOR_OBSERVED}")
         return CausalStructure(tuple(nodes), tuple(edges))
 
 
@@ -252,11 +261,6 @@ def build_post_selected_line(k: int) -> CausalStructure:
                            copies=(first, last))
 
 
-# Twenty observed nodes already make 1,048,575 entropy coordinates; the
-# largest run the pipelines aim at, verify pn:12, has 4,095.
-_MAX_SELECTOR_OBSERVED = 20
-
-
 def structure_from_name(name: str) -> CausalStructure:
     """Resolve the built-in structure selectors pn:<n>, bell, ptilde:<k>.
 
@@ -339,50 +343,36 @@ def ancestor_disjoint_pairs(structure: CausalStructure,
                             maximal_only: bool = True) -> list[tuple[frozenset[str], frozenset[str]]]:
     """Pairs of observed subsets with disjoint ancestor closures.
 
-    With ``maximal_only`` each returned pair cannot be grown on either side
-    without the closures intersecting; the full list is useful when the
-    equalities are consumed without the Shannon inequalities alongside.
+    Each unordered pair comes once, with the earliest observed node in the
+    first set, and the list is sorted by member positions.  With
+    ``maximal_only`` each returned pair cannot be grown on either side
+    without the closures intersecting; the pipelines consume the full list
+    alongside the Shannon inequalities.
     """
     observed = structure.observed_ids()
-    m = len(observed)
-    if m < 2:
-        return []
-    closures = {v: structure.ancestor_closure([v]) for v in observed}
-    order = {v: i for i, v in enumerate(observed)}
-    seen: set[frozenset[frozenset[str]]] = set()
-    pairs: list[tuple[frozenset[str], frozenset[str]]] = []
-    # assign each observed node to side S, side T or neither
-    for assignment in range(3 ** m):
-        s: list[str] = []
-        t: list[str] = []
-        rem = assignment
-        for v in observed:
-            rem, which = divmod(rem, 3)
-            if which == 0:
-                s.append(v)
-            elif which == 1:
-                t.append(v)
-        if not s or not t:
-            continue
-        anc_s: set[str] = set().union(*(closures[v] for v in s))
-        anc_t: set[str] = set().union(*(closures[v] for v in t))
-        if anc_s & anc_t:
-            continue
-        if maximal_only and any(
-                v not in s and v not in t
-                and (not (closures[v] & anc_t) or not (closures[v] & anc_s))
-                for v in observed):
-            continue
-        key = frozenset((frozenset(s), frozenset(t)))
-        if key in seen:
-            continue
-        seen.add(key)
-        if (min(order[v] for v in t)) < (min(order[v] for v in s)):
-            s, t = t, s
-        pairs.append((frozenset(s), frozenset(t)))
-    pairs.sort(key=lambda st: (sorted(order[v] for v in st[0]),
-                               sorted(order[v] for v in st[1])))
-    return pairs
+    closures = [structure.ancestor_closure([v]) for v in observed]
+    # bit i stands for observed[i]; clash[i] holds the nodes whose closure meets
+    # node i's, node i itself included, and reach[mask] ORs it over the members
+    clash = [sum(1 << j for j, other in enumerate(closures) if mine & other)
+             for mine in closures]
+    everyone = (1 << len(observed)) - 1
+    reach = [0] * (everyone + 1)
+    for mask in range(1, everyone + 1):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | clash[low.bit_length() - 1]
+    pairs: list[tuple[int, int]] = []
+    for s in range(1, everyone + 1):
+        # T draws from the nodes after S's first that clash with no member of S
+        free = everyone & ~reach[s] & -(2 * (s & -s))
+        t = free
+        while t:
+            # maximal: every node left out clashes with both sides
+            if not maximal_only or not (everyone & ~(s | t) & ~(reach[s] & reach[t])):
+                pairs.append((s, t))
+            t = (t - 1) & free
+    pairs.sort(key=lambda st: (_bit_positions(st[0]), _bit_positions(st[1])))
+    return [tuple(frozenset(observed[i] for i in _bit_positions(side)) for side in st)
+            for st in pairs]
 
 
 def observed_independence_constraints(structure: CausalStructure,
@@ -393,15 +383,12 @@ def observed_independence_constraints(structure: CausalStructure,
     since the argument only uses disjoint ancestry.  Every returned pair is
     certified by d-separation before being emitted.
     """
-    observed = structure.observed_ids()
-    if len(observed) < 2:
-        return ()
-    index = CoordinateIndex(observed)
+    bit = {v: 1 << i for i, v in enumerate(structure.observed_ids())}
     forms = []
     for s, t in ancestor_disjoint_pairs(structure, maximal_only=maximal_only):
         if not d_separated(structure, s, t, frozenset()):
             raise InvalidParameter(
                 f"ancestor-disjoint pair {sorted(s)} / {sorted(t)} is not d-separated")
-        forms.append(conditional_mutual_information(index.mask_of(s), index.mask_of(t),
+        forms.append(conditional_mutual_information(sum(map(bit.get, s)), sum(map(bit.get, t)),
                                                     0, "=="))
     return tuple(forms)

@@ -109,8 +109,9 @@ class LinearForm:
             row[index.position(mask)] += coeff
         return tuple(row)
 
-    def evaluate(self, values: Sequence[float], index: CoordinateIndex) -> float:
-        return float(sum(float(c) * values[index.position(m)] for m, c in self.coefficients))
+    def evaluate(self, values: Sequence[int | float], index: CoordinateIndex) -> int | float:
+        """The form at ``values``: exact on integers, floating point on floats."""
+        return sum(c * values[index.position(m)] for m, c in self.coefficients)
 
     def text(self, index: CoordinateIndex) -> str:
         terms = sorted(self.coefficients, key=lambda mc: index.position(mc[0]))

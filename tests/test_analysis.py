@@ -395,6 +395,25 @@ def test_each_pipeline_derives_the_independences_once(monkeypatch, pipeline):
     assert len(calls) == 1
 
 
+# a hidden node listed before the observed ones shifts every observed position
+HIDDEN_FIRST = CausalStructure(
+    (Node("C", "unobserved"), Node("X", "observed"), Node("Y", "observed")),
+    (("C", "X"), ("C", "Y")))
+
+
+@pytest.mark.parametrize("engine", ["dd", "fm"])
+@pytest.mark.parametrize("pipeline", [
+    lambda engine: observed_outer_cone(build_line_structure(4)),
+    lambda engine: verify_line_tightness(4),
+    lambda engine: full_marginal_outer_cone(bell_structure(), engine=engine),
+    lambda engine: full_marginal_outer_cone(HIDDEN_FIRST, engine=engine),
+    lambda engine: post_selected_marginal_cone(3, engine=engine),
+], ids=["outer", "verify", "marginalize", "marginalize-hidden-first", "bc-cone"])
+def test_reports_carry_the_index_labels(pipeline, engine):
+    report = pipeline(engine)
+    assert report.hrep.labels == report.vrep.labels == report.index.labels
+
+
 # -- oracle: the scenario pool against the Fraction re-indexing it replaced ----
 
 def _fraction_scenario_shannon_pool(index):

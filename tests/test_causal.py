@@ -1,10 +1,12 @@
 """Structure builders, graph queries and d-separation."""
 
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrocone.causal import (CausalStructure, Node, ancestor_disjoint_pairs,
                               bell_structure, build_line_structure,
@@ -82,6 +84,16 @@ class TestBuilders:
             with pytest.raises(InvalidParameter,
                                match=f"'{name}' has {observed} observed nodes; the ceiling is 20"):
                 structure_from_name(name)
+
+    def test_structure_files_stop_at_twenty_observed_nodes(self):
+        def text(observed, unobserved):
+            return json.dumps({"nodes": [{"id": f"X{i}"} for i in range(observed)]
+                               + [{"id": f"C{i}", "kind": "unobserved"}
+                                  for i in range(unobserved)]})
+        assert len(CausalStructure.from_json(text(20, 5)).observed_ids()) == 20
+        with pytest.raises(InvalidParameter,
+                           match="structure file has 21 observed nodes; the ceiling is 20"):
+            CausalStructure.from_json(text(21, 0))
 
     def test_cycle_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -274,3 +286,75 @@ class TestObservedIndependences:
     def test_line4_maximal_pairs_exactly_two(self):
         g = build_line_structure(4)
         assert len(ancestor_disjoint_pairs(g)) == 2
+
+
+# -- oracle: the 3^m assignment scan that the bitmask pass replaced ------------
+
+def _scan_ancestor_disjoint_pairs(structure, maximal_only=True):
+    """Every way to put each observed node in S, in T or in neither."""
+    observed = structure.observed_ids()
+    m = len(observed)
+    if m < 2:
+        return []
+    closures = {v: structure.ancestor_closure([v]) for v in observed}
+    order = {v: i for i, v in enumerate(observed)}
+    seen = set()
+    pairs = []
+    for assignment in range(3 ** m):
+        s, t = [], []
+        rem = assignment
+        for v in observed:
+            rem, which = divmod(rem, 3)
+            if which == 0:
+                s.append(v)
+            elif which == 1:
+                t.append(v)
+        if not s or not t:
+            continue
+        anc_s = set().union(*(closures[v] for v in s))
+        anc_t = set().union(*(closures[v] for v in t))
+        if anc_s & anc_t:
+            continue
+        if maximal_only and any(
+                v not in s and v not in t
+                and (not (closures[v] & anc_t) or not (closures[v] & anc_s))
+                for v in observed):
+            continue
+        key = frozenset((frozenset(s), frozenset(t)))
+        if key in seen:
+            continue
+        seen.add(key)
+        if min(order[v] for v in t) < min(order[v] for v in s):
+            s, t = t, s
+        pairs.append((frozenset(s), frozenset(t)))
+    pairs.sort(key=lambda st: (sorted(order[v] for v in st[0]),
+                               sorted(order[v] for v in st[1])))
+    return pairs
+
+
+@st.composite
+def _dags(draw):
+    """DAGs of up to 8 nodes, edges from earlier to later nodes, kinds mixed."""
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["observed", "unobserved"]), min_size=n, max_size=n))
+    nodes = tuple(Node(f"N{i}", kind) for i, kind in enumerate(kinds))
+    edges = tuple((f"N{i}", f"N{j}") for i in range(n) for j in range(i + 1, n)
+                  if draw(st.booleans()))
+    return CausalStructure(nodes, edges)
+
+
+@pytest.mark.parametrize("maximal_only", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_pairs_match_the_assignment_scan_on_random_dags(maximal_only, structure):
+    assert (ancestor_disjoint_pairs(structure, maximal_only)
+            == _scan_ancestor_disjoint_pairs(structure, maximal_only))
+
+
+@pytest.mark.parametrize("maximal_only", [True, False])
+@pytest.mark.parametrize("name", [*(f"pn:{n}" for n in range(1, 9)), "bell",
+                                  "ptilde:3", "ptilde:4", "ptilde:5"])
+def test_pairs_match_the_assignment_scan_on_builtins(name, maximal_only):
+    structure = structure_from_name(name)
+    assert (ancestor_disjoint_pairs(structure, maximal_only)
+            == _scan_ancestor_disjoint_pairs(structure, maximal_only))

@@ -82,6 +82,15 @@ class TestOuter:
         assert f"{argv[1]!r}" in err and "ceiling is 20" in err
         assert "Traceback" not in err
 
+    def test_oversized_structure_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"nodes": [{"id": f"X{i}"} for i in range(21)]}))
+        code, out, err = run_cli(capsys, "outer", str(path))
+        assert code == 1
+        assert out == ""
+        assert "structure file has 21 observed nodes; the ceiling is 20" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_line4_tight_exit_zero(self, capsys):
@@ -242,8 +251,10 @@ class TestEntropyCommand:
 
     def test_joint_above_the_ceiling_is_refused(self, tmp_path, capsys):
         roots = [f"R{k}" for k in range(27)]  # 2^27 cells, 1 GiB of float64
+        # 20 observed roots, the most a structure file may have, and 7 hidden ones
+        kinds = ["observed"] * 20 + ["unobserved"] * 7
         model = {
-            "structure": {"nodes": [{"id": r, "kind": "observed"} for r in roots],
+            "structure": {"nodes": [{"id": r, "kind": kind} for r, kind in zip(roots, kinds)],
                           "edges": []},
             "alphabets": {r: 2 for r in roots},
             "cpts": {r: [0.5, 0.5] for r in roots},
@@ -253,7 +264,7 @@ class TestEntropyCommand:
         code, out, err = run_cli(capsys, "entropy", str(path))
         assert code == 1
         assert out == ""
-        assert "ceiling" in err
+        assert "the joint of 27 nodes" in err and "ceiling" in err
         assert "Traceback" not in err
 
     def test_inline_structure_model(self, tmp_path, capsys):

@@ -73,6 +73,13 @@ class TestForms:
         direct = form.evaluate(values, idx)
         assert direct == pytest.approx(sum(float(c) * v for c, v in zip(row, values)))
 
+    def test_evaluate_is_exact_on_integers(self):
+        # I(X1:X2) = 1 here; a float sum loses the 1 next to 2^61 and gives 0.0
+        idx = CoordinateIndex(("X1", "X2"))
+        values = (2 ** 60 + 1, 2 ** 60 + 1, 2 ** 61 + 1)
+        value = conditional_mutual_information(1, 2).evaluate(values, idx)
+        assert value == 1 and type(value) is int
+
 
 class TestElementalSystem:
     @pytest.mark.parametrize("n,count", [(2, 3), (3, 9), (4, 28), (5, 85),
