@@ -20,7 +20,7 @@ from .causal import (CausalStructure, build_post_selected_line,
                      observed_independence_constraints)
 from .entropy_space import (CoordinateIndex, LinearForm, contiguous_decomposition_equalities,
                             elemental_forms, elemental_shannon_system, classical_ci_system,
-                            lift_block_vector, reduced_line_system, substitute_contiguous,
+                            lift_block_vectors, reduced_line_system, substitute_contiguous,
                             system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, enumerate_rays,
@@ -28,6 +28,12 @@ from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, enumera
                         reduce_mod_span, rref)
 
 NODE_GUARD = 6
+
+# The longest line verify certifies.  The witness vectors are exact ranks and
+# cost little, but each witness's membership test is dense over 2^n - 1
+# coordinates and about as many equalities, so the work grows as 4^n; pn:13
+# is also the longest line the float route's 2^26-cell joint could hold.
+_MAX_VERIFY_NODES = 13
 
 
 @dataclass
@@ -137,15 +143,22 @@ def verify_line_tightness(n: int) -> ConeReport:
     """Certify that the line-structure outer cone is achieved classically.
 
     Works in the contiguous-block coordinates (dimension n(n+1)/2), lifts
-    the extremal rays back to the full subset coordinates, and attaches to
-    each ray the witness model with matching entropy vector.  The verdict
-    is "tight" exactly when the rays and witnesses are in bijection and
-    each witness's entropy vector is integral and makes exactly one
-    reduced-system form strictly positive; tightness certifies that the
-    classical and quantum closures agree.
+    the extremal rays back to the full subset coordinates in one pass, and
+    attaches to each ray the witness model with matching entropy vector.
+    The witnesses are GF(2)-linear, so each vector is taken exactly as the
+    rank function of its nodes (:func:`distributions.linear_entropy_vector`)
+    and no joint distribution is built; a witness the rank route refuses is
+    compiled and its float vector must be exactly integral.  The verdict is
+    "tight" exactly when the rays and witnesses are in bijection and each
+    witness's vector makes exactly one reduced-system form strictly
+    positive; tightness certifies that the classical and quantum closures
+    agree.  Lines longer than 13 nodes are refused before anything is built.
     """
     if n < 1:
         raise InvalidParameter("need n >= 1")
+    if n > _MAX_VERIFY_NODES:
+        raise InvalidParameter(f"verify of a {n}-node line is refused; "
+                               f"the ceiling is {_MAX_VERIFY_NODES} nodes")
     start = time.perf_counter()
     reduced = reduced_line_system(n)
     block_rows = substitute_contiguous(reduced)
@@ -153,7 +166,7 @@ def verify_line_tightness(n: int) -> ConeReport:
     block_h = HRep(dim, (), tuple(block_rows))
     block_v = enumerate_rays(block_h)
     index = reduced.index
-    lifted = tuple(lift_block_vector(ray, n) for ray in block_v.rays)
+    lifted = tuple(lift_block_vectors(block_v.rays, n))
 
     eq_rows = tuple(f.row(index) for f in contiguous_decomposition_equalities(n))
     _, ineq_rows = system_rows(reduced)
@@ -168,9 +181,10 @@ def verify_line_tightness(n: int) -> ConeReport:
     notes: list[str] = []
     used_rays: set[tuple[int, ...]] = set()
     for key in sorted(models):
-        joint = dist.compile_model(models[key]).marginal(observed)
-        vector = dist.entropy_vector(joint, index)
-        snapped = vector.snapped()
+        snapped = dist.linear_entropy_vector(models[key], index)
+        if snapped is None:
+            joint = dist.compile_model(models[key]).marginal(observed)
+            snapped = dist.entropy_vector(joint, index).snapped()
         if snapped is None:
             tight = False
             notes.append(f"witness {key} entropy vector is not integral")

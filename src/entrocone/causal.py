@@ -51,23 +51,27 @@ class CausalStructure:
         for parent, child in self.edges:
             if parent not in known or child not in known:
                 raise InvalidParameter(f"edge ({parent!r}, {child!r}) names an unknown node")
-        if self._has_cycle():
+        # built once and read by every graph query; callers only see tuples or copies
+        object.__setattr__(self, "_parents",
+                           self._links((child, parent) for parent, child in self.edges))
+        object.__setattr__(self, "_children", self._links(self.edges))
+        order = self._kahn_order()
+        if len(order) != len(self.nodes):
             raise InvalidParameter("edge relation must be acyclic")
+        object.__setattr__(self, "_order", order)
 
-    def _has_cycle(self) -> bool:
-        indeg = {n.id: 0 for n in self.nodes}
-        for _, child in self.edges:
-            indeg[child] += 1
+    def _kahn_order(self) -> tuple[str, ...]:
+        """Nodes with every parent first; a cycle leaves its nodes out."""
+        indeg = {node: len(parents) for node, parents in self._parents.items()}
         queue = deque(i for i, d in indeg.items() if d == 0)
-        seen = 0
-        children = self.children_map()
+        order = []
         while queue:
-            seen += 1
-            for c in children[queue.popleft()]:
+            order.append(queue.popleft())
+            for c in self._children[order[-1]]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
-        return seen != len(self.nodes)
+        return tuple(order)
 
     # -- basic queries -------------------------------------------------
 
@@ -81,43 +85,45 @@ class CausalStructure:
         return tuple(n.id for n in self.nodes if n.kind == "unobserved")
 
     def parents_map(self) -> dict[str, list[str]]:
-        return self._links((child, parent) for parent, child in self.edges)
+        """Each node's parents in node order, as a fresh dict the caller may change."""
+        return {node: list(linked) for node, linked in self._parents.items()}
 
     def children_map(self) -> dict[str, list[str]]:
-        return self._links(self.edges)
+        """Each node's children in node order, as a fresh dict the caller may change."""
+        return {node: list(linked) for node, linked in self._children.items()}
 
-    def _links(self, pairs: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    def _links(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
         """Each node's linked nodes in node order, from (node, linked) pairs."""
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for node, linked in pairs:
             out[node].append(linked)
         order = {n.id: i for i, n in enumerate(self.nodes)}
-        for lst in out.values():
-            lst.sort(key=order.__getitem__)
-        return out
+        return {node: tuple(sorted(lst, key=order.__getitem__)) for node, lst in out.items()}
+
+    def topological_order(self) -> tuple[str, ...]:
+        """Node ids with every node after all of its parents."""
+        return self._order
 
     def parents(self, node: str) -> tuple[str, ...]:
         self._require(node)
-        return tuple(self.parents_map()[node])
+        return self._parents[node]
 
     def ancestors(self, node: str) -> frozenset[str]:
         """Strict ancestors of a node (the node itself excluded)."""
         self._require(node)
-        parents = self.parents_map()
-        return _reach(parents[node], parents)
+        return _reach(self._parents[node], self._parents)
 
     def descendants(self, node: str) -> frozenset[str]:
         """Strict descendants of a node."""
         self._require(node)
-        children = self.children_map()
-        return _reach(children[node], children)
+        return _reach(self._children[node], self._children)
 
     def ancestor_closure(self, nodes: Iterable[str]) -> frozenset[str]:
         """Nodes together with all of their ancestors."""
         nodes = list(nodes)
         for node in nodes:
             self._require(node)
-        return _reach(nodes, self.parents_map())
+        return _reach(nodes, self._parents)
 
     def _require(self, node: str) -> None:
         if node not in self._known:
@@ -168,7 +174,7 @@ class CausalStructure:
         return CausalStructure(tuple(nodes), tuple(edges))
 
 
-def _reach(starts: Iterable[str], links: dict[str, list[str]]) -> frozenset[str]:
+def _reach(starts: Iterable[str], links: dict[str, Sequence[str]]) -> frozenset[str]:
     """``starts`` and every node reachable from them along ``links``."""
     seen: set[str] = set()
     stack = list(starts)
@@ -306,8 +312,7 @@ def d_separated(structure: CausalStructure, x: Iterable[str], y: Iterable[str],
         raise InvalidParameter("node sets must be pairwise disjoint")
     if not xs or not ys:
         return True
-    parents = structure.parents_map()
-    children = structure.children_map()
+    parents, children = structure._parents, structure._children
     # collider openers: the ancestor closure of z (nodes with a descendant in z, z included)
     opens_collider = _reach(zs, parents)
     # states: (node, direction); direction 'up' = entered from a child,

@@ -161,6 +161,69 @@ def entropy_vector(joint: JointDistribution,
     return EntropyVector(index, values)
 
 
+# a one-hot CPT row and the output bit it fixes
+_ONE_HOT = {(1.0, 0.0): 0, (0.0, 1.0): 1}
+
+
+def linear_entropy_vector(model: CausalModel,
+                          index: CoordinateIndex) -> tuple[int, ...] | None:
+    """Exact entropy vector of a GF(2)-affine model over ``index``, or None.
+
+    A model is accepted only if every alphabet is 2, every root CPT is
+    exactly [0.5, 0.5] (a fresh uniform bit) or one-hot (a constant), and
+    every other node is a deterministic affine function of its parent bits,
+    checked on the whole truth table.  Each node is then a constant plus a
+    linear form in the fresh bits, held as a bitmask, and H(S) in bits is
+    the GF(2) rank of S's forms (Chan and Yeung, IEEE Trans. IT 2002).  Each
+    rank grows the echelon of S minus its lowest member by at most one row,
+    so no joint distribution is built and no float entropy is taken.
+    """
+    structure = model.structure
+    names = structure.node_ids()
+    if missing := [v for v in index.variables if v not in names]:
+        raise InvalidParameter(f"unknown variables {missing}")
+    if any(model.alphabet_sizes[v] != 2 for v in names):
+        return None
+    parts: dict[str, int] = {}  # each node's linear part over the fresh bits
+    fresh = 0
+    for node in structure.topological_order():
+        parents = structure.parents(node)
+        rows = [tuple(row) for row in
+                np.asarray(model.cpts[node], dtype=float).reshape(-1, 2).tolist()]
+        if not parents and rows == [(0.5, 0.5)]:
+            parts[node] = 1 << fresh
+            fresh += 1
+            continue
+        out = [_ONE_HOT.get(row) for row in rows]
+        if None in out:
+            return None
+        # each parent's bit in a row number: the first parent is the most significant
+        bits = [1 << (len(parents) - 1 - k) for k in range(len(parents))]
+        slope = sum(bit for bit in bits if out[bit] != out[0])
+        if any(out[r] != out[0] ^ ((r & slope).bit_count() & 1) for r in range(len(out))):
+            return None
+        part = 0
+        for parent, bit in zip(parents, bits):
+            if slope & bit:
+                part ^= parts[parent]
+        parts[node] = part
+    forms = [parts[v] for v in index.variables]
+    echelons: dict[int, tuple[int, ...]] = {0: ()}
+    ranks = []
+    for mask in index.masks:
+        low = mask & -mask
+        basis = echelons[mask ^ low]
+        # rows sorted by leading bit, highest first, so min() clears each leading bit
+        form = forms[low.bit_length() - 1]
+        for row in basis:
+            form = min(form, form ^ row)
+        if form:
+            basis = tuple(sorted((*basis, form), reverse=True))
+        echelons[mask] = basis
+        ranks.append(len(basis))
+    return tuple(ranks)
+
+
 def conditional_mutual_information_bits(joint: JointDistribution, x: Sequence[str],
                                         y: Sequence[str], z: Sequence[str]) -> float:
     """I(X:Y|Z) in bits evaluated on a compiled distribution."""
@@ -194,7 +257,12 @@ def witness_line(i: int, j: int, n: int) -> CausalModel:
     """
     if not (1 <= i <= j <= n):
         raise InvalidParameter("need 1 <= i <= j <= n")
-    structure = build_line_structure(n)
+    return _line_witness(build_line_structure(n), i, j)
+
+
+def _line_witness(structure: CausalStructure, i: int, j: int) -> CausalModel:
+    """The witness (i, j) on a given n-node line structure."""
+    n = len(structure.observed_ids())
     sizes = {v: 2 for v in structure.node_ids()}
     cpts: dict[str, np.ndarray] = {f"C{k}": _uniform_bit() for k in range(1, n)}
     if n == 1:
@@ -202,12 +270,13 @@ def witness_line(i: int, j: int, n: int) -> CausalModel:
         cpts["X1"] = _uniform_bit()
         return CausalModel(structure, sizes, cpts)
 
+    parents_of = structure.parents_map()
     for k in range(1, n + 1):
         if i < j:
             causes = {f"C{m}" for m in range(i, j)}
         else:
             causes = {f"C{min(i, n - 1)}"} if k == i else set()
-        parents = structure.parents(f"X{k}")
+        parents = parents_of[f"X{k}"]
         picked = [pos for pos, p in enumerate(parents) if p in causes]
         cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
                                        lambda *cs: sum(cs[p] for p in picked) % 2 if picked else 1)
@@ -215,8 +284,9 @@ def witness_line(i: int, j: int, n: int) -> CausalModel:
 
 
 def line_witness_models(n: int) -> dict[tuple[int, int], CausalModel]:
-    """All n(n+1)/2 witnesses, keyed by (i, j)."""
-    return {(i, j): witness_line(i, j, n)
+    """All n(n+1)/2 witnesses, keyed by (i, j), sharing one structure."""
+    structure = build_line_structure(n)
+    return {(i, j): _line_witness(structure, i, j)
             for i in range(1, n + 1) for j in range(i, n + 1)}
 
 

@@ -318,10 +318,21 @@ def substitute_contiguous(system: ConstraintSystem) -> list[tuple[int, ...]]:
     return rows
 
 
-def lift_block_vector(values: Sequence[int], n: int) -> tuple[int, ...]:
-    """Expand a contiguous-block vector to the full subset-coordinate vector."""
+def lift_block_vectors(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Expand contiguous-block vectors to full subset-coordinate vectors.
+
+    The block positions of every subset are found once per call, so each
+    vector then costs one short sum per coordinate.
+    """
     index = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
-    return tuple(sum(values[p] for p in _block_positions(mask, n)) for mask in index.masks)
+    table = [_block_positions(mask, n) for mask in index.masks]
+    return [tuple(sum(values[p] for p in positions) for positions in table)
+            for values in vectors]
+
+
+def lift_block_vector(values: Sequence[int], n: int) -> tuple[int, ...]:
+    """Expand one contiguous-block vector; see :func:`lift_block_vectors`."""
+    return lift_block_vectors([values], n)[0]
 
 
 def contiguous_decomposition_equalities(n: int) -> tuple[LinearForm, ...]:

@@ -80,6 +80,15 @@ class TestVerify:
         assert any("classical closure equals quantum closure" in note
                    for note in report.notes)
 
+    def test_rank_route_builds_no_joint(self, monkeypatch):
+        import entrocone.distributions as dist
+
+        def compile_model(model):
+            raise AssertionError("verify compiled a joint for a linear witness")
+
+        monkeypatch.setattr(dist, "compile_model", compile_model)
+        assert verify_line_tightness(6).verdict == "tight"
+
 
 class TestFullMarginalization:
     def test_bell_projection_equals_line4_cone(self):

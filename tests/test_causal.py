@@ -144,6 +144,39 @@ class TestBuilders:
             assert captured.out == "" and field in captured.err
 
 
+class TestGraphMaps:
+    def test_caller_mutation_does_not_leak(self):
+        g = build_line_structure(4)
+        parents, children = g.parents_map(), g.children_map()
+        parents["X2"].append("X1")
+        parents["X3"].clear()
+        children["C2"].clear()
+        del children["C1"]
+        assert g.parents_map()["X2"] == ["C1", "C2"]
+        assert g.parents("X3") == ("C2", "C3")
+        assert g.children_map()["C2"] == ["X2", "X3"]
+        assert g.descendants("C1") == {"X1", "X2"}
+        assert g.ancestors("X3") == {"C2", "C3"}
+        assert not d_separated(g, {"X2"}, {"X3"}, set())
+        assert g.parents_map() is not g.parents_map()
+
+    def test_maps_list_links_in_node_order(self):
+        g = CausalStructure((Node("a", "observed"), Node("b", "observed"),
+                             Node("c", "observed")), (("b", "c"), ("a", "c")))
+        assert g.parents_map() == {"a": [], "b": [], "c": ["a", "b"]}
+        assert g.children_map() == {"a": ["c"], "b": ["c"], "c": []}
+
+    def test_topological_order_puts_parents_first(self):
+        rng = np.random.default_rng(5)
+        structures = [random_dag(rng, int(rng.integers(1, 9))) for _ in range(40)]
+        structures += [build_line_structure(5), bell_structure(), build_post_selected_line(4)]
+        for g in structures:
+            order = g.topological_order()
+            assert sorted(order) == sorted(g.node_ids())
+            place = {v: i for i, v in enumerate(order)}
+            assert all(place[p] < place[c] for p, c in g.edges)
+
+
 class TestDSeparation:
     def test_line4_observed_independences(self):
         g = build_line_structure(4)

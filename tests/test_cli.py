@@ -133,6 +133,30 @@ class TestVerify:
         assert data["verdict"] == report.verdict
         assert [tuple(r) for r in data["rays"].values()] == list(report.rays)
 
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_line_above_the_ceiling_exits_at_once(self, capsys, monkeypatch, n):
+        import entrocone.analysis as analysis_mod
+
+        def built(*args):
+            raise AssertionError("verify built a system above its ceiling")
+
+        monkeypatch.setattr(analysis_mod, "reduced_line_system", built)
+        code, out, err = run_cli(capsys, "verify", f"pn:{n}")
+        assert code == 1
+        assert out == ""
+        assert f"verify of a {n}-node line is refused; the ceiling is 13 nodes" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_float_fallback_prints_the_same_bytes(self, capsys, monkeypatch, n, fmt):
+        import entrocone.distributions as dist
+
+        _, ranks, _ = run_cli(capsys, "--format", fmt, "verify", f"pn:{n}")
+        monkeypatch.setattr(dist, "linear_entropy_vector", lambda model, index: None)
+        code, floats, _ = run_cli(capsys, "--format", fmt, "verify", f"pn:{n}")
+        assert code == 0
+        assert floats == ranks
+
     def test_outer_only_verdict_exits_two(self, capsys, monkeypatch):
         import entrocone.analysis as analysis_mod
 

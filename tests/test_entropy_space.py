@@ -13,7 +13,8 @@ from entrocone.entropy_space import (CoordinateIndex,
                                      classical_ci_system, conditional_mutual_information,
                                      contiguous_blocks, contiguous_decomposition_equalities,
                                      elemental_forms, elemental_shannon_system,
-                                     lift_block_vector, reduced_line_system,
+                                     lift_block_vector, lift_block_vectors,
+                                     reduced_line_system,
                                      substitute_contiguous, system_rows)
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import primitive
@@ -303,6 +304,8 @@ def test_contiguous_block_code_matches_the_fraction_code(n):
     assert substitute_contiguous(reduced) == _fraction_substitute_contiguous(reduced)
     values = [3 * i * i - 7 * i + 2 for i in range(n * (n + 1) // 2)]
     assert lift_block_vector(values, n) == _fraction_lift_block_vector(values, n)
+    batch = [values, [v % 5 for v in values], [1] * len(values)]
+    assert lift_block_vectors(batch, n) == [_fraction_lift_block_vector(v, n) for v in batch]
 
 
 def _plain_int_rows(rows):
