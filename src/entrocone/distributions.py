@@ -270,13 +270,12 @@ def _line_witness(structure: CausalStructure, i: int, j: int) -> CausalModel:
         cpts["X1"] = _uniform_bit()
         return CausalModel(structure, sizes, cpts)
 
-    parents_of = structure.parents_map()
     for k in range(1, n + 1):
         if i < j:
             causes = {f"C{m}" for m in range(i, j)}
         else:
             causes = {f"C{min(i, n - 1)}"} if k == i else set()
-        parents = parents_of[f"X{k}"]
+        parents = structure.parents(f"X{k}")
         picked = [pos for pos, p in enumerate(parents) if p in causes]
         cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
                                        lambda *cs: sum(cs[p] for p in picked) % 2 if picked else 1)

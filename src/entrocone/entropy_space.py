@@ -330,11 +330,6 @@ def lift_block_vectors(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[i
             for values in vectors]
 
 
-def lift_block_vector(values: Sequence[int], n: int) -> tuple[int, ...]:
-    """Expand one contiguous-block vector; see :func:`lift_block_vectors`."""
-    return lift_block_vectors([values], n)[0]
-
-
 def contiguous_decomposition_equalities(n: int) -> tuple[LinearForm, ...]:
     """H(S) = sum of maximal contiguous blocks, for every non-contiguous S."""
     index = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))

@@ -89,6 +89,14 @@ class TestVerify:
         monkeypatch.setattr(dist, "compile_model", compile_model)
         assert verify_line_tightness(6).verdict == "tight"
 
+    def test_refused_witness_is_not_tight(self, monkeypatch):
+        import entrocone.distributions as dist
+
+        monkeypatch.setattr(dist, "linear_entropy_vector", lambda model, index: None)
+        report = verify_line_tightness(3)
+        assert report.verdict == "outer-only"
+        assert "witness (1, 1) is not GF(2)-affine" in report.notes
+
 
 class TestFullMarginalization:
     def test_bell_projection_equals_line4_cone(self):

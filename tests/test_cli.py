@@ -146,17 +146,6 @@ class TestVerify:
         assert out == ""
         assert f"verify of a {n}-node line is refused; the ceiling is 13 nodes" in err
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_float_fallback_prints_the_same_bytes(self, capsys, monkeypatch, n, fmt):
-        import entrocone.distributions as dist
-
-        _, ranks, _ = run_cli(capsys, "--format", fmt, "verify", f"pn:{n}")
-        monkeypatch.setattr(dist, "linear_entropy_vector", lambda model, index: None)
-        code, floats, _ = run_cli(capsys, "--format", fmt, "verify", f"pn:{n}")
-        assert code == 0
-        assert floats == ranks
-
     def test_outer_only_verdict_exits_two(self, capsys, monkeypatch):
         import entrocone.analysis as analysis_mod
 

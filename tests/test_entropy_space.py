@@ -13,7 +13,7 @@ from entrocone.entropy_space import (CoordinateIndex,
                                      classical_ci_system, conditional_mutual_information,
                                      contiguous_blocks, contiguous_decomposition_equalities,
                                      elemental_forms, elemental_shannon_system,
-                                     lift_block_vector, lift_block_vectors,
+                                     lift_block_vectors,
                                      reduced_line_system,
                                      substitute_contiguous, system_rows)
 from entrocone.errors import InvalidParameter
@@ -191,7 +191,7 @@ class TestContiguousReduction:
     def test_lift_inverts_on_contiguous(self):
         n = 4
         block_values = list(range(1, n * (n + 1) // 2 + 1))
-        lifted = lift_block_vector(block_values, n)
+        lifted = lift_block_vectors([block_values], n)[0]
         idx = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
         # contiguous coordinates reproduce the block values
         assert lifted[idx.position(idx.mask_of(["X1"]))] == block_values[0]
@@ -303,7 +303,6 @@ def test_contiguous_block_code_matches_the_fraction_code(n):
     reduced = reduced_line_system(n)
     assert substitute_contiguous(reduced) == _fraction_substitute_contiguous(reduced)
     values = [3 * i * i - 7 * i + 2 for i in range(n * (n + 1) // 2)]
-    assert lift_block_vector(values, n) == _fraction_lift_block_vector(values, n)
     batch = [values, [v % 5 for v in values], [1] * len(values)]
     assert lift_block_vectors(batch, n) == [_fraction_lift_block_vector(v, n) for v in batch]
 
