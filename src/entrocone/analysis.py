@@ -29,10 +29,10 @@ from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, enumera
 
 NODE_GUARD = 6
 
-# The longest line verify certifies.  The witness vectors are exact ranks and
-# cost little, but each witness's membership test is dense over 2^n - 1
-# coordinates and about as many equalities, so the work grows as 4^n; pn:13
-# is also the longest line the float route's 2^26-cell joint could hold.
+# The longest line verify certifies.  The witness checks are exact ranks and
+# sparse form evaluations and cost little, but the report's H-rep holds the
+# contiguous equalities as dense rows, about 2^n of them over 2^n - 1
+# coordinates, so the work and the memory grow as 4^n.
 _MAX_VERIFY_NODES = 13
 
 
@@ -144,15 +144,17 @@ def verify_line_tightness(n: int) -> ConeReport:
 
     Works in the contiguous-block coordinates (dimension n(n+1)/2), lifts
     the extremal rays back to the full subset coordinates in one pass, and
-    attaches to each ray the witness model with matching entropy vector.
-    The witnesses are GF(2)-linear, so each vector is taken exactly as the
-    rank function of its nodes (:func:`distributions.linear_entropy_vector`)
-    and no joint distribution is built; a witness the rank route refuses is
-    reported and the verdict falls to "outer-only".  The verdict is
+    attaches to each ray the witness with matching entropy vector.  Each
+    witness XORs uniform cause bits (:func:`distributions.line_witness_causes`),
+    so its vector is taken exactly as the GF(2) rank function of its cause
+    sets (:func:`distributions.gf2_entropy_vector`); no model or joint
+    distribution is built.  One pass per witness evaluates the contiguous
+    equalities and the reduced inequalities on that vector.  The verdict is
     "tight" exactly when the rays and witnesses are in bijection and each
-    witness's vector makes exactly one reduced-system form strictly
-    positive; tightness certifies that the classical and quantum closures
-    agree.  Lines longer than 13 nodes are refused before anything is built.
+    witness's vector satisfies every equality, makes no inequality negative
+    and exactly one strictly positive; tightness certifies that the
+    classical and quantum closures agree.  Lines longer than 13 nodes are
+    refused before anything is built.
     """
     if n < 1:
         raise InvalidParameter("need n >= 1")
@@ -166,25 +168,21 @@ def verify_line_tightness(n: int) -> ConeReport:
     block_h = HRep(dim, (), tuple(block_rows))
     block_v = enumerate_rays(block_h)
     index = reduced.index
-    lifted = tuple(lift_block_vectors(block_v.rays, n))
+    lifted = set(lift_block_vectors(block_v.rays, n))
 
-    eq_rows = tuple(f.row(index) for f in contiguous_decomposition_equalities(n))
+    equalities = contiguous_decomposition_equalities(n)
+    eq_rows = tuple(f.row(index) for f in equalities)
     _, ineq_rows = system_rows(reduced)
     hrep = HRep(len(index), eq_rows, tuple(ineq_rows), labels=index.labels)
     vrep = VRep(len(index), tuple(sorted(lifted)), (), labels=index.labels)
 
-    models = dist.line_witness_models(n)
-
     ray_to_witness: dict[tuple[int, ...], dict] = {}
-    tight = len(lifted) == len(models)
+    tight = len(lifted) == dim
     notes: list[str] = []
     used_rays: set[tuple[int, ...]] = set()
-    for key in sorted(models):
-        snapped = dist.linear_entropy_vector(models[key], index)
-        if snapped is None:
-            tight = False
-            notes.append(f"witness {key} is not GF(2)-affine")
-            continue
+    for key in ((i, j) for i in range(1, n + 1) for j in range(i, n + 1)):
+        forms = [sum(1 << m for m in causes) for causes in dist.line_witness_causes(*key, n)]
+        snapped = dist.gf2_entropy_vector(forms, index)
         ray = primitive(snapped)
         if ray not in lifted:
             tight = False
@@ -194,15 +192,15 @@ def verify_line_tightness(n: int) -> ConeReport:
             tight = False
             notes.append(f"witness {key} repeats an already-achieved ray")
             continue
-        if not membership(hrep, snapped):
+        values = [f.evaluate(snapped, index) for f in reduced.inequalities]
+        if any(f.evaluate(snapped, index) for f in equalities) or min(values) < 0:
             tight = False
             notes.append(f"witness {key} leaves the outer cone")
             continue
-        positive = [f for f in reduced.inequalities
-                    if f.evaluate(snapped, index) > 0]
-        if len(positive) != 1:
+        positive = sum(v > 0 for v in values)
+        if positive != 1:
             tight = False
-            notes.append(f"witness {key} has {len(positive)} strictly positive forms")
+            notes.append(f"witness {key} has {positive} strictly positive forms")
         used_rays.add(ray)
         ray_to_witness[ray] = {"i": key[0], "j": key[1], "n": n, "vector": list(snapped)}
     if len(used_rays) != len(lifted):

@@ -8,6 +8,7 @@ stdout is deterministic; timing goes to stderr under --verbose.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call to main, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="entrocone",
                      description="entropy cones of causal structures: "
@@ -181,10 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader has gone; silence the interpreter's final flush of stdout
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except NodeGuardExceeded as exc:
-        print(f"entrocone: {exc}", file=sys.stderr)
-        return 1
-    except (InvalidParameter, InvalidModel) as exc:
+    except (NodeGuardExceeded, InvalidParameter, InvalidModel) as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -161,53 +161,14 @@ def entropy_vector(joint: JointDistribution,
     return EntropyVector(index, values)
 
 
-# a one-hot CPT row and the output bit it fixes
-_ONE_HOT = {(1.0, 0.0): 0, (0.0, 1.0): 1}
+def gf2_entropy_vector(forms: Sequence[int], index: CoordinateIndex) -> tuple[int, ...]:
+    """Exact entropy vector of variables that are XORs of fresh uniform bits.
 
-
-def linear_entropy_vector(model: CausalModel,
-                          index: CoordinateIndex) -> tuple[int, ...] | None:
-    """Exact entropy vector of a GF(2)-affine model over ``index``, or None.
-
-    A model is accepted only if every alphabet is 2, every root CPT is
-    exactly [0.5, 0.5] (a fresh uniform bit) or one-hot (a constant), and
-    every other node is a deterministic affine function of its parent bits,
-    checked on the whole truth table.  Each node is then a constant plus a
-    linear form in the fresh bits, held as a bitmask, and H(S) in bits is
-    the GF(2) rank of S's forms (Chan and Yeung, IEEE Trans. IT 2002).  Each
-    rank grows the echelon of S minus its lowest member by at most one row,
-    so no joint distribution is built and no float entropy is taken.
+    ``forms`` holds one bitmask per variable of ``index``: the fresh bits the
+    variable XORs (a constant for 0).  H(S) in bits is the GF(2) rank of S's
+    forms (Chan and Yeung, IEEE Trans. IT 2002); each rank grows the echelon
+    of S minus its lowest member by at most one row.
     """
-    structure = model.structure
-    names = structure.node_ids()
-    if missing := [v for v in index.variables if v not in names]:
-        raise InvalidParameter(f"unknown variables {missing}")
-    if any(model.alphabet_sizes[v] != 2 for v in names):
-        return None
-    parts: dict[str, int] = {}  # each node's linear part over the fresh bits
-    fresh = 0
-    for node in structure.topological_order():
-        parents = structure.parents(node)
-        rows = [tuple(row) for row in
-                np.asarray(model.cpts[node], dtype=float).reshape(-1, 2).tolist()]
-        if not parents and rows == [(0.5, 0.5)]:
-            parts[node] = 1 << fresh
-            fresh += 1
-            continue
-        out = [_ONE_HOT.get(row) for row in rows]
-        if None in out:
-            return None
-        # each parent's bit in a row number: the first parent is the most significant
-        bits = [1 << (len(parents) - 1 - k) for k in range(len(parents))]
-        slope = sum(bit for bit in bits if out[bit] != out[0])
-        if any(out[r] != out[0] ^ ((r & slope).bit_count() & 1) for r in range(len(out))):
-            return None
-        part = 0
-        for parent, bit in zip(parents, bits):
-            if slope & bit:
-                part ^= parts[parent]
-        parts[node] = part
-    forms = [parts[v] for v in index.variables]
     echelons: dict[int, tuple[int, ...]] = {0: ()}
     ranks = []
     for mask in index.masks:
@@ -247,22 +208,37 @@ def _deterministic(parent_sizes: Sequence[int], out_size: int, fn) -> np.ndarray
     return cpt
 
 
-def witness_line(i: int, j: int, n: int) -> CausalModel:
-    """The line-structure model whose entropy vector generates one extremal ray.
+def line_witness_causes(i: int, j: int, n: int) -> tuple[frozenset[int], ...]:
+    """The numbers m of the causes C_m that each of X_1 .. X_n XORs in witness (i, j).
 
-    Shared causes are uniform bits.  Each observed node is the XOR of a set
-    of its parent causes, or the constant 1 when the set is empty: C_m with
-    i <= m < j for i < j, and C_min(i, n-1) at position i on the diagonal.
-    The model is GF(2)-linear, so its entropy vector is integral.
+    Shared causes are uniform bits, and an empty set stands for the constant
+    1.  For i < j a node XORs those of its parents C_m with i <= m < j; on
+    the diagonal only X_i XORs one, C_min(i, n-1).  The one-node line has no
+    causes, so its X1 is itself a fresh uniform bit, given as {1}.
     """
     if not (1 <= i <= j <= n):
         raise InvalidParameter("need 1 <= i <= j <= n")
-    return _line_witness(build_line_structure(n), i, j)
+    if n == 1:
+        return (frozenset({1}),)
+    if i == j:
+        return tuple(frozenset({min(i, n - 1)} if k == i else ()) for k in range(1, n + 1))
+    # X_k's parents are C_(k-1) and C_k
+    return tuple(frozenset(m for m in (k - 1, k) if i <= m < j) for k in range(1, n + 1))
 
 
-def _line_witness(structure: CausalStructure, i: int, j: int) -> CausalModel:
-    """The witness (i, j) on a given n-node line structure."""
-    n = len(structure.observed_ids())
+def witness_line(i: int, j: int, n: int) -> CausalModel:
+    """The line-structure model whose entropy vector generates one extremal ray.
+
+    Each observed node is the XOR of its cause set from
+    :func:`line_witness_causes`, so the entropy vector is integral.
+    """
+    causes = line_witness_causes(i, j, n)
+    return _line_witness(build_line_structure(n), causes)
+
+
+def _line_witness(structure: CausalStructure, causes: Sequence[frozenset[int]]) -> CausalModel:
+    """The CPTs of a witness on an n-node line structure, from its cause sets."""
+    n = len(causes)
     sizes = {v: 2 for v in structure.node_ids()}
     cpts: dict[str, np.ndarray] = {f"C{k}": _uniform_bit() for k in range(1, n)}
     if n == 1:
@@ -270,13 +246,9 @@ def _line_witness(structure: CausalStructure, i: int, j: int) -> CausalModel:
         cpts["X1"] = _uniform_bit()
         return CausalModel(structure, sizes, cpts)
 
-    for k in range(1, n + 1):
-        if i < j:
-            causes = {f"C{m}" for m in range(i, j)}
-        else:
-            causes = {f"C{min(i, n - 1)}"} if k == i else set()
+    for k, xored in enumerate(causes, 1):
         parents = structure.parents(f"X{k}")
-        picked = [pos for pos, p in enumerate(parents) if p in causes]
+        picked = [pos for pos, p in enumerate(parents) if p in {f"C{m}" for m in xored}]
         cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
                                        lambda *cs: sum(cs[p] for p in picked) % 2 if picked else 1)
     return CausalModel(structure, sizes, cpts)
@@ -285,7 +257,7 @@ def _line_witness(structure: CausalStructure, i: int, j: int) -> CausalModel:
 def line_witness_models(n: int) -> dict[tuple[int, int], CausalModel]:
     """All n(n+1)/2 witnesses, keyed by (i, j), sharing one structure."""
     structure = build_line_structure(n)
-    return {(i, j): _line_witness(structure, i, j)
+    return {(i, j): _line_witness(structure, line_witness_causes(i, j, n))
             for i in range(1, n + 1) for j in range(i, n + 1)}
 
 

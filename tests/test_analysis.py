@@ -89,13 +89,33 @@ class TestVerify:
         monkeypatch.setattr(dist, "compile_model", compile_model)
         assert verify_line_tightness(6).verdict == "tight"
 
-    def test_refused_witness_is_not_tight(self, monkeypatch):
+    def test_wrong_cause_set_is_not_tight(self, monkeypatch):
         import entrocone.distributions as dist
 
-        monkeypatch.setattr(dist, "linear_entropy_vector", lambda model, index: None)
+        causes = dist.line_witness_causes
+
+        def wrong(i, j, n):
+            # witness (1, 1) made constant: its vector is 0, on no ray
+            return (frozenset(),) * n if (i, j) == (1, 1) else causes(i, j, n)
+
+        monkeypatch.setattr(dist, "line_witness_causes", wrong)
         report = verify_line_tightness(3)
         assert report.verdict == "outer-only"
-        assert "witness (1, 1) is not GF(2)-affine" in report.notes
+        assert report.notes == ("witness (1, 1) does not lie on an extremal ray",
+                                "not every extremal ray is achieved by a witness")
+
+    def test_verify_builds_no_model(self, monkeypatch):
+        import entrocone.analysis as analysis
+        import entrocone.distributions as dist
+        import entrocone.polyhedra as polyhedra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a model or ran a dense membership test")
+
+        monkeypatch.setattr(dist, "CausalModel", refuse)
+        monkeypatch.setattr(polyhedra, "membership", refuse)
+        monkeypatch.setattr(analysis, "membership", refuse)
+        assert verify_line_tightness(6).verdict == "tight"
 
 
 class TestFullMarginalization:

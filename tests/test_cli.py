@@ -12,7 +12,7 @@ import pytest
 import entrocone
 from entrocone.analysis import verify_line_tightness
 from entrocone.causal import build_line_structure
-from entrocone.cli import main
+from entrocone.cli import _build_parser, main
 from entrocone.distributions import model_to_json, witness_line
 from entrocone.polyhedra import rep_to_json, HRep, VRep
 
@@ -29,6 +29,8 @@ PINNED_STDOUT = {
     "--format json bc-cone 3": "3ebfc6ed40a51a32aa1a482753b2aa3f1ca858315ebd7c2a86c391d375e52ec7",
     "--engine dd marginalize bell":
         "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
+    "verify pn:8": "0160a390cda66c7ce4083d2ab8f9b73b82afbdd11d0658cb1d04bb2fae26464a",
+    "--format json verify pn:9": "673d2248e76b501badc27ff7f80cddc92c00957517b3ddef8ddf38e796900d2a",
 }
 
 
@@ -380,6 +382,15 @@ class TestCliContract:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
         assert err == ""  # no traceback, and no complaint from the exit flush
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        _build_parser.cache_clear()
+        code, out, err = run_cli(capsys, "verify")  # usage error: no structure
+        assert code == 1 and out == "" and "usage:" in err
+        after_error = run_cli(capsys, "verify", "pn:3")
+        assert _build_parser.cache_info().misses == 1
+        _build_parser.cache_clear()
+        assert run_cli(capsys, "verify", "pn:3") == after_error
 
     def test_verbose_timing_on_stderr_only(self, capsys):
         _, out, err = run_cli(capsys, "--verbose", "outer", "pn:2")

@@ -12,8 +12,8 @@ from entrocone.causal import (CausalStructure, Node, build_line_structure,
                               build_post_selected_line, reduced_line_structure)
 from entrocone.distributions import (CausalModel, EntropyVector, bc_functional,
                                      bc_functional_variants, compile_model,
-                                     entropy_vector, line_witness_models,
-                                     linear_entropy_vector, marginal,
+                                     entropy_vector, gf2_entropy_vector,
+                                     line_witness_causes, line_witness_models, marginal,
                                      model_from_json, model_to_json, post_select_joint,
                                      setting_conditionals, split_p3_witness,
                                      tables_from_json, witness_line)
@@ -197,90 +197,43 @@ def _float_route(model: CausalModel, index: CoordinateIndex):
     return entropy_vector(joint, index).snapped()
 
 
-def _gate_model(gate, a_cpt=(0.5, 0.5), b_cpt=(0.5, 0.5)) -> CausalModel:
-    """Roots A, B feeding Y = gate(a, b)."""
-    structure = CausalStructure((Node("A", "unobserved"), Node("B", "unobserved"),
-                                 Node("Y", "observed")), (("A", "Y"), ("B", "Y")))
-    cpts = {"A": np.array(a_cpt), "B": np.array(b_cpt),
-            "Y": np.zeros((2, 2, 2))}
-    for a, b in itertools.product(range(2), repeat=2):
-        cpts["Y"][a, b, gate(a, b)] = 1.0
-    return CausalModel(structure, {"A": 2, "B": 2, "Y": 2}, cpts)
-
-
 @st.composite
-def affine_models(draw):
-    """GF(2)-affine models on random DAGs of up to 7 nodes."""
-    n = draw(st.integers(1, 7))
-    names = [f"N{i}" for i in range(n)]
-    edges = tuple((names[i], names[j]) for j in range(n) for i in range(j)
-                  if draw(st.booleans()))
-    nodes = tuple(Node(v, draw(st.sampled_from(("observed", "unobserved")))) for v in names)
-    structure = CausalStructure(nodes, edges)
-    cpts = {}
-    for v in names:
-        parents = structure.parents(v)
-        if not parents:
-            cpts[v] = np.array(draw(st.sampled_from(([0.5, 0.5], [1.0, 0.0], [0.0, 1.0]))))
-            continue
-        picked = [draw(st.booleans()) for _ in parents]
-        offset = draw(st.integers(0, 1))
+def xor_models(draw):
+    """Up to 4 uniform root bits and up to 4 nodes, each the XOR of a random subset."""
+    roots = [f"R{k}" for k in range(draw(st.integers(1, 4)))]
+    forms = draw(st.lists(st.integers(0, 2 ** len(roots) - 1), min_size=1, max_size=4))
+    names = [f"Y{t}" for t in range(len(forms))]
+    edges = tuple((r, y) for y, form in zip(names, forms)
+                  for k, r in enumerate(roots) if form >> k & 1)
+    structure = CausalStructure(tuple(Node(r, "unobserved") for r in roots)
+                                + tuple(Node(y, "observed") for y in names), edges)
+    cpts = {r: np.array([0.5, 0.5]) for r in roots}
+    for y in names:
+        parents = structure.parents(y)
         cpt = np.zeros((2,) * len(parents) + (2,))
         for bits in itertools.product(range(2), repeat=len(parents)):
-            cpt[bits + ((offset + sum(b for b, p in zip(bits, picked) if p)) % 2,)] = 1.0
-        cpts[v] = cpt
-    return CausalModel(structure, dict.fromkeys(names, 2), cpts)
+            # a node without causes is the constant 1
+            cpt[bits + ((sum(bits) % 2) if parents else 1,)] = 1.0
+        cpts[y] = cpt
+    return forms, CausalModel(structure, dict.fromkeys(roots + names, 2), cpts)
 
 
 class TestLinearEntropyVector:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_the_float_route_on_every_witness(self, n):
         index = CoordinateIndex(tuple(f"X{k}" for k in range(1, n + 1)))
-        for key, model in line_witness_models(n).items():
-            vector = linear_entropy_vector(model, index)
-            assert vector is not None and vector == _float_route(model, index), key
+        for (i, j), model in line_witness_models(n).items():
+            forms = [sum(1 << m for m in causes) for causes in line_witness_causes(i, j, n)]
+            vector = gf2_entropy_vector(forms, index)
+            assert vector == _float_route(model, index), (i, j)
             assert all(type(v) is int for v in vector)
 
     @settings(max_examples=150, deadline=None)
-    @given(affine_models())
-    def test_equals_the_float_route_on_random_affine_models(self, model):
-        index = CoordinateIndex(model.structure.node_ids())
-        assert linear_entropy_vector(model, index) == _float_route(model, index)
-
-    def test_accepts_xor_and_constant_gates(self):
-        index = CoordinateIndex(("A", "B", "Y"))
-        # H(A), H(B), H(Y), then the pairs and the triple
-        assert linear_entropy_vector(_gate_model(lambda a, b: a ^ b), index) == (
-            1, 1, 1, 2, 2, 2, 2)
-        assert linear_entropy_vector(_gate_model(lambda a, b: 1 - a), index) == (
-            1, 1, 1, 2, 1, 2, 2)
-        assert linear_entropy_vector(_gate_model(lambda a, b: a ^ b, a_cpt=(0.0, 1.0)),
-                                     index) == (0, 1, 1, 1, 1, 1, 1)
-
-    @pytest.mark.parametrize("model", [
-        _gate_model(lambda a, b: a & b),
-        _gate_model(lambda a, b: a | b),
-        _gate_model(lambda a, b: a ^ b, a_cpt=(0.25, 0.75)),
-    ], ids=["and", "or", "biased-root"])
-    def test_refuses_nonlinear_models(self, model):
-        assert linear_entropy_vector(model, CoordinateIndex(("Y",))) is None
-
-    def test_refuses_a_ternary_alphabet(self):
-        structure = CausalStructure((Node("A", "observed"),), ())
-        model = CausalModel(structure, {"A": 3}, {"A": np.array([1.0, 0.0, 0.0])})
-        assert linear_entropy_vector(model, CoordinateIndex(("A",))) is None
-
-    def test_refuses_a_uniform_row_under_a_parent(self):
-        model = _gate_model(lambda a, b: a)
-        cpts = dict(model.cpts)
-        cpts["Y"] = cpts["Y"].copy()
-        cpts["Y"][1, 0] = [0.5, 0.5]
-        noisy = CausalModel(model.structure, model.alphabet_sizes, cpts)
-        assert linear_entropy_vector(noisy, CoordinateIndex(("Y",))) is None
-
-    def test_unknown_variable_is_refused(self):
-        with pytest.raises(InvalidParameter, match="Z"):
-            linear_entropy_vector(_two_bits(), CoordinateIndex(("X", "Z")))
+    @given(xor_models())
+    def test_equals_the_float_route_on_random_affine_models(self, drawn):
+        forms, model = drawn
+        index = CoordinateIndex(model.structure.observed_ids())
+        assert gf2_entropy_vector(forms, index) == _float_route(model, index)
 
 
 def _force_binary_settings(model: CausalModel, rng) -> CausalModel:
