@@ -11,7 +11,7 @@ from .causal import (CausalStructure, Node, bell_structure, build_line_structure
                      observed_independence_constraints, reduced_line_structure,
                      structure_from_name)
 from .distributions import (CausalModel, EntropyVector, JointDistribution,
-                            bc_functional, compile_model, entropy_vector, marginal,
+                            bc_functional, compile_model, entropy_vector,
                             post_select_joint, split_p3_witness, witness_line)
 from .entropy_space import (ConstraintSystem, CoordinateIndex, LinearForm,
                             classical_ci_system, elemental_shannon_system,
@@ -35,7 +35,7 @@ __all__ = [
     "compile_model", "cones_equal", "d_separated", "dd_project",
     "elemental_shannon_system", "entropy_vector", "enumerate_rays",
     "facets_from_rays", "fm_eliminate", "full_marginal_outer_cone",
-    "marginal", "membership", "observed_independence_constraints",
+    "membership", "observed_independence_constraints",
     "observed_outer_cone", "post_select_joint", "post_selected_marginal_cone",
     "reduced_line_structure", "reduced_line_system", "remove_redundancies",
     "split_generated_rays", "split_p3_witness", "structure_from_name",

@@ -23,16 +23,16 @@ from .entropy_space import (CoordinateIndex, LinearForm, contiguous_decompositio
                             lift_block_vectors, reduced_line_system, substitute_contiguous,
                             system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
-from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, enumerate_rays,
+from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, dot, enumerate_rays,
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
                         reduce_mod_span, rref)
 
 NODE_GUARD = 6
 
 # The longest line verify certifies.  The witness checks are exact ranks and
-# sparse form evaluations and cost little, but the report's H-rep holds the
-# contiguous equalities as dense rows, about 2^n of them over 2^n - 1
-# coordinates, so the work and the memory grow as 4^n.
+# short dot products on the block rays and cost little, but the report's
+# H-rep holds the contiguous equalities as dense rows, about 2^n of them
+# over 2^n - 1 coordinates, so the work and the memory grow as 4^n.
 _MAX_VERIFY_NODES = 13
 
 
@@ -139,6 +139,11 @@ def observed_outer_cone(structure: CausalStructure,
     )
 
 
+def _witness_forms(i: int, j: int, n: int) -> list[int]:
+    """Bitmask over the causes C_m that each node of line witness (i, j) XORs."""
+    return [sum(1 << m for m in causes) for causes in dist.line_witness_causes(i, j, n)]
+
+
 def verify_line_tightness(n: int) -> ConeReport:
     """Certify that the line-structure outer cone is achieved classically.
 
@@ -148,13 +153,14 @@ def verify_line_tightness(n: int) -> ConeReport:
     witness XORs uniform cause bits (:func:`distributions.line_witness_causes`),
     so its vector is taken exactly as the GF(2) rank function of its cause
     sets (:func:`distributions.gf2_entropy_vector`); no model or joint
-    distribution is built.  One pass per witness evaluates the contiguous
-    equalities and the reduced inequalities on that vector.  The verdict is
-    "tight" exactly when the rays and witnesses are in bijection and each
-    witness's vector satisfies every equality, makes no inequality negative
-    and exactly one strictly positive; tightness certifies that the
-    classical and quantum closures agree.  Lines longer than 13 nodes are
-    refused before anything is built.
+    distribution is built.  A witness must first lie on a lifted extremal
+    ray; it then satisfies every contiguous equality (the lift is built so)
+    and makes no reduced inequality negative (the ray lies in the block
+    cone), so the one check left is that exactly one block inequality is
+    strictly positive on its block ray.  The verdict is "tight" exactly when
+    the rays and witnesses are in bijection and every witness passes;
+    tightness certifies that the classical and quantum closures agree.
+    Lines longer than 13 nodes are refused before anything is built.
     """
     if n < 1:
         raise InvalidParameter("need n >= 1")
@@ -168,10 +174,10 @@ def verify_line_tightness(n: int) -> ConeReport:
     block_h = HRep(dim, (), tuple(block_rows))
     block_v = enumerate_rays(block_h)
     index = reduced.index
-    lifted = set(lift_block_vectors(block_v.rays, n))
+    # each lifted ray mapped back to the block ray it came from
+    lifted = dict(zip(lift_block_vectors(block_v.rays, n), block_v.rays))
 
-    equalities = contiguous_decomposition_equalities(n)
-    eq_rows = tuple(f.row(index) for f in equalities)
+    eq_rows = tuple(f.row(index) for f in contiguous_decomposition_equalities(n))
     _, ineq_rows = system_rows(reduced)
     hrep = HRep(len(index), eq_rows, tuple(ineq_rows), labels=index.labels)
     vrep = VRep(len(index), tuple(sorted(lifted)), (), labels=index.labels)
@@ -181,8 +187,7 @@ def verify_line_tightness(n: int) -> ConeReport:
     notes: list[str] = []
     used_rays: set[tuple[int, ...]] = set()
     for key in ((i, j) for i in range(1, n + 1) for j in range(i, n + 1)):
-        forms = [sum(1 << m for m in causes) for causes in dist.line_witness_causes(*key, n)]
-        snapped = dist.gf2_entropy_vector(forms, index)
+        snapped = dist.gf2_entropy_vector(_witness_forms(*key, n), index)
         ray = primitive(snapped)
         if ray not in lifted:
             tight = False
@@ -192,12 +197,7 @@ def verify_line_tightness(n: int) -> ConeReport:
             tight = False
             notes.append(f"witness {key} repeats an already-achieved ray")
             continue
-        values = [f.evaluate(snapped, index) for f in reduced.inequalities]
-        if any(f.evaluate(snapped, index) for f in equalities) or min(values) < 0:
-            tight = False
-            notes.append(f"witness {key} leaves the outer cone")
-            continue
-        positive = sum(v > 0 for v in values)
+        positive = sum(dot(row, lifted[ray]) > 0 for row in block_rows)
         if positive != 1:
             tight = False
             notes.append(f"witness {key} has {positive} strictly positive forms")
@@ -350,25 +350,25 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
 def split_generated_rays() -> VRep:
     """Extremal set of the split three-node-line witnesses.
 
-    Splits each of the six line witnesses over all nine outer-mode pairs,
-    restricts their exactly integral entropy vectors to the marginal
-    scenario, and extracts the extremal subset.
+    Splits each of the six line witnesses over all nine outer-mode pairs:
+    an outer node X becomes the pair (X, 1), (1, X) or (X, X) of setting
+    copies.  Every split node still XORs cause bits, so each vector is the
+    exact GF(2) rank function of its forms (a form of 0 is the constant 1)
+    and no model or joint is built.  The vectors are restricted to the
+    marginal scenario, and the extremal subset is extracted.
     """
     structure = build_post_selected_line(3)
     index, marginal_index, _ = _marginal_scenario(structure)
     vectors: set[tuple[int, ...]] = set()
-    for (i, j), model in dist.line_witness_models(3).items():
-        for x_mode in ("keep0", "keep1", "copy"):
-            for z_mode in ("keep0", "keep1", "copy"):
-                joint = dist.split_p3_witness(model, x_mode, z_mode)
-                vec = dist.entropy_vector(joint, index)
-                snapped = vec.snapped()
-                if snapped is None:
-                    raise InvalidParameter(
-                        f"split witness ({i},{j},{x_mode},{z_mode}) is not integral")
-                restricted = tuple(snapped[index.position(m)] for m in marginal_index.masks)
-                if any(restricted):
-                    vectors.add(primitive(restricted))
+    for i in range(1, 4):
+        for j in range(i, 4):
+            x, y, z = _witness_forms(i, j, 3)
+            for x0, x1 in ((x, 0), (0, x), (x, x)):  # keep0, keep1, copy
+                for z0, z1 in ((z, 0), (0, z), (z, z)):
+                    vector = dist.gf2_entropy_vector((x0, x1, y, z0, z1), index)
+                    restricted = tuple(vector[index.position(m)] for m in marginal_index.masks)
+                    if any(restricted):
+                        vectors.add(primitive(restricted))
     seed = VRep(len(marginal_index), tuple(sorted(vectors)), (),
                 labels=marginal_index.labels)
     return extremalize(seed)
@@ -381,7 +381,7 @@ def report_to_text(report: ConeReport) -> str:
     labels = report.index.labels
     lines = [f"structure: {report.structure_name}",
              f"coordinates ({len(labels)}): {' '.join(labels)}"]
-    if report.structure_name in ("pn:4", "bell") and "H(AB)" in labels:
+    if report.structure_name == "bell" and "H(AB)" in labels:
         lines.append("# label note: the seventh coordinate is H(AB); listings that "
                      "call the fourth variable Z print it as H(AZ)")
     if report.hrep.equalities:

@@ -54,10 +54,6 @@ class JointDistribution:
         return JointDistribution(tuple(keep), sizes, table)
 
 
-def marginal(joint: JointDistribution, subset: Sequence[str]) -> JointDistribution:
-    return joint.marginal(subset)
-
-
 @dataclass(frozen=True, eq=False)
 class CausalModel:
     """A CPT per node of a causal structure.
@@ -143,7 +139,8 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
     """Base-2 entropy with the 0 log 0 := 0 convention."""
     flat = probabilities.reshape(-1)
     positive = flat[flat > 0]
-    return float(-(positive * np.log2(positive)).sum())
+    # 0.0 - s rather than -s: a sum of 0.0 must not come out as -0.0
+    return float(0.0 - (positive * np.log2(positive)).sum())
 
 
 def entropy_vector(joint: JointDistribution,
@@ -320,11 +317,10 @@ def setting_conditionals(model: CausalModel) -> dict[tuple[int, int], np.ndarray
     return out
 
 
-SplitMode = str
 _SPLIT_MODES = ("keep0", "keep1", "copy")
 
 
-def split_p3_witness(model: CausalModel, x_mode: SplitMode, z_mode: SplitMode) -> JointDistribution:
+def split_p3_witness(model: CausalModel, x_mode: str, z_mode: str) -> JointDistribution:
     """Split the outer nodes of a three-node-line joint into setting copies.
 
     From the observed joint (X, Y, Z) of the model, build a distribution

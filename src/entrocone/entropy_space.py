@@ -10,7 +10,6 @@ structure, and the reduced system for line structures.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -131,33 +130,6 @@ class ConstraintSystem:
         for form in (*self.equalities, *self.inequalities):
             for mask, _ in form.coefficients:
                 self.index.position(mask)
-
-    def text(self) -> str:
-        lines = [f"VARIABLES {' '.join(self.index.variables)}"]
-        for form in self.equalities:
-            lines.append(form.text(self.index))
-        for form in self.inequalities:
-            lines.append(form.text(self.index))
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        def forms(items: tuple[LinearForm, ...]) -> list[dict]:
-            return [
-                {
-                    "terms": {self.index.label(m): str(c) for m, c in f.coefficients},
-                    "relation": f.relation,
-                }
-                for f in items
-            ]
-
-        return json.dumps(
-            {
-                "variables": list(self.index.variables),
-                "equalities": forms(self.equalities),
-                "inequalities": forms(self.inequalities),
-            },
-            indent=2,
-        )
 
 
 def conditional_mutual_information(s: int, t: int, z: int = 0,

@@ -117,6 +117,24 @@ class TestVerify:
         monkeypatch.setattr(analysis, "membership", refuse)
         assert verify_line_tightness(6).verdict == "tight"
 
+    def test_witness_off_the_equalities_is_caught_by_the_ray_test(self, monkeypatch):
+        import entrocone.distributions as dist
+
+        causes = dist.line_witness_causes
+
+        def wrong(i, j, n):
+            # X1 = X3 = C1 and X2 constant: H(X1X3) = 1 but H(X1) + H(X3) = 2,
+            # so the contiguous equality for {X1, X3} fails
+            if (i, j) == (1, 3):
+                return (frozenset({1}), frozenset(), frozenset({1}))
+            return causes(i, j, n)
+
+        monkeypatch.setattr(dist, "line_witness_causes", wrong)
+        report = verify_line_tightness(3)
+        assert report.verdict == "outer-only"
+        assert report.notes == ("witness (1, 3) does not lie on an extremal ray",
+                                "not every extremal ray is achieved by a witness")
+
 
 class TestFullMarginalization:
     def test_bell_projection_equals_line4_cone(self):
@@ -249,6 +267,38 @@ class TestPostSelectedCone:
     def test_splitting_reproduces_rays(self):
         split = split_generated_rays()
         assert set(split.rays) == set(POST_SELECTED3_RAYS.values())
+
+    def test_split_vectors_match_the_float_route(self, monkeypatch):
+        import entrocone.distributions as dist
+        from entrocone.distributions import (entropy_vector, line_witness_models,
+                                             split_p3_witness)
+
+        gf2 = dist.gf2_entropy_vector
+        seen = []
+
+        def recorded(forms, index):
+            seen.append(gf2(forms, index))
+            return seen[-1]
+
+        monkeypatch.setattr(dist, "gf2_entropy_vector", recorded)
+        split_generated_rays()
+        index = CoordinateIndex(build_post_selected_line(3).observed_ids())
+        modes = ("keep0", "keep1", "copy")
+        expected = [entropy_vector(split_p3_witness(model, xm, zm), index).snapped()
+                    for model in line_witness_models(3).values()
+                    for xm in modes for zm in modes]
+        assert len(seen) == 54
+        assert seen == expected
+
+    def test_split_builds_no_model(self, monkeypatch):
+        import entrocone.distributions as dist
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the split witnesses built a model or a joint")
+
+        for name in ("CausalModel", "compile_model", "entropy_vector"):
+            monkeypatch.setattr(dist, name, refuse)
+        assert len(split_generated_rays().rays) == 20
 
     def test_splitting_facets_recover_cone(self):
         split = split_generated_rays()

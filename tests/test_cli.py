@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +248,16 @@ class TestEntropyCommand:
         code, out, _ = run_cli(capsys, "--format", "json", "entropy", str(path))
         data = json.loads(out)
         assert data["H(X1)"] == pytest.approx(1.0)
+
+    def test_zero_entropy_prints_no_negative_zero(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(model_to_json(witness_line(1, 1, 2)))  # X2 is the constant 1
+        _, text, _ = run_cli(capsys, "entropy", str(path))
+        assert "H(X2) = 0" in text.splitlines()
+        assert "-0" not in text
+        _, out, _ = run_cli(capsys, "--format", "json", "entropy", str(path))
+        data = json.loads(out)
+        assert math.copysign(1, data["H(X2)"]) == 1
 
     def test_malformed_model_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -13,7 +13,7 @@ from entrocone.causal import (CausalStructure, Node, build_line_structure,
 from entrocone.distributions import (CausalModel, EntropyVector, bc_functional,
                                      bc_functional_variants, compile_model,
                                      entropy_vector, gf2_entropy_vector,
-                                     line_witness_causes, line_witness_models, marginal,
+                                     line_witness_causes, line_witness_models,
                                      model_from_json, model_to_json, post_select_joint,
                                      setting_conditionals, split_p3_witness,
                                      tables_from_json, witness_line)
@@ -76,7 +76,7 @@ class TestCompile:
 
     def test_marginal_orders_and_sums(self):
         joint = compile_model(witness_line(1, 3, 3))
-        m = marginal(joint, ["X3", "X1"])  # order follows the joint's variable order
+        m = joint.marginal(["X3", "X1"])  # order follows the joint's variable order
         assert m.variables == ("X1", "X3")
         assert m.table.sum() == pytest.approx(1.0)
 

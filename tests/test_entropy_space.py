@@ -213,22 +213,6 @@ class TestContiguousReduction:
                 assert abs(form.evaluate(vec.values, idx)) < 1e-9
 
 
-class TestSerialization:
-    def test_text_round_trippable_format(self):
-        system = elemental_shannon_system(["A", "B"])
-        text = system.text()
-        assert "VARIABLES A B" in text
-        assert "+H(A)+H(B)-H(AB) >= 0" in text
-
-    def test_json_structure(self):
-        import json
-        system = reduced_line_system(2)
-        data = json.loads(system.to_json())
-        assert data["variables"] == ["X1", "X2"]
-        assert len(data["inequalities"]) == 3
-        assert all(form["relation"] == ">=" for form in data["inequalities"])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6))
 def test_count_identity_property(n):
