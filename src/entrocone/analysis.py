@@ -139,11 +139,6 @@ def observed_outer_cone(structure: CausalStructure,
     )
 
 
-def _witness_forms(i: int, j: int, n: int) -> list[int]:
-    """Bitmask over the causes C_m that each node of line witness (i, j) XORs."""
-    return [sum(1 << m for m in causes) for causes in dist.line_witness_causes(i, j, n)]
-
-
 def verify_line_tightness(n: int) -> ConeReport:
     """Certify that the line-structure outer cone is achieved classically.
 
@@ -151,8 +146,8 @@ def verify_line_tightness(n: int) -> ConeReport:
     the extremal rays back to the full subset coordinates in one pass, and
     attaches to each ray the witness with matching entropy vector.  Each
     witness XORs uniform cause bits (:func:`distributions.line_witness_causes`),
-    so its vector is taken exactly as the GF(2) rank function of its cause
-    sets (:func:`distributions.gf2_entropy_vector`); no model or joint
+    so its vector is taken exactly as the GF(2) rank function of its bitmask
+    forms (:func:`distributions.gf2_entropy_vector`); no model or joint
     distribution is built.  A witness must first lie on a lifted extremal
     ray; it then satisfies every contiguous equality (the lift is built so)
     and makes no reduced inequality negative (the ray lies in the block
@@ -182,18 +177,19 @@ def verify_line_tightness(n: int) -> ConeReport:
     hrep = HRep(len(index), eq_rows, tuple(ineq_rows), labels=index.labels)
     vrep = VRep(len(index), tuple(sorted(lifted)), (), labels=index.labels)
 
+    # n(n+1)/2 witnesses that all land on distinct lifted rays fill the map, so
+    # the count check at the end also requires len(lifted) == dim
     ray_to_witness: dict[tuple[int, ...], dict] = {}
-    tight = len(lifted) == dim
+    tight = True
     notes: list[str] = []
-    used_rays: set[tuple[int, ...]] = set()
     for key in ((i, j) for i in range(1, n + 1) for j in range(i, n + 1)):
-        snapped = dist.gf2_entropy_vector(_witness_forms(*key, n), index)
+        snapped = dist.gf2_entropy_vector(dist.line_witness_causes(*key, n), index)
         ray = primitive(snapped)
         if ray not in lifted:
             tight = False
             notes.append(f"witness {key} does not lie on an extremal ray")
             continue
-        if ray in used_rays:
+        if ray in ray_to_witness:
             tight = False
             notes.append(f"witness {key} repeats an already-achieved ray")
             continue
@@ -201,9 +197,8 @@ def verify_line_tightness(n: int) -> ConeReport:
         if positive != 1:
             tight = False
             notes.append(f"witness {key} has {positive} strictly positive forms")
-        used_rays.add(ray)
         ray_to_witness[ray] = {"i": key[0], "j": key[1], "n": n, "vector": list(snapped)}
-    if len(used_rays) != len(lifted):
+    if len(ray_to_witness) != len(lifted):
         tight = False
         notes.append("not every extremal ray is achieved by a witness")
     if tight:
@@ -269,15 +264,18 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
 
 
 def _marginal_scenario(structure: CausalStructure) -> tuple[CoordinateIndex, CoordinateIndex, list[int]]:
-    """Scenario of subsets containing at most one copy of each doubled node."""
+    """Scenario of subsets containing at most one copy of each doubled node.
+
+    Returns the observed index, the scenario's index and the positions in
+    the observed index of the subsets outside the scenario.
+    """
     observed = structure.observed_ids()
     index = CoordinateIndex(observed)
     doubled = [(observed.index(a), observed.index(b)) for a, b in structure.copies]
-    allowed = [m for m in index.masks
-               if all(not ((m >> a) & 1 and (m >> b) & 1) for a, b in doubled)]
-    marginal_index = index.restrict(allowed)
-    keep_positions = sorted(index.position(m) for m in allowed)
-    return index, marginal_index, keep_positions
+    allowed = {m for m in index.masks
+               if all(not ((m >> a) & 1 and (m >> b) & 1) for a, b in doubled)}
+    drop = [i for i, m in enumerate(index.masks) if m not in allowed]
+    return index, index.restrict(allowed), drop
 
 
 def _scenario_shannon_pool(index: CoordinateIndex) -> list[tuple[int, ...]]:
@@ -321,10 +319,9 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
         raise InvalidParameter("engine must be 'fm' or 'dd'")
     start = time.perf_counter()
     structure = build_post_selected_line(k)
-    index, marginal_index, keep_positions = _marginal_scenario(structure)
+    index, marginal_index, drop = _marginal_scenario(structure)
     forms = observed_independence_constraints(structure, maximal_only=False)
     hrep = _observed_outer_hrep(index, _independence_rows(forms, index))
-    drop = [i for i in range(len(index)) if i not in set(keep_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
     vrep = enumerate_rays(minimal)
@@ -362,13 +359,12 @@ def split_generated_rays() -> VRep:
     vectors: set[tuple[int, ...]] = set()
     for i in range(1, 4):
         for j in range(i, 4):
-            x, y, z = _witness_forms(i, j, 3)
+            x, y, z = dist.line_witness_causes(i, j, 3)
             for x0, x1 in ((x, 0), (0, x), (x, x)):  # keep0, keep1, copy
                 for z0, z1 in ((z, 0), (0, z), (z, z)):
                     vector = dist.gf2_entropy_vector((x0, x1, y, z0, z1), index)
                     restricted = tuple(vector[index.position(m)] for m in marginal_index.masks)
-                    if any(restricted):
-                        vectors.add(primitive(restricted))
+                    vectors.add(primitive(restricted))
     seed = VRep(len(marginal_index), tuple(sorted(vectors)), (),
                 labels=marginal_index.labels)
     return extremalize(seed)

@@ -48,17 +48,19 @@ class CausalStructure:
         if len(known) != len(self.nodes):
             raise InvalidParameter("node ids must be unique")
         object.__setattr__(self, "_known", known)
+        seen: set[tuple[str, str]] = set()
         for parent, child in self.edges:
             if parent not in known or child not in known:
                 raise InvalidParameter(f"edge ({parent!r}, {child!r}) names an unknown node")
+            if (parent, child) in seen:
+                raise InvalidParameter(f"edge ({parent!r}, {child!r}) is listed twice")
+            seen.add((parent, child))
         # built once and read by every graph query; callers only see tuples or copies
         object.__setattr__(self, "_parents",
                            self._links((child, parent) for parent, child in self.edges))
         object.__setattr__(self, "_children", self._links(self.edges))
-        order = self._kahn_order()
-        if len(order) != len(self.nodes):
+        if len(self._kahn_order()) != len(self.nodes):
             raise InvalidParameter("edge relation must be acyclic")
-        object.__setattr__(self, "_order", order)
 
     def _kahn_order(self) -> tuple[str, ...]:
         """Nodes with every parent first; a cycle leaves its nodes out."""
@@ -99,10 +101,6 @@ class CausalStructure:
             out[node].append(linked)
         order = {n.id: i for i, n in enumerate(self.nodes)}
         return {node: tuple(sorted(lst, key=order.__getitem__)) for node, lst in out.items()}
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Node ids with every node after all of its parents."""
-        return self._order
 
     def parents(self, node: str) -> tuple[str, ...]:
         self._require(node)
@@ -254,17 +252,9 @@ def build_post_selected_line(k: int) -> CausalStructure:
     nodes = [Node(v, "observed") for v in observed]
     nodes += [Node(h, "unobserved") for h in hidden]
     chain = [first, *((m,) for m in middle), last]
-    edges: list[tuple[str, str]] = []
-    for i, h in enumerate(hidden):
-        for child in chain[i]:
-            edges.append((h, child))
-        for child in chain[i + 1]:
-            edges.append((h, child))
-    # deduplicate while keeping first occurrence (inner nodes have two parents)
-    seen: set[tuple[str, str]] = set()
-    unique = [e for e in edges if not (e in seen or seen.add(e))]
-    return CausalStructure(tuple(nodes), tuple(unique), name=f"ptilde:{k}",
-                           copies=(first, last))
+    # hidden node i links the disjoint groups chain[i] and chain[i + 1]
+    edges = tuple((h, child) for i, h in enumerate(hidden) for child in (*chain[i], *chain[i + 1]))
+    return CausalStructure(tuple(nodes), edges, name=f"ptilde:{k}", copies=(first, last))
 
 
 def structure_from_name(name: str) -> CausalStructure:

@@ -205,37 +205,37 @@ def _deterministic(parent_sizes: Sequence[int], out_size: int, fn) -> np.ndarray
     return cpt
 
 
-def line_witness_causes(i: int, j: int, n: int) -> tuple[frozenset[int], ...]:
-    """The numbers m of the causes C_m that each of X_1 .. X_n XORs in witness (i, j).
+def line_witness_causes(i: int, j: int, n: int) -> tuple[int, ...]:
+    """Bitmask forms of X_1 .. X_n in witness (i, j), as :func:`gf2_entropy_vector` reads them.
 
-    Shared causes are uniform bits, and an empty set stands for the constant
-    1.  For i < j a node XORs those of its parents C_m with i <= m < j; on
-    the diagonal only X_i XORs one, C_min(i, n-1).  The one-node line has no
-    causes, so its X1 is itself a fresh uniform bit, given as {1}.
+    Bit m of a node's form is set when the node XORs the cause C_m; shared
+    causes are uniform bits, and a form of 0 stands for the constant 1.  For
+    i < j a node XORs those of its parents C_m with i <= m < j; on the
+    diagonal only X_i XORs one, C_min(i, n-1).  The one-node line has no
+    causes, so its X1 is itself a fresh uniform bit, given as 0b10.
     """
     if not (1 <= i <= j <= n):
         raise InvalidParameter("need 1 <= i <= j <= n")
     if n == 1:
-        return (frozenset({1}),)
+        return (0b10,)
     if i == j:
-        return tuple(frozenset({min(i, n - 1)} if k == i else ()) for k in range(1, n + 1))
+        return tuple(1 << min(i, n - 1) if k == i else 0 for k in range(1, n + 1))
     # X_k's parents are C_(k-1) and C_k
-    return tuple(frozenset(m for m in (k - 1, k) if i <= m < j) for k in range(1, n + 1))
+    return tuple(sum(1 << m for m in (k - 1, k) if i <= m < j) for k in range(1, n + 1))
 
 
 def witness_line(i: int, j: int, n: int) -> CausalModel:
     """The line-structure model whose entropy vector generates one extremal ray.
 
-    Each observed node is the XOR of its cause set from
-    :func:`line_witness_causes`, so the entropy vector is integral.
+    Each observed node is the XOR of the causes its form from
+    :func:`line_witness_causes` names, so the entropy vector is integral.
     """
-    causes = line_witness_causes(i, j, n)
-    return _line_witness(build_line_structure(n), causes)
+    return _line_witness(build_line_structure(n), line_witness_causes(i, j, n))
 
 
-def _line_witness(structure: CausalStructure, causes: Sequence[frozenset[int]]) -> CausalModel:
-    """The CPTs of a witness on an n-node line structure, from its cause sets."""
-    n = len(causes)
+def _line_witness(structure: CausalStructure, forms: Sequence[int]) -> CausalModel:
+    """The CPTs of a witness on an n-node line structure, from its bitmask forms."""
+    n = len(forms)
     sizes = {v: 2 for v in structure.node_ids()}
     cpts: dict[str, np.ndarray] = {f"C{k}": _uniform_bit() for k in range(1, n)}
     if n == 1:
@@ -243,9 +243,9 @@ def _line_witness(structure: CausalStructure, causes: Sequence[frozenset[int]]) 
         cpts["X1"] = _uniform_bit()
         return CausalModel(structure, sizes, cpts)
 
-    for k, xored in enumerate(causes, 1):
+    for k, form in enumerate(forms, 1):
         parents = structure.parents(f"X{k}")
-        picked = [pos for pos, p in enumerate(parents) if p in {f"C{m}" for m in xored}]
+        picked = [pos for pos, p in enumerate(parents) if form >> int(p[1:]) & 1]  # p is C_m
         cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
                                        lambda *cs: sum(cs[p] for p in picked) % 2 if picked else 1)
     return CausalModel(structure, sizes, cpts)
@@ -345,13 +345,6 @@ def split_p3_witness(model: CausalModel, x_mode: str, z_mode: str) -> JointDistr
 
 # -- the chained conditional-entropy functional -------------------------------------
 
-def _cond_entropy_of_table(table: np.ndarray, given_axis: int) -> float:
-    """H(other | given) for a two-variable joint table."""
-    h_joint = shannon_entropy(table)
-    h_given = shannon_entropy(table.sum(axis=0 if given_axis == 1 else 1))
-    return h_joint - h_given
-
-
 def bc_functional(tables: Mapping[tuple[int, int], np.ndarray],
                   minus_setting: tuple[int, int] = (0, 0),
                   swap_roles: bool = False) -> float:
@@ -383,22 +376,15 @@ def bc_functional(tables: Mapping[tuple[int, int], np.ndarray],
     if (a_star, b_star) not in keys:
         raise InvalidParameter("minus_setting must be a pair of bits")
 
-    def h_x_given_y(a: int, b: int) -> float:
-        t = norm[(a, b)]
-        if swap_roles:
-            t = t.T
-        return _cond_entropy_of_table(t, given_axis=1)
+    def h(a: int, b: int, given: int) -> float:
+        """H(other | given) on table (a, b); axis 0 is X, or Y under the role swap."""
+        t = norm[(a, b)].T if swap_roles else norm[(a, b)]
+        return shannon_entropy(t) - shannon_entropy(t.sum(axis=1 - given))
 
-    def h_y_given_x(a: int, b: int) -> float:
-        t = norm[(a, b)]
-        if swap_roles:
-            t = t.T
-        return _cond_entropy_of_table(t, given_axis=0)
-
-    return (h_x_given_y(a_star, 1 - b_star)
-            + h_y_given_x(1 - a_star, 1 - b_star)
-            + h_x_given_y(1 - a_star, b_star)
-            - h_x_given_y(a_star, b_star))
+    return (h(a_star, 1 - b_star, 1)
+            + h(1 - a_star, 1 - b_star, 0)
+            + h(1 - a_star, b_star, 1)
+            - h(a_star, b_star, 1))
 
 
 def bc_functional_variants(tables: Mapping[tuple[int, int], np.ndarray]) -> dict[str, float]:

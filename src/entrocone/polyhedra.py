@@ -229,7 +229,7 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
                 else:
                     adj = primitive(tuple(a_b0 * x - a_r * y for x, y in zip(r, b0)))
                     new_rays.append((adj, z | bit))
-            new_rays.append((primitive(b0), prev_mask))
+            new_rays.append((b0, prev_mask))
             basis = new_basis
             rays = new_rays
             continue
@@ -245,12 +245,6 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
                 neg.append((r, z, v))
             else:
                 zero.append((r, z | bit))
-        if not neg:
-            rays = [(r, z) for r, z, _ in pos] + zero
-            continue
-        if not pos:
-            rays = zero
-            continue
         # masks of the rays tight on row j, built on first use; key -1 (an
         # empty meet) holds every ray
         tight_on: dict[int, list[int]] = {-1: [z for _, z in rays]}
@@ -259,16 +253,13 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
         for rp, zp, vp in pos:
             for rn, zn, vn in neg:
                 meet = zp & zn
-                if min_common > 0 and meet.bit_count() < min_common:
-                    continue
-                j = meet.bit_length() - 1
-                candidates = tight_on.get(j)
-                if candidates is None:
-                    candidates = tight_on[j] = [z for z in tight_on[-1] if z >> j & 1]
-                if not _adjacent(meet, zp, zn, candidates):
-                    continue
-                w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
-                combined.setdefault(w, meet | bit)
+                if meet.bit_count() >= min_common:
+                    j = meet.bit_length() - 1
+                    if j not in tight_on:
+                        tight_on[j] = [z for z in tight_on[-1] if z >> j & 1]
+                    if _adjacent(meet, zp, zn, tight_on[j]):
+                        w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+                        combined.setdefault(w, meet | bit)
         rays = [(r, z) for r, z, _ in pos] + zero + list(combined.items())
     ray_vectors = [r for r, _ in rays]
     return ray_vectors, basis

@@ -96,7 +96,7 @@ class TestVerify:
 
         def wrong(i, j, n):
             # witness (1, 1) made constant: its vector is 0, on no ray
-            return (frozenset(),) * n if (i, j) == (1, 1) else causes(i, j, n)
+            return (0,) * n if (i, j) == (1, 1) else causes(i, j, n)
 
         monkeypatch.setattr(dist, "line_witness_causes", wrong)
         report = verify_line_tightness(3)
@@ -126,13 +126,28 @@ class TestVerify:
             # X1 = X3 = C1 and X2 constant: H(X1X3) = 1 but H(X1) + H(X3) = 2,
             # so the contiguous equality for {X1, X3} fails
             if (i, j) == (1, 3):
-                return (frozenset({1}), frozenset(), frozenset({1}))
+                return (0b10, 0, 0b10)
             return causes(i, j, n)
 
         monkeypatch.setattr(dist, "line_witness_causes", wrong)
         report = verify_line_tightness(3)
         assert report.verdict == "outer-only"
         assert report.notes == ("witness (1, 3) does not lie on an extremal ray",
+                                "not every extremal ray is achieved by a witness")
+
+    def test_repeated_witness_is_not_tight(self, monkeypatch):
+        import entrocone.distributions as dist
+
+        causes = dist.line_witness_causes
+
+        def wrong(i, j, n):
+            # witness (1, 2) made a copy of (1, 1): it lands on (1, 1)'s ray again
+            return causes(1, 1, n) if (i, j) == (1, 2) else causes(i, j, n)
+
+        monkeypatch.setattr(dist, "line_witness_causes", wrong)
+        report = verify_line_tightness(3)
+        assert report.verdict == "outer-only"
+        assert report.notes == ("witness (1, 2) repeats an already-achieved ray",
                                 "not every extremal ray is achieved by a witness")
 
 

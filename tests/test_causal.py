@@ -166,16 +166,6 @@ class TestGraphMaps:
         assert g.parents_map() == {"a": [], "b": [], "c": ["a", "b"]}
         assert g.children_map() == {"a": ["c"], "b": ["c"], "c": []}
 
-    def test_topological_order_puts_parents_first(self):
-        rng = np.random.default_rng(5)
-        structures = [random_dag(rng, int(rng.integers(1, 9))) for _ in range(40)]
-        structures += [build_line_structure(5), bell_structure(), build_post_selected_line(4)]
-        for g in structures:
-            order = g.topological_order()
-            assert sorted(order) == sorted(g.node_ids())
-            place = {v: i for i, v in enumerate(order)}
-            assert all(place[p] < place[c] for p, c in g.edges)
-
 
 class TestDSeparation:
     def test_line4_observed_independences(self):

@@ -18,7 +18,7 @@ from entrocone.distributions import model_to_json, witness_line
 from entrocone.polyhedra import rep_to_json, HRep, VRep
 
 from reference_tables import LINE4_RAYS
-from test_malformed_input import MISSING_PARENT_ALPHABET
+from test_malformed_input import MISSING_PARENT_ALPHABET, REPEATED_EDGE, REPEATED_EDGE_MODEL
 
 
 # SHA-256 of stdout, recorded before the incremental echelon kernel replaced
@@ -92,6 +92,17 @@ class TestOuter:
         assert code == 1
         assert out == ""
         assert "structure file has 21 observed nodes; the ceiling is 20" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, payload", [("outer", REPEATED_EDGE),
+                                                  ("entropy", REPEATED_EDGE_MODEL)])
+    def test_repeated_edge_is_refused(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert "edge ('C', 'B') is listed twice" in err
         assert "Traceback" not in err
 
 

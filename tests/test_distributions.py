@@ -223,8 +223,7 @@ class TestLinearEntropyVector:
     def test_equals_the_float_route_on_every_witness(self, n):
         index = CoordinateIndex(tuple(f"X{k}" for k in range(1, n + 1)))
         for (i, j), model in line_witness_models(n).items():
-            forms = [sum(1 << m for m in causes) for causes in line_witness_causes(i, j, n)]
-            vector = gf2_entropy_vector(forms, index)
+            vector = gf2_entropy_vector(line_witness_causes(i, j, n), index)
             assert vector == _float_route(model, index), (i, j)
             assert all(type(v) is int for v in vector)
 

@@ -96,6 +96,10 @@ _TWO_NODES = {"nodes": [{"id": "A"}, {"id": "B"}], "edges": [["A", "B"]]}
 _VALID_MODEL = {"structure": _TWO_NODES, "alphabets": {"A": 2, "B": 2},
                 "cpts": {"A": [0.5, 0.5], "B": [[1, 0], [0, 1]]}}
 MISSING_PARENT_ALPHABET = {"structure": "pn:2", "alphabets": {"X1": 0}, "cpts": {"X1": [1]}}
+# B's CPT shape reads its parents (C, C), and the joint cannot hold it
+REPEATED_EDGE = {"nodes": [{"id": "C"}, {"id": "B"}], "edges": [["C", "B"], ["C", "B"]]}
+REPEATED_EDGE_MODEL = {"structure": REPEATED_EDGE, "alphabets": {"C": 2, "B": 2},
+                       "cpts": {"C": [0.5, 0.5], "B": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}}
 
 
 @st.composite
@@ -119,6 +123,7 @@ def _model_texts(draw):
 @example(json.dumps({**_VALID_MODEL, "cpts": {"A": [None, 1], "B": [[1, 0], [0, 1]]}}))
 @example(json.dumps({**_VALID_MODEL, "cpts": {"A": ["0.5", "0.5"], "B": [[1, 0], [0, 1]]}}))
 @example(json.dumps(MISSING_PARENT_ALPHABET))  # X1's shape needs C1's alphabet
+@example(json.dumps(REPEATED_EDGE_MODEL))
 def test_model_files_compile_or_are_refused(text):
     try:
         joint = compile_model(model_from_json(text))

@@ -681,6 +681,8 @@ def _dd_case(draw):
 @settings(max_examples=400, deadline=None)
 @given(_dd_case())
 @example(([(1, 0), (0, 1)], [(1, 0), (0, 1), (1, -1)]))  # empty meet, min_common <= 0
+@example(([(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)]))  # no ray is negative on the last row
+@example(([(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 0)]))  # no ray is positive on the last row
 # candidates cached under the oldest row of meet but filtered by its newest lose a ray here
 @example((nullspace([], 5), [(-1, 1, 1, 0, 0), (0, 0, 0, -1, 0), (1, 1, 0, 0, 1),
                              (-1, 1, 1, 0, 0), (0, 1, -1, 0, 1), (0, 0, 0, 1, 1),
