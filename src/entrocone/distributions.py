@@ -6,6 +6,11 @@ This module also constructs the explicit witness families used to certify
 cone tightness: the line-structure witnesses, the post-selected joint of a
 five-node line with binary outer settings, and the outer-node splitting of
 three-node-line witnesses.
+
+numpy is imported inside the float-route functions only (CPT models,
+joints, float entropies, the functional and the JSON model and table
+readers), so the exact pipeline loads no numpy: ``gf2_entropy_vector`` and
+``line_witness_causes`` are plain integer code.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .causal import CausalStructure, build_line_structure, reduced_line_structure, structure_from_name
 from .entropy_space import CoordinateIndex
@@ -34,6 +37,7 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         expected = tuple(self.alphabet_sizes)
         if self.table.shape != expected:
             raise InvalidModel(f"table shape {self.table.shape} != alphabets {expected}")
@@ -68,6 +72,7 @@ class CausalModel:
     cpts: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        import numpy as np
         parents = self.structure.parents_map()
         # every node before any shape: a CPT's shape reads its parents' alphabets
         for what, given in (("an alphabet size", self.alphabet_sizes), ("a CPT", self.cpts)):
@@ -89,6 +94,7 @@ class CausalModel:
 
 def compile_model(model: CausalModel) -> JointDistribution:
     """Joint distribution over all nodes: the product of the CPTs."""
+    import numpy as np
     names = model.structure.node_ids()
     sizes = tuple(model.alphabet_sizes[v] for v in names)
     cells = math.prod(sizes)
@@ -129,6 +135,7 @@ class EntropyVector:
         Exact for the witnesses: a uniform marginal on 2^k outcomes has dyadic
         probabilities, and its 2^k equal terms k 2^-k sum to exactly k.
         """
+        import numpy as np
         ints = np.rint(self.values)
         if np.array_equal(ints, self.values):
             return tuple(int(v) for v in ints)
@@ -137,6 +144,7 @@ class EntropyVector:
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Base-2 entropy with the 0 log 0 := 0 convention."""
+    import numpy as np
     flat = probabilities.reshape(-1)
     positive = flat[flat > 0]
     # 0.0 - s rather than -s: a sum of 0.0 must not come out as -0.0
@@ -146,6 +154,7 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
 def entropy_vector(joint: JointDistribution,
                    index: CoordinateIndex | None = None) -> EntropyVector:
     """Entropy of every nonempty subset, in coordinate-index order."""
+    import numpy as np
     if index is None:
         index = CoordinateIndex(joint.variables)
     elif index.variables != joint.variables:
@@ -195,10 +204,12 @@ def conditional_mutual_information_bits(joint: JointDistribution, x: Sequence[st
 # -- witness constructions ---------------------------------------------------------
 
 def _uniform_bit() -> np.ndarray:
+    import numpy as np
     return np.array([0.5, 0.5])
 
 
 def _deterministic(parent_sizes: Sequence[int], out_size: int, fn) -> np.ndarray:
+    import numpy as np
     cpt = np.zeros((*parent_sizes, out_size))
     for idx in np.ndindex(*parent_sizes):
         cpt[idx + (fn(*idx),)] = 1.0
@@ -268,6 +279,7 @@ def post_select_joint(model: CausalModel) -> JointDistribution:
     under B; its (Xa, Y, Zb) marginals equal the setting-conditioned
     distributions of the model.
     """
+    import numpy as np
     structure = model.structure
     expected = reduced_line_structure(5, names=("A", "X", "Y", "Z", "B"))
     if structure.node_ids() != expected.node_ids() or set(structure.edges) != set(expected.edges):
@@ -302,6 +314,7 @@ def post_select_joint(model: CausalModel) -> JointDistribution:
 
 def setting_conditionals(model: CausalModel) -> dict[tuple[int, int], np.ndarray]:
     """P(X, Y | A=a, B=b) tables of a compiled reduced-line Bell model."""
+    import numpy as np
     joint = compile_model(model).marginal(["A", "X", "Y", "B"])
     names = joint.variables
     table = np.moveaxis(joint.table, [names.index("A"), names.index("B"),
@@ -327,6 +340,7 @@ def split_p3_witness(model: CausalModel, x_mode: str, z_mode: str) -> JointDistr
     over (X0, X1, Y, Z0, Z1) where each outer pair is either (value, 1),
     (1, value) or two perfect copies, per the requested mode.
     """
+    import numpy as np
     if x_mode not in _SPLIT_MODES or z_mode not in _SPLIT_MODES:
         raise InvalidParameter(f"modes must be one of {_SPLIT_MODES}")
     if model.structure.observed_ids() != ("X1", "X2", "X3"):
@@ -357,6 +371,7 @@ def bc_functional(tables: Mapping[tuple[int, int], np.ndarray],
     all of which are nonnegative whenever a joint over both outcome copies
     exists.
     """
+    import numpy as np
     keys = {(a, b) for a in range(2) for b in range(2)}
     if set(tables.keys()) != keys:
         raise InvalidParameter("need the four tables (a, b) for a, b in {0, 1}")
@@ -401,6 +416,7 @@ def bc_functional_variants(tables: Mapping[tuple[int, int], np.ndarray]) -> dict
 # -- model serialization ---------------------------------------------------------
 
 def model_to_json(model: CausalModel) -> str:
+    import numpy as np
     payload = {
         "structure": (model.structure.name or
                       json.loads(model.structure.to_json())),
@@ -440,6 +456,7 @@ def model_from_json(text: str) -> CausalModel:
 
 def _numeric_array(raw: object, field: str) -> np.ndarray:
     """A JSON array of finite numbers as floats; null, NaN and strings are refused."""
+    import numpy as np
     try:
         arr = np.asarray(raw)
     except ValueError:  # ragged nesting

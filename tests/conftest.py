@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entrocone
 from entrocone.causal import CausalStructure, Node
 from entrocone.distributions import CausalModel
 
@@ -111,3 +118,20 @@ def random_cone_hrep(rng: np.random.Generator, dim: int, n_rows: int):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Run a script in a new interpreter that imports this entrocone; return its stdout as JSON.
+
+    The test process has numpy and every entrocone module loaded already, so
+    what a bare ``import`` pulls in can only be seen from a fresh interpreter.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(entrocone.__file__).parents[1]))
+
+    def run(script: str):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+    return run
