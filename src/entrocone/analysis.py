@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import distributions as dist
-from .causal import (CausalStructure, build_post_selected_line,
-                     observed_independence_constraints)
-from .entropy_space import (CoordinateIndex, LinearForm, contiguous_decomposition_equalities,
-                            elemental_forms, elemental_shannon_system, classical_ci_system,
-                            lift_block_vectors, reduced_line_system, substitute_contiguous,
-                            system_rows)
+from .causal import (CausalStructure, build_line_structure, build_post_selected_line,
+                     clash_masks, observed_independence_constraints)
+from .entropy_space import (BlockSplit, CoordinateIndex, LinearForm,
+                            contiguous_decomposition_equalities, elemental_forms,
+                            elemental_shannon_system, classical_ci_system, reduced_line_system,
+                            substitute_contiguous, system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, dot, enumerate_rays,
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
@@ -31,7 +31,7 @@ NODE_GUARD = 6
 
 # The longest line verify certifies.  The witness checks are exact ranks and
 # short dot products on the block rays and cost little, but the report's
-# H-rep holds the contiguous equalities as dense rows, about 2^n of them
+# H-rep holds the block equalities as dense rows, about 2^n of them
 # over 2^n - 1 coordinates, so the work and the memory grow as 4^n.
 _MAX_VERIFY_NODES = 13
 
@@ -84,13 +84,6 @@ def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> l
     return rows
 
 
-def _observed_outer_hrep(index: CoordinateIndex, equalities: Sequence[Row]) -> HRep:
-    """Elemental Shannon inequalities plus the given independence equalities."""
-    shannon = elemental_shannon_system(index.variables)
-    return HRep(len(index), tuple(equalities),
-                tuple(form.row(index) for form in shannon.inequalities), labels=index.labels)
-
-
 def _nice_equalities(hrep: HRep, candidates: Sequence[Row]) -> HRep:
     """Present the equality space through independence rows when they span it.
 
@@ -121,14 +114,25 @@ def observed_outer_cone(structure: CausalStructure,
 
     The resulting cone is an outer approximation to the achievable entropy
     vectors of the observed nodes, valid for the classical and the quantum
-    version of the structure alike.
+    version of the structure alike.  The independences say exactly that each
+    subset entropy is the sum of its blocks' (:class:`BlockSplit`), so the
+    elemental rows are solved in block coordinates, where the Shannon cone
+    stays pointed, and the rays lifted; the facets are reduced modulo the
+    independence rows plus the block cone's own equalities.
     """
     start = time.perf_counter()
     index = CoordinateIndex(structure.observed_ids())
     forms = observed_independence_constraints(structure, maximal_only=False)
     equalities = _independence_rows(forms, index)
-    vrep = enumerate_rays(_observed_outer_hrep(index, equalities))
-    minimal = _nice_equalities(facets_from_rays(vrep), equalities)
+    split = BlockSplit(index, clash_masks(structure))
+    shannon = elemental_shannon_system(index.variables).inequalities
+    block_v = enumerate_rays(HRep(len(split.blocks), (), tuple(substitute_contiguous(split, shannon))))
+    block_h = facets_from_rays(block_v)
+    vrep = VRep(len(index), tuple(sorted(split.lift(block_v.rays))), (), labels=index.labels)
+    eq_rref, pivots = rref([*equalities, *map(split.place, block_h.equalities)])
+    facets = sorted(reduce_mod_span(split.place(f), eq_rref, pivots) for f in block_h.inequalities)
+    minimal = _nice_equalities(HRep(len(index), tuple(eq_rref), tuple(facets), index.labels),
+                               equalities)
     return ConeReport(
         structure_name=name or structure.name or "structure",
         index=index,
@@ -142,14 +146,15 @@ def observed_outer_cone(structure: CausalStructure,
 def verify_line_tightness(n: int) -> ConeReport:
     """Certify that the line-structure outer cone is achieved classically.
 
-    Works in the contiguous-block coordinates (dimension n(n+1)/2), lifts
-    the extremal rays back to the full subset coordinates in one pass, and
-    attaches to each ray the witness with matching entropy vector.  Each
-    witness XORs uniform cause bits (:func:`distributions.line_witness_causes`),
-    so its vector is taken exactly as the GF(2) rank function of its bitmask
-    forms (:func:`distributions.gf2_entropy_vector`); no model or joint
+    Works in the line's block coordinates, its n(n+1)/2 contiguous runs
+    (:class:`BlockSplit`), lifts the extremal rays back to the full subset
+    coordinates in one pass, and attaches to each ray the witness with
+    matching entropy vector.  Each witness XORs uniform cause bits
+    (:func:`distributions.line_witness_causes`), so its vector is taken
+    exactly as the GF(2) rank function of its bitmask forms
+    (:func:`distributions.gf2_entropy_vector`); no model or joint
     distribution is built.  A witness must first lie on a lifted extremal
-    ray; it then satisfies every contiguous equality (the lift is built so)
+    ray; it then satisfies every block equality (the lift is built so)
     and makes no reduced inequality negative (the ray lies in the block
     cone), so the one check left is that exactly one block inequality is
     strictly positive on its block ray.  The verdict is "tight" exactly when
@@ -164,15 +169,14 @@ def verify_line_tightness(n: int) -> ConeReport:
                                f"the ceiling is {_MAX_VERIFY_NODES} nodes")
     start = time.perf_counter()
     reduced = reduced_line_system(n)
-    block_rows = substitute_contiguous(reduced)
-    dim = n * (n + 1) // 2
-    block_h = HRep(dim, (), tuple(block_rows))
-    block_v = enumerate_rays(block_h)
     index = reduced.index
+    split = BlockSplit(index, clash_masks(build_line_structure(n)))
+    block_rows = substitute_contiguous(split, reduced.inequalities)
+    block_v = enumerate_rays(HRep(len(split.blocks), (), tuple(block_rows)))
     # each lifted ray mapped back to the block ray it came from
-    lifted = dict(zip(lift_block_vectors(block_v.rays, n), block_v.rays))
+    lifted = dict(zip(split.lift(block_v.rays), block_v.rays))
 
-    eq_rows = tuple(f.row(index) for f in contiguous_decomposition_equalities(n))
+    eq_rows = tuple(f.row(index) for f in contiguous_decomposition_equalities(split))
     _, ineq_rows = system_rows(reduced)
     hrep = HRep(len(index), eq_rows, tuple(ineq_rows), labels=index.labels)
     vrep = VRep(len(index), tuple(sorted(lifted)), (), labels=index.labels)
@@ -321,7 +325,8 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     structure = build_post_selected_line(k)
     index, marginal_index, drop = _marginal_scenario(structure)
     forms = observed_independence_constraints(structure, maximal_only=False)
-    hrep = _observed_outer_hrep(index, _independence_rows(forms, index))
+    _, shannon = system_rows(elemental_shannon_system(index.variables))
+    hrep = HRep(len(index), tuple(_independence_rows(forms, index)), tuple(shannon), index.labels)
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
     vrep = enumerate_rays(minimal)

@@ -334,6 +334,12 @@ def d_separated(structure: CausalStructure, x: Iterable[str], y: Iterable[str],
     return True
 
 
+def clash_masks(structure: CausalStructure) -> list[int]:
+    """Per observed node, bit j set when the j-th observed node's ancestor closure meets its own."""
+    closures = [structure.ancestor_closure([v]) for v in structure.observed_ids()]
+    return [sum(1 << j for j, other in enumerate(closures) if mine & other) for mine in closures]
+
+
 def ancestor_disjoint_pairs(structure: CausalStructure,
                             maximal_only: bool = True) -> list[tuple[frozenset[str], frozenset[str]]]:
     """Pairs of observed subsets with disjoint ancestor closures.
@@ -345,11 +351,8 @@ def ancestor_disjoint_pairs(structure: CausalStructure,
     alongside the Shannon inequalities.
     """
     observed = structure.observed_ids()
-    closures = [structure.ancestor_closure([v]) for v in observed]
-    # bit i stands for observed[i]; clash[i] holds the nodes whose closure meets
-    # node i's, node i itself included, and reach[mask] ORs it over the members
-    clash = [sum(1 << j for j, other in enumerate(closures) if mine & other)
-             for mine in closures]
+    clash = clash_masks(structure)
+    # reach[mask] ORs the clash masks over the members
     everyone = (1 << len(observed)) - 1
     reach = [0] * (everyone + 1)
     for mask in range(1, everyone + 1):

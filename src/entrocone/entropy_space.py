@@ -214,103 +214,90 @@ def reduced_line_system(n: int) -> ConstraintSystem:
     H(all | all minus X_i) >= 0 plus I(X_i : X_j | M_ij) >= 0 for i < j,
     where M_ij is the set of observed nodes strictly between X_i and X_j.
     The conditional-independence content of the structure is not emitted
-    here; it enters through the contiguous-block substitution.
+    here; it enters through the block substitution (:class:`BlockSplit`).
     """
     if n < 1:
         raise InvalidParameter("line structure needs n >= 1")
     variables = tuple(f"X{i}" for i in range(1, n + 1))
     index = CoordinateIndex(variables)
     full = (1 << n) - 1
-    forms: list[LinearForm] = []
     if n == 1:
-        forms.append(LinearForm.build({1: 1}))
-        return ConstraintSystem(index, (), tuple(forms))
-    for i in range(n):
-        forms.append(LinearForm.build({full: 1, full & ~(1 << i): -1}))
+        return ConstraintSystem(index, (), (LinearForm.build({1: 1}),))
+    forms = [LinearForm.build({full: 1, full & ~(1 << i): -1}) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            between = 0
-            for k in range(i + 1, j):
-                between |= 1 << k
+            between = ((1 << j) - 1) & ~((2 << i) - 1)  # the positions strictly between
             forms.append(conditional_mutual_information(1 << i, 1 << j, between))
     return ConstraintSystem(index, (), tuple(forms))
 
 
-# -- contiguous-block dimension reduction for line structures ---------------
+# -- block reduction: the entropies of ancestor-disjoint parts add up ---------
 
-def contiguous_blocks(mask: int) -> list[int]:
-    """Decompose a subset mask into its maximal runs of consecutive positions."""
-    blocks = []
-    current = 0
-    prev = None
-    for pos in _bit_positions(mask):
-        if prev is not None and pos == prev + 1:
-            current |= 1 << pos
-        else:
-            if current:
-                blocks.append(current)
-            current = 1 << pos
-        prev = pos
-    if current:
-        blocks.append(current)
-    return blocks
+@dataclass(frozen=True, eq=False)
+class BlockSplit:
+    """Every subset split into its blocks, the components of its clash graph.
 
-
-def _block_positions(mask: int, n: int) -> list[int]:
-    """Block coordinates of the maximal contiguous runs of a subset of n positions.
-
-    Block coordinates are ordered by (length, start): the runs of length
-    below L take (L-1)(2n+2-L)/2 coordinates.
+    ``clash[i]`` holds the variables whose ancestor closures meet variable
+    i's, i included.  The blocks of a subset have pairwise disjoint ancestor
+    closures, so they are independent and H(S) is the sum of their
+    entropies; on a line they are the maximal contiguous runs.  The block
+    coordinates are the one-block subsets in index order, and ``parts[k]``
+    holds the block positions of the k-th subset.
     """
-    positions = []
-    for block in contiguous_blocks(mask):
-        length, start = block.bit_count(), (block & -block).bit_length() - 1
-        positions.append((length - 1) * (2 * n + 2 - length) // 2 + start)
-    return positions
+
+    index: CoordinateIndex
+    clash: Sequence[int]
+    blocks: tuple[int, ...] = field(init=False)
+    parts: tuple[tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        reach = [0]  # reach[m] ORs the clash masks of m's members
+        for clash in self.clash:
+            reach += [r | clash for r in reach]
+        split = []
+        for mask in self.index.masks:
+            found, rest = [], mask
+            while rest:
+                block, grown = 0, rest & -rest
+                while grown != block:
+                    block, grown = grown, reach[grown] & rest
+                found.append(block)
+                rest &= ~block
+            split.append(found)
+        blocks = tuple(found[0] for found in split if len(found) == 1)
+        at = {block: k for k, block in enumerate(blocks)}
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "parts", tuple(tuple(map(at.__getitem__, found)) for found in split))
+
+    def lift(self, vectors: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+        """Block vectors as full subset-coordinate vectors, one short sum per coordinate."""
+        return [tuple(sum(values[p] for p in part) for part in self.parts) for values in vectors]
+
+    def place(self, row: Sequence[int]) -> tuple[int, ...]:
+        """A block row over the subset coordinates, zero off the one-block subsets."""
+        return tuple(row[part[0]] if len(part) == 1 else 0 for part in self.parts)
 
 
-def substitute_contiguous(system: ConstraintSystem) -> list[tuple[int, ...]]:
-    """Rewrite forms over subset coordinates into contiguous-block coordinates.
+def substitute_contiguous(split: BlockSplit, forms: Iterable[LinearForm]) -> list[tuple[int, ...]]:
+    """Primitive rows of the forms over the block coordinates of ``split``.
 
     Every subset entropy is replaced by the sum of the entropies of its
-    maximal contiguous blocks, which is exact for compatible distributions
-    on a line structure.  Returns integer rows over the block coordinates
-    (inequalities only; the system must not carry equalities).
+    blocks, which is exact on the structure's equality space.
     """
-    if system.equalities:
-        raise InvalidParameter("substitution expects an inequality-only system")
-    n = len(system.index.variables)
     rows = []
-    for form in system.inequalities:
-        row = [0] * (n * (n + 1) // 2)
+    for form in forms:
+        row = [0] * len(split.blocks)
         for mask, coeff in form.coefficients:
-            for position in _block_positions(mask, n):
+            for position in split.parts[split.index.position(mask)]:
                 row[position] += coeff
         rows.append(primitive(row))
     return rows
 
 
-def lift_block_vectors(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Expand contiguous-block vectors to full subset-coordinate vectors.
-
-    The block positions of every subset are found once per call, so each
-    vector then costs one short sum per coordinate.
-    """
-    index = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
-    table = [_block_positions(mask, n) for mask in index.masks]
-    return [tuple(sum(values[p] for p in positions) for positions in table)
-            for values in vectors]
-
-
-def contiguous_decomposition_equalities(n: int) -> tuple[LinearForm, ...]:
-    """H(S) = sum of maximal contiguous blocks, for every non-contiguous S."""
-    index = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
-    forms = []
-    for mask in index.masks:
-        blocks = contiguous_blocks(mask)
-        if len(blocks) > 1:
-            forms.append(LinearForm.build({mask: 1} | dict.fromkeys(blocks, -1), "=="))
-    return tuple(forms)
+def contiguous_decomposition_equalities(split: BlockSplit) -> tuple[LinearForm, ...]:
+    """H(S) = the sum of its blocks' entropies, for every S of more than one block."""
+    return tuple(LinearForm.build({mask: 1} | {split.blocks[p]: -1 for p in part}, "==")
+                 for mask, part in zip(split.index.masks, split.parts) if len(part) > 1)
 
 
 def system_rows(system: ConstraintSystem) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:

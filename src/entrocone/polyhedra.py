@@ -25,6 +25,7 @@ from ._simplex import conic_combination
 from .errors import InvalidParameter
 
 Row = tuple[int, ...]
+_MAX_FILE_DIMENSION = 4095  # widest cone file: 2^12 - 1 coordinates, as in verify pn:12
 
 
 # -- small integer linear algebra --------------------------------------------
@@ -488,6 +489,9 @@ def rep_from_json(text: str) -> HRep | VRep:
     dim = data["dimension"]
     if type(dim) is not int:  # bool and float are refused too
         raise InvalidParameter(f"cone file 'dimension' must be an integer, not {dim!r}")
+    if dim > _MAX_FILE_DIMENSION:  # the conversions start from a dense dim x dim basis
+        raise InvalidParameter(f"cone file 'dimension' is {dim}; "
+                               f"the ceiling is {_MAX_FILE_DIMENSION}")
     coords = data.get("coordinates")  # absent or null: no labels
     if coords is not None and not (isinstance(coords, list) and len(coords) == dim
                                    and all(type(c) is str for c in coords)):

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entrocone.analysis import (_independence_rows, _nice_equalities,
@@ -16,9 +17,10 @@ from entrocone.causal import (CausalStructure, Node, bell_structure,
                               observed_independence_constraints, structure_from_name)
 from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
-from entrocone.polyhedra import (HRep, cones_equal, facets_from_rays, membership,
+from entrocone.polyhedra import (HRep, cones_equal, enumerate_rays, facets_from_rays, membership,
                                  primitive, reduce_mod_span, rref)
 
+from conftest import random_dag
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -74,6 +76,11 @@ class TestVerify:
             lifted = verify_line_tightness(n)
             assert cones_equal(direct.hrep, lifted.hrep)
             assert set(direct.rays) == set(lifted.rays)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rays_equal_the_outer_rays(self, n):
+        # the n(n+1)/2 reduced rows against every elemental row, both through the block split
+        assert verify_line_tightness(n).rays == observed_outer_cone(build_line_structure(n)).rays
 
     def test_quantum_note_only_when_tight(self):
         report = verify_line_tightness(3)
@@ -421,6 +428,38 @@ class TestReports:
         a = report_to_json(observed_outer_cone(build_line_structure(3)))
         b = report_to_json(observed_outer_cone(build_line_structure(3)))
         assert a == b
+
+
+# -- oracle: outer's block route against the full-coordinate route it replaced --
+
+def _full_coordinate_outer(structure):
+    """Elemental Shannon rows plus every independence row, solved over all 2^n - 1 coordinates."""
+    index = CoordinateIndex(structure.observed_ids())
+    equalities = _candidates(structure, index)
+    _, shannon = system_rows(elemental_shannon_system(index.variables))
+    vrep = enumerate_rays(HRep(len(index), tuple(equalities), tuple(shannon), index.labels))
+    return _nice_equalities(facets_from_rays(vrep), equalities), vrep
+
+
+@pytest.mark.parametrize("selector", [*(f"pn:{n}" for n in range(1, 9)),
+                                      "bell", "ptilde:3", "ptilde:4"])
+def test_outer_matches_the_full_coordinate_route(selector):
+    report = observed_outer_cone(structure_from_name(selector))
+    assert (report.hrep, report.vrep) == _full_coordinate_outer(structure_from_name(selector))
+
+
+def test_outer_matches_the_full_coordinate_route_on_random_dags():
+    # five observed nodes with no independence would solve the whole 31-coordinate
+    # Shannon cone twice, so the DAGs stop at four
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 80:
+        structure = random_dag(rng, int(rng.integers(1, 8)), edge_prob=float(rng.uniform(0.1, 0.6)))
+        if not 1 <= len(structure.observed_ids()) <= 4:
+            continue
+        report = observed_outer_cone(structure)
+        assert (report.hrep, report.vrep) == _full_coordinate_outer(structure)
+        checked += 1
 
 
 # -- oracle: the incremental equality choice against one rref per candidate ----

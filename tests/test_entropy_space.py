@@ -1,4 +1,4 @@
-"""Coordinate order, constraint generation and the contiguous reduction."""
+"""Coordinate order, constraint generation and the block reduction."""
 
 from fractions import Fraction
 
@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrocone.causal import (build_line_structure, bell_structure,
+from entrocone.causal import (build_line_structure, bell_structure, clash_masks,
                               observed_independence_constraints, structure_from_name)
 from entrocone.distributions import compile_model, entropy_vector
-from entrocone.entropy_space import (CoordinateIndex,
+from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
                                      classical_ci_system, conditional_mutual_information,
-                                     contiguous_blocks, contiguous_decomposition_equalities,
+                                     contiguous_decomposition_equalities,
                                      elemental_forms, elemental_shannon_system,
-                                     lift_block_vectors,
                                      reduced_line_system,
                                      substitute_contiguous, system_rows)
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import primitive
+from entrocone.polyhedra import Echelon, primitive
 
-from conftest import random_model
+from conftest import random_dag, random_model
 
 
 class TestCoordinateIndex:
@@ -177,21 +176,29 @@ class TestReducedSystem:
             reduced_line_system(0)
 
 
+def _line_split(n):
+    structure = build_line_structure(n)
+    return BlockSplit(CoordinateIndex(structure.observed_ids()), clash_masks(structure))
+
+
 class TestContiguousReduction:
     def test_blocks(self):
         assert contiguous_blocks(0b10110) == [0b110, 0b10000]
         assert contiguous_blocks(0b111) == [0b111]
+        split = _line_split(5)
+        part = split.parts[split.index.position(0b10110)]
+        assert [split.blocks[p] for p in part] == [0b110, 0b10000]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_substitution_dimensions(self, n):
-        rows = substitute_contiguous(reduced_line_system(n))
+        rows = substitute_contiguous(_line_split(n), reduced_line_system(n).inequalities)
         assert len(rows) == n * (n + 1) // 2
         assert all(len(r) == n * (n + 1) // 2 for r in rows)
 
     def test_lift_inverts_on_contiguous(self):
         n = 4
         block_values = list(range(1, n * (n + 1) // 2 + 1))
-        lifted = lift_block_vectors([block_values], n)[0]
+        lifted = _line_split(n).lift([block_values])[0]
         idx = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
         # contiguous coordinates reproduce the block values
         assert lifted[idx.position(idx.mask_of(["X1"]))] == block_values[0]
@@ -203,7 +210,7 @@ class TestContiguousReduction:
     def test_decomposition_equalities_hold_on_witnesses(self):
         from entrocone.distributions import line_witness_models
         n = 4
-        forms = contiguous_decomposition_equalities(n)
+        forms = contiguous_decomposition_equalities(_line_split(n))
         idx = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
         observed = [f"X{i}" for i in range(1, n + 1)]
         for model in line_witness_models(n).values():
@@ -211,6 +218,17 @@ class TestContiguousReduction:
             vec = entropy_vector(joint, idx)
             for form in forms:
                 assert abs(form.evaluate(vec.values, idx)) < 1e-9
+
+    def test_place_puts_a_block_row_on_the_one_block_subsets(self):
+        split = _line_split(3)
+        row = tuple(range(1, 7))
+        placed = split.place(row)
+        assert [placed[split.index.position(b)] for b in split.blocks] == list(row)
+        assert placed[split.index.position(0b101)] == 0
+        # a placed row takes the same value on a vector as on its lift
+        vector = (2, -1, 5, 3, 0, 4)
+        assert (sum(a * b for a, b in zip(placed, split.lift([vector])[0]))
+                == sum(a * b for a, b in zip(row, vector)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,6 +260,24 @@ def _fraction_elemental_forms(n):
                         coeffs[mask] = coeffs.get(mask, Fraction(0)) + c
                 forms.append(coeffs)
     return forms
+
+
+def contiguous_blocks(mask):
+    """The maximal runs of consecutive positions in a subset mask, lowest first."""
+    blocks = []
+    while mask:
+        low = mask & -mask
+        run = mask & ~(mask + low)  # the run of set bits from the lowest one up
+        blocks.append(run)
+        mask &= ~run
+    return blocks
+
+
+def _block_position(mask, n):
+    """Closed-form position of a run among the runs of n positions in (length, start) order:
+    the runs shorter than L take (L-1)(2n+2-L)/2 positions."""
+    length, start = mask.bit_count(), (mask & -mask).bit_length() - 1
+    return (length - 1) * (2 * n + 2 - length) // 2 + start
 
 
 def _fraction_block_position(n, start, length):
@@ -285,10 +321,73 @@ def test_elemental_forms_match_the_fraction_generator_in_order(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_contiguous_block_code_matches_the_fraction_code(n):
     reduced = reduced_line_system(n)
-    assert substitute_contiguous(reduced) == _fraction_substitute_contiguous(reduced)
+    split = _line_split(n)
+    assert substitute_contiguous(split, reduced.inequalities) == _fraction_substitute_contiguous(reduced)
     values = [3 * i * i - 7 * i + 2 for i in range(n * (n + 1) // 2)]
     batch = [values, [v % 5 for v in values], [1] * len(values)]
-    assert lift_block_vectors(batch, n) == [_fraction_lift_block_vector(v, n) for v in batch]
+    assert split.lift(batch) == [_fraction_lift_block_vector(v, n) for v in batch]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_line_split_is_the_contiguous_runs_in_length_start_order(n):
+    split = _line_split(n)
+    assert len(split.blocks) == n * (n + 1) // 2
+    assert [_block_position(b, n) for b in split.blocks] == list(range(len(split.blocks)))
+    for mask, part in zip(split.index.masks, split.parts):
+        assert list(part) == [_block_position(b, n) for b in contiguous_blocks(mask)]
+    assert all(_fraction_block_position(n, start, length) == _block_position(b, n)
+               for b in split.blocks for start, length in _block_runs(b))
+
+
+def _clash_components(structure, mask):
+    """Components of the clash graph on a subset of the observed nodes, by breadth-first search."""
+    observed = structure.observed_ids()
+    closures = [structure.ancestor_closure([v]) for v in observed]
+    members = [i for i in range(len(observed)) if mask >> i & 1]
+    components, seen = [], set()
+    for first in members:
+        if first in seen:
+            continue
+        component, queue = {first}, [first]
+        while queue:
+            i = queue.pop()
+            for j in members:
+                if j not in component and closures[i] & closures[j]:
+                    component.add(j)
+                    queue.append(j)
+        seen |= component
+        components.append(sum(1 << i for i in component))
+    return components
+
+
+@pytest.mark.parametrize("selector", ["pn:1", "pn:5", "bell", "ptilde:3", "ptilde:4"])
+def test_split_parts_are_the_clash_components_on_builtins(selector):
+    _check_split(structure_from_name(selector))
+
+
+def test_split_parts_are_the_clash_components_on_random_dags():
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 150:
+        structure = random_dag(rng, int(rng.integers(1, 9)), edge_prob=float(rng.uniform(0.1, 0.6)))
+        if not structure.observed_ids():
+            continue
+        _check_split(structure)
+        checked += 1
+
+
+def _check_split(structure):
+    index = CoordinateIndex(structure.observed_ids())
+    split = BlockSplit(index, clash_masks(structure))
+    assert split.blocks == tuple(m for m in index.masks if len(_clash_components(structure, m)) == 1)
+    for mask, part in zip(index.masks, split.parts):
+        assert sorted(split.blocks[p] for p in part) == sorted(_clash_components(structure, mask))
+    # the block equalities and the ancestor-disjoint independences span one space
+    blocks = [f.row(index) for f in contiguous_decomposition_equalities(split)]
+    independences = [f.row(index) for f in observed_independence_constraints(structure, False)]
+    rank = len(Echelon(blocks).rows)
+    assert rank == len(Echelon(independences).rows) == len(Echelon(blocks + independences).rows)
+    assert rank == len(index) - len(split.blocks)
 
 
 def _plain_int_rows(rows):
@@ -311,8 +410,9 @@ def test_structure_rows_are_plain_ints(selector):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_line_rows_are_plain_ints(n):
     reduced = reduced_line_system(n)
-    assert _plain_int_rows(substitute_contiguous(reduced))
+    split = _line_split(n)
+    assert _plain_int_rows(substitute_contiguous(split, reduced.inequalities))
     assert _plain_int_rows(system_rows(reduced)[1])
     assert _plain_int_rows([f.row(reduced.index) for f in reduced.inequalities])
     assert _plain_int_rows([f.row(reduced.index)
-                            for f in contiguous_decomposition_equalities(n)])
+                            for f in contiguous_decomposition_equalities(split)])

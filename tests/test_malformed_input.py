@@ -227,3 +227,18 @@ def test_rays_command_names_the_field(tmp_path, capsys, text, field):
     assert captured.out == ""
     assert field in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, kind", [("rays", "hrep"), ("facets", "vrep")])
+def test_cone_file_wider_than_the_ceiling_is_refused(tmp_path, capsys, command, kind):
+    # a few bytes that would ask the conversion for a dense 40000 x 40000 basis
+    path = tmp_path / "wide.json"
+    path.write_text('{"type": "%s", "dimension": 40000}' % kind)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cone file 'dimension' is 40000; the ceiling is 4095" in captured.err
+    assert "Traceback" not in captured.err
+    assert rep_from_json('{"type": "%s", "dimension": 4095}' % kind).dimension == 4095
+    with pytest.raises(InvalidParameter, match="'dimension' is 4096; the ceiling is 4095"):
+        rep_from_json('{"type": "%s", "dimension": 4096}' % kind)
