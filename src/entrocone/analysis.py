@@ -71,9 +71,8 @@ def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> l
 
     The pipelines pass every ancestor-disjoint independence, maximal or not,
     and compute those forms (and their d-separation checks) once.  The
-    non-maximal pairs are implied by the maximal ones on the Shannon cone,
-    so adding them changes nothing but shrinks the effective dimension
-    before ray enumeration or projection.
+    non-maximal pairs, implied by the maximal ones on the Shannon cone, still
+    shrink ``bc-cone``'s projection; elsewhere the rows only name equalities.
     """
     rows = []
     for form in forms:
@@ -118,21 +117,22 @@ def observed_outer_cone(structure: CausalStructure,
     subset entropy is the sum of its blocks' (:class:`BlockSplit`), so the
     elemental rows are solved in block coordinates, where the Shannon cone
     stays pointed, and the rays lifted; the facets are reduced modulo the
-    independence rows plus the block cone's own equalities.
+    split's block equalities plus the block cone's own.  The independence
+    rows span the same space and only name the printed equalities.
     """
     start = time.perf_counter()
     index = CoordinateIndex(structure.observed_ids())
     forms = observed_independence_constraints(structure, maximal_only=False)
-    equalities = _independence_rows(forms, index)
+    candidates = _independence_rows(forms, index)
     split = BlockSplit(index, clash_masks(structure))
     shannon = elemental_shannon_system(index.variables).inequalities
     block_v = enumerate_rays(HRep(len(split.blocks), (), tuple(substitute_contiguous(split, shannon))))
     block_h = facets_from_rays(block_v)
     vrep = VRep(len(index), tuple(sorted(split.lift(block_v.rays))), (), labels=index.labels)
-    eq_rref, pivots = rref([*equalities, *map(split.place, block_h.equalities)])
+    eq_rref, pivots = rref([*(f.row(index) for f in contiguous_decomposition_equalities(split)),
+                            *map(split.place, block_h.equalities)])
     facets = sorted(reduce_mod_span(split.place(f), eq_rref, pivots) for f in block_h.inequalities)
-    minimal = _nice_equalities(HRep(len(index), tuple(eq_rref), tuple(facets), index.labels),
-                               equalities)
+    minimal = _nice_equalities(HRep(len(index), tuple(eq_rref), tuple(facets), index.labels), candidates)
     return ConeReport(
         structure_name=name or structure.name or "structure",
         index=index,

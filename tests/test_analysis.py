@@ -13,9 +13,11 @@ from entrocone.analysis import (_independence_rows, _nice_equalities,
                                 report_to_text, split_generated_rays,
                                 verify_line_tightness)
 from entrocone.causal import (CausalStructure, Node, bell_structure,
-                              build_line_structure, build_post_selected_line,
+                              build_line_structure, build_post_selected_line, clash_masks,
                               observed_independence_constraints, structure_from_name)
-from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
+from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
+                                     contiguous_decomposition_equalities,
+                                     elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
 from entrocone.polyhedra import (HRep, cones_equal, enumerate_rays, facets_from_rays, membership,
                                  primitive, reduce_mod_span, rref)
@@ -45,6 +47,26 @@ class TestObservedOuterCone:
 
     def test_verdict_outer_only(self):
         assert observed_outer_cone(build_line_structure(3)).verdict == "outer-only"
+
+    def test_equality_space_comes_from_the_block_split(self, monkeypatch):
+        import entrocone.analysis as analysis
+
+        # pn:7 has 161 independence rows; its 99 block equalities span the same
+        # space, and the block cone has no equalities of its own
+        structure = build_line_structure(7)
+        split = BlockSplit(CoordinateIndex(structure.observed_ids()), clash_masks(structure))
+        block_rows = len(contiguous_decomposition_equalities(split))
+        sizes = []
+
+        def recorded(rows):
+            rows = list(rows)
+            sizes.append(len(rows))
+            return rref(rows)
+
+        monkeypatch.setattr(analysis, "rref", recorded)
+        observed_outer_cone(structure)
+        assert block_rows == 99
+        assert sizes and max(sizes) <= block_rows
 
 
 class TestVerify:

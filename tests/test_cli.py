@@ -26,6 +26,7 @@ from test_malformed_input import MISSING_PARENT_ALPHABET, REPEATED_EDGE, REPEATE
 PINNED_STDOUT = {
     "outer pn:7": "05da730a5d417427ac6eda5d2c1f43c6c38df50e9ef4409c94062038a407e4de",
     "outer pn:8": "3d97c03d684cfe0c9784dfbb59b4cb4fb032a1fa0288ceca2a371fb1e55506e7",
+    "outer pn:9": "a425f1661948d4014a8ae9da7a5d79110181bcb585806db55a369bbc15292b8a",
     "outer ptilde:3": "9f6a6b5a30893ebea60a2857ad4550d9cbac41b25c60a1af5125612594bfd5a6",
     "outer ptilde:4": "3263f7185ca822a0543ebf17acae5fc55500ed1ce993e152a80f842ba363eb00",
     "bc-cone 4": "3ec8e08ca7b25f6da03ce61baa84993134aa02d9d0a00b2848595e4d24baec36",
