@@ -36,7 +36,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--engine", choices=("fm", "dd"), default="dd",
                         help="projection strategy (default: dd)")
     parser.add_argument("--max-nodes", type=int, default=analysis.NODE_GUARD,
-                        help="node guard for full marginalization (default: %(default)s)")
+                        help="marginalize refuses structures with more nodes, "
+                             "observed and hidden (default: %(default)s)")
     parser.add_argument("--verbose", action="store_true",
                         help="print timing to stderr")
     sub = parser.add_subparsers(dest="command", required=True)

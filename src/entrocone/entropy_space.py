@@ -11,7 +11,7 @@ structure, and the reduced system for line structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameter
 from .polyhedra import _row_text, primitive
@@ -146,13 +146,22 @@ def conditional_mutual_information(s: int, t: int, z: int = 0,
     return LinearForm.build(coeffs, relation)
 
 
-def elemental_forms(ground: int) -> list[LinearForm]:
+class Elemental(NamedTuple):
+    """An elemental Shannon form and, for I(i:j|K), the subset masks (i, j, K)."""
+
+    form: LinearForm
+    cmi: tuple[int, int, int] | None  # None for a monotonicity or plain positivity
+
+
+def elemental_forms(ground: int) -> list[Elemental]:
     """Elemental Shannon inequalities over the variables of a subset mask.
 
     For n >= 2 members this is one monotonicity per member and one
-    conditional mutual-information positivity per pair of members and
-    subset of the others, n + n(n-1)*2^(n-3) inequalities in total.  For a
-    single member it degenerates to plain positivity.
+    conditional mutual-information positivity I(i:j|K) per pair of members
+    and subset K of the others, n + n(n-1)*2^(n-3) inequalities in total.
+    For a single member it degenerates to plain positivity.  Each form comes
+    with its (i, j, K) masks from this one enumeration, so
+    ``classical_ci_system`` tests d-separation without decoding a row.
 
     The order is the monotonicities, then the pairs in order with each
     pair's conditioning sets by increasing mask, so I(i:j) comes before
@@ -163,15 +172,15 @@ def elemental_forms(ground: int) -> list[LinearForm]:
     """
     bits = [1 << p for p in _bit_positions(ground)]
     if len(bits) == 1:
-        return [LinearForm.build({ground: 1})]
-    forms = [LinearForm.build({ground: 1, ground & ~b: -1}) for b in bits]
+        return [Elemental(LinearForm.build({ground: 1}), None)]
+    forms = [Elemental(LinearForm.build({ground: 1, ground & ~b: -1}), None) for b in bits]
     for i, bi in enumerate(bits):
         for bj in bits[i + 1:]:
             others = ground & ~bi & ~bj
             # every subset of the remaining members, by increasing mask
             s = 0
             while True:
-                forms.append(conditional_mutual_information(bi, bj, s))
+                forms.append(Elemental(conditional_mutual_information(bi, bj, s), (bi, bj, s)))
                 if s == others:
                     break
                 s = (s - others) & others
@@ -184,27 +193,43 @@ def elemental_shannon_system(variables: Sequence[str]) -> ConstraintSystem:
         raise InvalidParameter("variable list must be nonempty")
     index = CoordinateIndex(tuple(variables))
     full = (1 << len(index.variables)) - 1
-    return ConstraintSystem(index, (), tuple(elemental_forms(full)))
+    return ConstraintSystem(index, (), tuple(e.form for e in elemental_forms(full)))
 
 
 def classical_ci_system(structure) -> ConstraintSystem:
-    """Per-node conditional-independence equalities of a classical structure.
+    """The all-node system of a classical structure, its independences stated as equalities.
 
-    Coordinates range over all nodes, observed and unobserved.  Each node
-    with a nonempty set of non-descendants (its parents excluded) yields
-    the equality I(node : non-descendants | parents) = 0.
+    Coordinates range over all nodes, observed and unobserved.  The forms
+    are the elemental Shannon forms of all nodes in ``elemental_forms``
+    order: each I(i:j|K) with i and j d-separated by K is an equality, and
+    every other one, each monotonicity included, an inequality.
+
+    With the Shannon inequalities these equalities cut out the same cone as
+    the local Markov conditions I(node : non-descendants | parents) = 0.
+    Each such condition is a sum of elemental I(node:j|K) with j and K drawn
+    from the non-descendants and K holding the parents, every one of them
+    d-separated.  Conversely, d-separation is sound and complete for the
+    semi-graphoid closure of local Markov (Geiger, Verma & Pearl, Networks
+    1990), and entropic independence obeys the semi-graphoid axioms, so each
+    equality is implied.  Stating them all spares the projection from
+    rediscovering them as implicit equalities.
     """
+    from .causal import d_separated  # causal imports this module
+
     names = tuple(node.id for node in structure.nodes)
     index = CoordinateIndex(names)
-    forms: list[LinearForm] = []
-    for node in structure.nodes:
-        node_mask = index.mask_of([node.id])
-        parents = index.mask_of(structure.parents(node.id))
-        descendants = index.mask_of(structure.descendants(node.id))
-        nondesc = ((1 << len(names)) - 1) & ~node_mask & ~descendants & ~parents
-        if nondesc:
-            forms.append(conditional_mutual_information(node_mask, nondesc, parents, "=="))
-    return ConstraintSystem(index, tuple(forms), ())
+
+    def members(mask: int) -> list[str]:
+        return [names[p] for p in _bit_positions(mask)]
+
+    equalities: list[LinearForm] = []
+    inequalities: list[LinearForm] = []
+    for form, cmi in elemental_forms((1 << len(names)) - 1):
+        if cmi is not None and d_separated(structure, *map(members, cmi)):
+            equalities.append(LinearForm(form.coefficients, "=="))
+        else:
+            inequalities.append(form)
+    return ConstraintSystem(index, tuple(equalities), tuple(inequalities))
 
 
 def reduced_line_system(n: int) -> ConstraintSystem:

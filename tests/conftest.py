@@ -14,6 +14,10 @@ import pytest
 import entrocone
 from entrocone.causal import CausalStructure, Node
 from entrocone.distributions import CausalModel
+from entrocone.entropy_space import (ConstraintSystem, CoordinateIndex,
+                                     conditional_mutual_information, elemental_shannon_system,
+                                     system_rows)
+from entrocone.polyhedra import HRep
 
 
 # -- brute-force d-separation oracle ------------------------------------------
@@ -72,6 +76,44 @@ def dsep_bruteforce(structure: CausalStructure, xs, ys, zs) -> bool:
     return True
 
 
+# -- the local-Markov-only all-node system: the oracle for marginalize ----------
+
+def local_markov_system(structure: CausalStructure):
+    """Per-node conditional-independence equalities of a classical structure.
+
+    Coordinates range over all nodes, observed and unobserved.  Each node
+    with a nonempty set of non-descendants (its parents excluded) yields
+    the equality I(node : non-descendants | parents) = 0.
+    """
+    names = structure.node_ids()
+    index = CoordinateIndex(names)
+    forms = []
+    for node in structure.nodes:
+        node_mask = index.mask_of([node.id])
+        parents = index.mask_of(structure.parents(node.id))
+        descendants = index.mask_of(structure.descendants(node.id))
+        nondesc = ((1 << len(names)) - 1) & ~node_mask & ~descendants & ~parents
+        if nondesc:
+            forms.append(conditional_mutual_information(node_mask, nondesc, parents, "=="))
+    return ConstraintSystem(index, tuple(forms), ())
+
+
+def local_markov_projection(structure: CausalStructure):
+    """The all-node H-rep with local Markov only, and the coordinates marginalize drops.
+
+    The elemental Shannon inequalities of every node stay inequalities, the
+    d-separated ones included; the only equalities are the per-node ones of
+    ``local_markov_system``.
+    """
+    names = structure.node_ids()
+    ci = local_markov_system(structure)
+    eqs, _ = system_rows(ci)
+    _, ineqs = system_rows(elemental_shannon_system(names))
+    hidden = [names.index(v) for v in structure.unobserved_ids()]
+    drop = [i for i, mask in enumerate(ci.index.masks) if any(mask >> p & 1 for p in hidden)]
+    return HRep(len(ci.index), tuple(eqs), tuple(ineqs)), drop
+
+
 # -- random structures and models ----------------------------------------------
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4,
@@ -106,7 +148,6 @@ def random_model(rng: np.random.Generator, structure: CausalStructure,
 
 
 def random_cone_hrep(rng: np.random.Generator, dim: int, n_rows: int):
-    from entrocone.polyhedra import HRep
     rows = []
     while len(rows) < n_rows:
         row = tuple(int(v) for v in rng.integers(-3, 4, size=dim))

@@ -144,9 +144,20 @@ def test_criterion_5_marginalization_consistency(capsys):
     t_fm = time.perf_counter() - t0
     assert cones_equal(via_fm.hrep, target.hrep)
     assert t_fm < 300.0, f"FM engine took {t_fm:.2f}s (budget 5min)"
+
+    # the paper's theorem by a second route: projecting out the hidden causes
+    # of pn:4 and pn:5 gives the line cones that outer computes
+    t0 = time.perf_counter()
+    for n, engine, max_nodes in ((4, "dd", 7), (4, "fm", 7), (5, "dd", 9)):
+        line = build_line_structure(n)
+        projected = full_marginal_outer_cone(line, engine=engine, max_nodes=max_nodes)
+        assert cones_equal(projected.hrep, observed_outer_cone(line).hrep), (n, engine)
+    t_lines = time.perf_counter() - t0
+    assert t_lines < 60.0, f"pn:4 and pn:5 took {t_lines:.2f}s (budget 60s)"
     with capsys.disabled():
         _report(5, f"hidden-variable projection equals the 10-ray cone "
-                   f"(dd {t_dd:.2f}s, fm {t_fm:.2f}s)")
+                   f"(dd {t_dd:.2f}s, fm {t_fm:.2f}s), and the pn:4 and pn:5 "
+                   f"line cones ({t_lines:.2f}s)")
 
 
 def _family_row(terms, index: CoordinateIndex) -> tuple[int, ...]:

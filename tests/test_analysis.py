@@ -19,10 +19,10 @@ from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
                                      contiguous_decomposition_equalities,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
-from entrocone.polyhedra import (HRep, cones_equal, enumerate_rays, facets_from_rays, membership,
-                                 primitive, reduce_mod_span, rref)
+from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays, facets_from_rays,
+                                 fm_eliminate, membership, primitive, reduce_mod_span, rref)
 
-from conftest import random_dag
+from conftest import local_markov_projection, random_dag
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -218,10 +218,11 @@ class TestFullMarginalization:
         assert report.hrep.equalities == ((1, 1, -1),)  # I(X:Y) = 0 survives
 
     # The rays do not depend on the row order, so only the work shows a reorder.
-    # Adjacency tests with elemental_forms' order: pn:3 884, bell 121.  A
-    # sparse-first sort in the DD made 56,884 on pn:3; each pair's conditioning
-    # sets largest first made 523 on bell.
-    @pytest.mark.parametrize("name, adjacency_tests", [("pn:3", 884), ("bell", 121)])
+    # Adjacency tests with elemental_forms' order and every d-separated row an
+    # equality: pn:3 51, bell 33.  With local Markov alone as equalities they
+    # were 884 and 121; a sparse-first sort in the DD made 56,884 on pn:3, and
+    # each pair's conditioning sets largest first 523 on bell.
+    @pytest.mark.parametrize("name, adjacency_tests", [("pn:3", 51), ("bell", 33)])
     def test_elemental_order_keeps_the_double_description_small(self, monkeypatch, name,
                                                                  adjacency_tests):
         from entrocone import polyhedra
@@ -238,11 +239,12 @@ class TestFullMarginalization:
         assert calls <= 2 * adjacency_tests
 
     # The largest system an fm pairing hands to remove_redundancies, in rows:
-    # bell 99, bc-cone 4 1,147.  Before a minimization followed every pairing,
+    # bell 69, bc-cone 4 1,147.  Bell's was 99 while only local Markov was
+    # stated as equalities.  Before a minimization followed every pairing,
     # bell's final pass took 1,668 rows and bc-cone 4's eighth pairing made
     # 790,488.
     @pytest.mark.parametrize("run, largest", [
-        (lambda: full_marginal_outer_cone(bell_structure(), engine="fm"), 99),
+        (lambda: full_marginal_outer_cone(bell_structure(), engine="fm"), 69),
         (lambda: post_selected_marginal_cone(4, engine="fm"), 1147)],
         ids=["bell", "bc-cone-4"])
     def test_each_fm_pairing_stays_small(self, monkeypatch, run, largest):
@@ -260,7 +262,7 @@ class TestFullMarginalization:
 
     def test_guard_refuses_and_names_flag(self):
         with pytest.raises(NodeGuardExceeded, match="max-nodes"):
-            full_marginal_outer_cone(build_line_structure(4))  # 7 nodes
+            full_marginal_outer_cone(build_line_structure(5))  # 9 nodes
 
     def test_guard_override(self):
         report = full_marginal_outer_cone(build_line_structure(3), max_nodes=10)
@@ -269,6 +271,36 @@ class TestFullMarginalization:
     def test_bad_engine(self):
         with pytest.raises(InvalidParameter):
             full_marginal_outer_cone(bell_structure(), engine="qq")
+
+
+# -- oracle: the local-Markov-only system marginalize projected before ---------
+
+def _marginal_oracle_structures():
+    """bell, pn:2, pn:3 and 60 random DAGs of 2 to 4 nodes.
+
+    The random DAGs stop at 4 nodes because the oracle itself blows up on
+    some of 5: 98 s under fm on one, where marginalize takes 0.03 s.  bell
+    and pn:3 have 5 nodes.
+    """
+    rng = np.random.default_rng(20261019)
+    structures = [bell_structure(), build_line_structure(2), build_line_structure(3)]
+    while len(structures) < 63:
+        g = random_dag(rng, int(rng.integers(2, 5)))
+        if g.observed_ids():
+            structures.append(g)
+    return structures
+
+
+@pytest.mark.parametrize("engine", ["dd", "fm"])
+def test_projection_equals_the_local_markov_oracle(engine):
+    # Stating every d-separated elemental row as an equality leaves the cone
+    # as local Markov and Shannon cut it out; test_entropy_space checks that
+    # exactly the d-separated rows move.
+    project = fm_eliminate if engine == "fm" else dd_project
+    for structure in _marginal_oracle_structures():
+        oracle = project(*local_markov_projection(structure))
+        report = full_marginal_outer_cone(structure, engine=engine)
+        assert cones_equal(oracle, report.hrep), structure.to_json()
 
 
 class TestPostSelectedCone:

@@ -185,7 +185,7 @@ class TestMarginalize:
             assert " ".join(str(v) for v in ray) in out
 
     def test_guard_message_names_flag(self, capsys):
-        code, _, err = run_cli(capsys, "marginalize", "pn:4")
+        code, _, err = run_cli(capsys, "marginalize", "pn:5")  # 9 nodes
         assert code == 1
         assert "--max-nodes" in err
 

@@ -18,7 +18,7 @@ from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import Echelon, primitive
 
-from conftest import random_dag, random_model
+from conftest import dsep_bruteforce, local_markov_system, random_dag, random_model
 
 
 class TestCoordinateIndex:
@@ -116,27 +116,39 @@ class TestElementalSystem:
                 assert form.evaluate(vector.values, system.index) >= -1e-9
 
 
+def _spans(system, form):
+    """Whether the form's row lies in the span of the system's equality rows."""
+    span = Echelon(f.row(system.index) for f in system.equalities)
+    return not span.add(form.row(system.index))
+
+
 class TestClassicalCI:
     def test_line3_count(self):
         system = classical_ci_system(build_line_structure(3))
-        assert len(system.equalities) == 5
+        assert len(system.equalities) == 31  # of the 5 + 10 * 8 elemental forms
+        assert len(system.equalities) + len(system.inequalities) == 85
 
     def test_bell_contains_local_causality_marginal(self):
         system = classical_ci_system(bell_structure())
-        texts = {f.text(system.index) for f in system.equalities}
-        # I(X : YB | AC) = 0 expanded over the five-node coordinates
-        assert "-H(AC)+H(AXC)+H(AYBC)-H(AXYBC) == 0" in texts
+        index = system.index
+        # I(X : YB | AC) = 0, X's local Markov condition, is a sum of stated equalities
+        form = conditional_mutual_information(index.mask_of("X"), index.mask_of("YB"),
+                                              index.mask_of("AC"))
+        assert form.text(index) == "-H(AC)+H(AXC)+H(AYBC)-H(AXYBC) >= 0"
+        assert _spans(system, form)
 
     def test_root_node_unconditional(self):
         system = classical_ci_system(bell_structure())
         texts = {f.text(system.index) for f in system.equalities}
-        # C has no parents and non-descendants {A, B}
-        assert "+H(C)+H(AB)-H(ABC) == 0" in texts
+        # C has no parents and non-descendants {A, B}: I(C:AB) = I(A:C) + I(B:C|A)
+        assert {"+H(A)+H(C)-H(AC) == 0", "-H(A)+H(AB)+H(AC)-H(ABC) == 0"} <= texts
 
     def test_every_node_with_nondescendants_contributes(self):
         g = build_line_structure(4)
         system = classical_ci_system(g)
-        assert len(system.equalities) == len(g.nodes)  # every node qualifies here
+        local = local_markov_system(g)
+        assert len(local.equalities) == len(g.nodes)  # every node qualifies here
+        assert all(_spans(system, form) for form in local.equalities)
 
     def test_holds_on_sampled_distributions(self):
         rng = np.random.default_rng(17)
@@ -148,6 +160,27 @@ class TestClassicalCI:
             vector = entropy_vector(joint, system.index)
             for form in system.equalities:
                 assert abs(form.evaluate(vector.values, system.index)) < 1e-9
+
+    def test_equalities_are_the_d_separated_elemental_rows(self, rng):
+        # each I(i:j|K) is stated as an equality exactly when the path-by-path
+        # oracle finds i and j d-separated by K; monotonicities stay inequalities
+        for _ in range(30):
+            g = random_dag(rng, int(rng.integers(2, 6)))
+            names = g.node_ids()
+            system = classical_ci_system(g)
+            stated = {f.coefficients for f in system.equalities}
+            forms = elemental_forms((1 << len(names)) - 1)
+            for form, cmi in forms:
+                separated = cmi is not None and dsep_bruteforce(
+                    g, *({names[p] for p in range(len(names)) if m >> p & 1} for m in cmi))
+                assert (form.coefficients in stated) == separated
+            assert len(system.equalities) + len(system.inequalities) == len(forms)
+
+    def test_spans_the_local_markov_equalities(self, rng):
+        for _ in range(30):
+            g = random_dag(rng, int(rng.integers(2, 6)))
+            system = classical_ci_system(g)
+            assert all(_spans(system, form) for form in local_markov_system(g).equalities)
 
 
 class TestReducedSystem:
@@ -314,8 +347,11 @@ def _fraction_lift_block_vector(values, n):
 def test_elemental_forms_match_the_fraction_generator_in_order(n):
     system = elemental_shannon_system([f"V{i}" for i in range(n)])
     forms = elemental_forms((1 << n) - 1)
-    assert list(system.inequalities) == forms
-    assert [dict(f.coefficients) for f in forms] == _fraction_elemental_forms(n)
+    assert list(system.inequalities) == [form for form, _ in forms]
+    assert [dict(form.coefficients) for form, _ in forms] == _fraction_elemental_forms(n)
+    # each pair row carries its own (i, j, K); the n monotonicities carry none
+    assert all(form == conditional_mutual_information(*cmi) for form, cmi in forms if cmi)
+    assert sum(cmi is None for _, cmi in forms) == n
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from entrocone._simplex import conic_combination
 from entrocone.causal import (bell_structure, build_line_structure,
                               observed_independence_constraints)
-from entrocone.entropy_space import (CoordinateIndex, classical_ci_system,
-                                     elemental_shannon_system, system_rows)
+from entrocone.entropy_space import CoordinateIndex, elemental_shannon_system, system_rows
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality,
                                  cones_equal, dd_project, dot, enumerate_rays,
@@ -19,7 +18,7 @@ from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality
                                  remove_redundancies, rep_from_json, rep_to_json,
                                  rep_to_text, rref, sign_canonical)
 
-from conftest import random_cone_hrep
+from conftest import local_markov_projection, random_cone_hrep
 from reference_tables import LINE4_RAYS
 
 
@@ -701,17 +700,6 @@ def _random_projections(rng):
         yield h, sorted(rng.choice(dim, size=dim - 2, replace=False).tolist())
 
 
-def _bell_projection():
-    structure = bell_structure()
-    names = structure.node_ids()
-    ci = classical_ci_system(structure)
-    eqs, _ = system_rows(ci)
-    _, ineqs = system_rows(elemental_shannon_system(names))
-    hidden = names.index(structure.unobserved_ids()[0])
-    drop = [i for i, mask in enumerate(ci.index.masks) if mask >> hidden & 1]
-    return HRep(len(ci.index), tuple(eqs), tuple(ineqs)), drop
-
-
 # -- oracle: textbook Fourier-Motzkin --------------------------------------------
 
 def _textbook_fm(h, coords):
@@ -752,6 +740,6 @@ def test_matches_textbook_fm_on_random_projections(rng):
 
 
 def test_matches_textbook_fm_on_bell():
-    h, drop = _bell_projection()
+    h, drop = local_markov_projection(bell_structure())
     assert fm_eliminate(h, drop[:8]) == _textbook_fm(h, drop[:8])
     assert fm_eliminate(h, drop) == dd_project(h, drop)
