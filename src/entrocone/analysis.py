@@ -27,9 +27,12 @@ from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, dot, en
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
                         reduce_mod_span, rref)
 
-# The most nodes marginalize projects without --max-nodes.  At 7 nodes pn:4
-# takes about 0.3 s and ptilde:3 about 5 s under either engine; pn:5 (9 nodes)
-# takes about 3 s under dd and 30 s under fm.
+# The most nodes marginalize projects without --max-nodes.  In block
+# coordinates, at 7 nodes, pn:4 takes about 0.2 s under either engine and
+# ptilde:3 about 1 s under fm and 4 s under dd (its double description is
+# bound by adjacency tests).  Past the guard pn:5 (9 nodes) takes under 1 s
+# and pn:6 (11 nodes) about 9 s under dd, but ptilde:4 (9 nodes) does not
+# finish in 150 s under either engine.
 NODE_GUARD = 7
 
 # The longest line verify certifies.  The witness checks are exact ranks and
@@ -73,9 +76,9 @@ def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> l
     """Rows of the forms in ``index``, skipping those a restricted scenario cannot express.
 
     The pipelines pass every ancestor-disjoint independence, maximal or not,
-    and compute those forms (and their d-separation checks) once.  The
-    non-maximal pairs, implied by the maximal ones on the Shannon cone, still
-    shrink ``bc-cone``'s projection; elsewhere the rows only name equalities.
+    and compute those forms (and their d-separation checks) once.  Every
+    pipeline solves in block coordinates, where these rows vanish, so they
+    only name the printed equalities (``_nice_equalities``).
     """
     rows = []
     for form in forms:
@@ -110,6 +113,34 @@ def _nice_equalities(hrep: HRep, candidates: Sequence[Row]) -> HRep:
     return hrep
 
 
+def _observed_index(structure: CausalStructure) -> CoordinateIndex:
+    """The observed coordinates of a structure, which must have an observed node."""
+    observed = structure.observed_ids()
+    if not observed:
+        raise InvalidParameter("structure has no observed node, so there is no cone to report")
+    return CoordinateIndex(observed)
+
+
+def _lift_block_cone(split: BlockSplit, block_h: HRep, block_rays: Iterable[Row],
+                     candidates: Sequence[Row]) -> tuple[HRep, VRep]:
+    """The cone over ``split``'s subset coordinates from its cone over the blocks.
+
+    Every subset entropy is the sum of its blocks', so the block rays lift to
+    the extremal rays; the cone is pointed, as it lies in the Shannon cone of
+    the observed nodes.  The equality space is the split's block equalities
+    plus the block cone's own, placed; each block facet, placed, is reduced
+    modulo it, and ``_nice_equalities`` names the equalities by
+    ``candidates``.
+    """
+    index = split.index
+    vrep = VRep(len(index), tuple(sorted(split.lift(block_rays))), (), labels=index.labels)
+    eq_rref, pivots = rref([*(f.row(index) for f in contiguous_decomposition_equalities(split)),
+                            *map(split.place, block_h.equalities)])
+    facets = sorted(reduce_mod_span(split.place(f), eq_rref, pivots) for f in block_h.inequalities)
+    minimal = _nice_equalities(HRep(len(index), tuple(eq_rref), tuple(facets), index.labels), candidates)
+    return minimal, vrep
+
+
 def observed_outer_cone(structure: CausalStructure,
                         name: str | None = None) -> ConeReport:
     """Shannon constraints plus observed independences, minimized and solved.
@@ -119,23 +150,17 @@ def observed_outer_cone(structure: CausalStructure,
     version of the structure alike.  The independences say exactly that each
     subset entropy is the sum of its blocks' (:class:`BlockSplit`), so the
     elemental rows are solved in block coordinates, where the Shannon cone
-    stays pointed, and the rays lifted; the facets are reduced modulo the
-    split's block equalities plus the block cone's own.  The independence
-    rows span the same space and only name the printed equalities.
+    stays pointed, and lifted (``_lift_block_cone``).  The independence rows
+    span the split's block equalities and only name the printed equalities.
     """
     start = time.perf_counter()
-    index = CoordinateIndex(structure.observed_ids())
+    index = _observed_index(structure)
     forms = observed_independence_constraints(structure, maximal_only=False)
-    candidates = _independence_rows(forms, index)
-    split = BlockSplit(index, clash_masks(structure))
+    split = BlockSplit(index, clash_masks(structure, index.variables))
     shannon = elemental_shannon_system(index.variables).inequalities
     block_v = enumerate_rays(HRep(len(split.blocks), (), tuple(substitute_contiguous(split, shannon))))
-    block_h = facets_from_rays(block_v)
-    vrep = VRep(len(index), tuple(sorted(split.lift(block_v.rays))), (), labels=index.labels)
-    eq_rref, pivots = rref([*(f.row(index) for f in contiguous_decomposition_equalities(split)),
-                            *map(split.place, block_h.equalities)])
-    facets = sorted(reduce_mod_span(split.place(f), eq_rref, pivots) for f in block_h.inequalities)
-    minimal = _nice_equalities(HRep(len(index), tuple(eq_rref), tuple(facets), index.labels), candidates)
+    minimal, vrep = _lift_block_cone(split, facets_from_rays(block_v), block_v.rays,
+                                     _independence_rows(forms, index))
     return ConeReport(
         structure_name=name or structure.name or "structure",
         index=index,
@@ -173,7 +198,7 @@ def verify_line_tightness(n: int) -> ConeReport:
     start = time.perf_counter()
     reduced = reduced_line_system(n)
     index = reduced.index
-    split = BlockSplit(index, clash_masks(build_line_structure(n)))
+    split = BlockSplit(index, clash_masks(build_line_structure(n), index.variables))
     block_rows = substitute_contiguous(split, reduced.inequalities)
     block_v = enumerate_rays(HRep(len(split.blocks), (), tuple(block_rows)))
     # each lifted ray mapped back to the block ray it came from
@@ -230,9 +255,15 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
 
     The system (``classical_ci_system``) holds every elemental Shannon form
     over all nodes, each I(i:j|K) that d-separation forces to zero stated
-    as an equality.  All coordinates whose subset touches an unobserved node
-    are then eliminated, by Fourier-Motzkin ("fm") or by the
-    double-description route ("dd").
+    as an equality.  The blocks of an all-node subset (:class:`BlockSplit`
+    over every node) have disjoint ancestor closures, so they are
+    d-separated given nothing and the equalities make each subset entropy
+    the sum of its blocks'.  The rows are therefore substituted into block
+    coordinates, the rows that vanish dropped, and only the blocks that
+    touch an unobserved node eliminated, by Fourier-Motzkin ("fm") or by
+    the double-description route ("dd").  The blocks left are the observed
+    split's, in the same order, so the projection lifts like ``outer``'s
+    block cone (``_lift_block_cone``).
     """
     if engine not in ("fm", "dd"):
         raise InvalidParameter("engine must be 'fm' or 'dd'")
@@ -242,20 +273,20 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
             f"structure has {node_count} nodes, above the guard of {max_nodes}; "
             f"raise it with --max-nodes if the blow-up is acceptable")
     start = time.perf_counter()
-    names = structure.node_ids()
+    observed_index = _observed_index(structure)
     system = classical_ci_system(structure)
     index = system.index
-    eq_rows, ineq_rows = system_rows(system)
-    hrep = HRep(len(index), tuple(eq_rows), tuple(ineq_rows), labels=index.labels)
-    hidden = set(structure.unobserved_ids())
-    hidden_positions = {names.index(v) for v in hidden}
-    drop = [i for i, mask in enumerate(index.masks)
-            if any((mask >> p) & 1 for p in hidden_positions)]
-    projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
-    observed_index = CoordinateIndex(structure.observed_ids())
+    split = BlockSplit(index, clash_masks(structure, index.variables))
+    # HRep drops the rows that vanish on substitution
+    block = HRep(len(split.blocks), tuple(substitute_contiguous(split, system.equalities)),
+                 tuple(substitute_contiguous(split, system.inequalities)))
+    hidden = index.mask_of(structure.unobserved_ids())
+    drop = [i for i, mask in enumerate(split.blocks) if mask & hidden]
+    projected = fm_eliminate(block, drop) if engine == "fm" else dd_project(block, drop)
     forms = observed_independence_constraints(structure, maximal_only=False)
-    minimal = _nice_equalities(projected, _independence_rows(forms, observed_index))
-    vrep = enumerate_rays(minimal)
+    kept = BlockSplit(observed_index, clash_masks(structure, observed_index.variables))
+    minimal, vrep = _lift_block_cone(kept, projected, enumerate_rays(projected).rays,
+                                     _independence_rows(forms, observed_index))
     return ConeReport(
         structure_name=name or structure.name or "structure",
         index=observed_index,
@@ -269,19 +300,17 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
 # -- the post-selected marginal pipeline ---------------------------------------
 
 
-def _marginal_scenario(structure: CausalStructure) -> tuple[CoordinateIndex, CoordinateIndex, list[int]]:
+def _marginal_scenario(structure: CausalStructure) -> tuple[CoordinateIndex, CoordinateIndex]:
     """Scenario of subsets containing at most one copy of each doubled node.
 
-    Returns the observed index, the scenario's index and the positions in
-    the observed index of the subsets outside the scenario.
+    Returns the observed index and the scenario's index.
     """
     observed = structure.observed_ids()
     index = CoordinateIndex(observed)
     doubled = [(observed.index(a), observed.index(b)) for a, b in structure.copies]
-    allowed = {m for m in index.masks
-               if all(not ((m >> a) & 1 and (m >> b) & 1) for a, b in doubled)}
-    drop = [i for i, m in enumerate(index.masks) if m not in allowed]
-    return index, index.restrict(allowed), drop
+    allowed = [m for m in index.masks
+               if all(not ((m >> a) & 1 and (m >> b) & 1) for a, b in doubled)]
+    return index, index.restrict(allowed)
 
 
 def _scenario_shannon_pool(index: CoordinateIndex) -> list[tuple[int, ...]]:
@@ -314,10 +343,17 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
                                 name: str | None = None) -> ConeReport:
     """Marginal cone of the post-selected line on the setting-indexed triples.
 
-    Builds Shannon constraints over the observed nodes of the doubled-line
-    structure plus its d-separation equalities, projects onto the scenario
-    of subsets holding at most one copy of each doubled node, and reports
-    the facets and extremal rays of the projection.
+    Takes the Shannon constraints over the observed nodes of the
+    doubled-line structure with its ancestor-disjoint independences,
+    projects onto the scenario of subsets holding at most one copy of each
+    doubled node, and reports the facets and extremal rays of the
+    projection.  The independences make each subset entropy the sum of its
+    blocks' (:class:`BlockSplit`), and a scenario subset's blocks lie in the
+    scenario, so projecting and splitting commute: the elemental rows are
+    substituted into block coordinates, where the independence rows vanish,
+    the blocks outside the scenario eliminated, and the rest lifted like
+    ``outer``'s block cone (``_lift_block_cone``).  The independence rows
+    only name the printed equalities.
     """
     if k not in (3, 4):
         raise InvalidParameter("the post-selected pipeline supports k in {3, 4}")
@@ -325,13 +361,18 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
         raise InvalidParameter("engine must be 'fm' or 'dd'")
     start = time.perf_counter()
     structure = build_post_selected_line(k)
-    index, marginal_index, drop = _marginal_scenario(structure)
+    index, marginal_index = _marginal_scenario(structure)
     forms = observed_independence_constraints(structure, maximal_only=False)
-    _, shannon = system_rows(elemental_shannon_system(index.variables))
-    hrep = HRep(len(index), tuple(_independence_rows(forms, index)), tuple(shannon), index.labels)
-    projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
-    minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
-    vrep = enumerate_rays(minimal)
+    clash = clash_masks(structure, index.variables)
+    split = BlockSplit(index, clash)
+    shannon = elemental_shannon_system(index.variables).inequalities
+    # HRep drops the rows that vanish on substitution
+    block = HRep(len(split.blocks), (), tuple(substitute_contiguous(split, shannon)))
+    drop = [i for i, mask in enumerate(split.blocks) if mask not in marginal_index.allowed]
+    projected = fm_eliminate(block, drop) if engine == "fm" else dd_project(block, drop)
+    minimal, vrep = _lift_block_cone(BlockSplit(marginal_index, clash), projected,
+                                     enumerate_rays(projected).rays,
+                                     _independence_rows(forms, marginal_index))
     shannon_facets, extra_facets = classify_shannon_facets(minimal, marginal_index)
     notes = (
         f"facets: {len(minimal.inequalities)} "
@@ -362,7 +403,7 @@ def split_generated_rays() -> VRep:
     marginal scenario, and the extremal subset is extracted.
     """
     structure = build_post_selected_line(3)
-    index, marginal_index, _ = _marginal_scenario(structure)
+    index, marginal_index = _marginal_scenario(structure)
     vectors: set[tuple[int, ...]] = set()
     for i in range(1, 4):
         for j in range(i, 4):

@@ -334,9 +334,9 @@ def d_separated(structure: CausalStructure, x: Iterable[str], y: Iterable[str],
     return True
 
 
-def clash_masks(structure: CausalStructure) -> list[int]:
-    """Per observed node, bit j set when the j-th observed node's ancestor closure meets its own."""
-    closures = [structure.ancestor_closure([v]) for v in structure.observed_ids()]
+def clash_masks(structure: CausalStructure, nodes: Sequence[str]) -> list[int]:
+    """Per node of ``nodes``, bit j set when the j-th node's ancestor closure meets its own."""
+    closures = [structure.ancestor_closure([v]) for v in nodes]
     return [sum(1 << j for j, other in enumerate(closures) if mine & other) for mine in closures]
 
 
@@ -351,7 +351,7 @@ def ancestor_disjoint_pairs(structure: CausalStructure,
     alongside the Shannon inequalities.
     """
     observed = structure.observed_ids()
-    clash = clash_masks(structure)
+    clash = clash_masks(structure, observed)
     # reach[mask] ORs the clash masks over the members
     everyone = (1 << len(observed)) - 1
     reach = [0] * (everyone + 1)

@@ -212,7 +212,10 @@ def classical_ci_system(structure) -> ConstraintSystem:
     semi-graphoid closure of local Markov (Geiger, Verma & Pearl, Networks
     1990), and entropic independence obeys the semi-graphoid axioms, so each
     equality is implied.  Stating them all spares the projection from
-    rediscovering them as implicit equalities.
+    rediscovering them as implicit equalities.  The same argument gives
+    I(B : S minus B) = 0 for each block B of a subset S (:class:`BlockSplit`
+    over all nodes), since the blocks' ancestor closures are disjoint, so on
+    this cone every subset entropy is the sum of its blocks'.
     """
     from .causal import d_separated  # causal imports this module
 

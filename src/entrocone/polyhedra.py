@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -374,32 +375,47 @@ def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
 def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     """Project the cone by eliminating the given coordinate positions.
 
-    The coordinates go one at a time, each from the system over the columns
-    still present.  A coordinate that some equality involves is substituted
-    out through the sparsest such equality; that adds no row.  Otherwise the
-    coordinate with the cheapest pairing goes: the rows zero on it stay, and
-    each positive row is combined with each negative one.  Every pairing is
-    followed by :func:`remove_redundancies`, so the next one starts from one
-    row per facet, and the implicit equalities it finds send later
-    coordinates through substitution.  A system that did not end in a
-    pairing is minimized once at the end, so the result is the canonical
-    minimal H-representation of the projection.
+    The coordinates go one at a time.  A coordinate that some equality
+    involves is substituted out through the sparsest such equality; that
+    adds no row.  Otherwise the coordinate with the cheapest pairing goes:
+    the rows zero on it stay, and each positive row is combined with each
+    negative one.  Every pairing is followed by :func:`remove_redundancies`,
+    so the next one starts from one row per facet, and the implicit
+    equalities it finds send later coordinates through substitution.  A
+    system that did not end in a pairing is minimized once at the end, so
+    the result is the canonical minimal H-representation of the projection.
+
+    Between minimizations the rows stay plain tuples of the same width: an
+    eliminated column is zero in every row and is cut, with the rows that
+    became zero, only when an :class:`HRep` is built for a minimization or
+    for the result.  Every row the steps make is already primitive.
     """
     keep, _ = _kept_coordinates(h, coords)
     targets = set(range(h.dimension)).difference(keep)
-    cols = list(range(h.dimension))  # the original position of each column left
-    system, minimal = h, False
+    cols = list(range(h.dimension))  # the original position of each column of the rows
+    at = {c: j for j, c in enumerate(cols)}
+    eqs, ineqs = list(h.equalities), list(h.inequalities)
+    gone: set[int] = set()  # columns eliminated since the rows were last cut
+
+    def cut() -> HRep:
+        live = [j not in gone for j in range(len(cols))]
+        labels = tuple(h.labels[c] for c, kept in zip(cols, live) if kept) if h.labels else None
+        return HRep(live.count(True), tuple(tuple(compress(r, live)) for r in eqs),
+                    tuple(tuple(compress(r, live)) for r in ineqs), labels)
+
+    system = None  # the minimized system, while no step has followed its pairing
     while targets:
-        at = {c: j for j, c in enumerate(cols)}
-        eqs, ineqs = system.equalities, system.inequalities
-        if eq_coords := [c for c in targets if any(e[at[c]] for e in eqs)]:
+        involved = [any(column) for column in zip(*eqs)] if eqs else [False] * len(cols)
+        if eq_coords := [c for c in targets if involved[at[c]]]:
             c = min(eq_coords)
             j = at[c]
-            pivot = min((e for e in eqs if e[j]), key=lambda e: (sum(1 for v in e if v), e))
+            pivot = min((e for e in eqs if e[j]), key=lambda e: (len(e) - e.count(0), e))
             # a positive lead keeps every inequality's direction; the pivot itself becomes zero
             pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
-            substitute = lambda row: _eliminate(row, pivot, j) if row[j] else row
-            eqs, ineqs = map(substitute, eqs), map(substitute, ineqs)
+            eqs = [_eliminate(r, pivot, j) if r[j] else r for r in eqs]
+            ineqs = [_eliminate(r, pivot, j) if r[j] else r for r in ineqs]
+            gone.add(j)
+            system = None
         else:
             c = min(targets, key=lambda c: (_pairing_cost(ineqs, at[c]), c))
             j = at[c]
@@ -407,15 +423,14 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
             neg = [r for r in ineqs if r[j] < 0]
             ineqs = [r for r in ineqs if r[j] == 0] + [
                 primitive([p[j] * x - n[j] * y for x, y in zip(n, p)]) for p in pos for n in neg]
+            gone.add(j)
+            system = remove_redundancies(cut())
+            eqs, ineqs = list(system.equalities), list(system.inequalities)
+            cols = [c for j, c in enumerate(cols) if j not in gone]
+            at = {c: j for j, c in enumerate(cols)}
+            gone = set()
         targets.discard(c)
-        del cols[j]
-        drop = lambda row: row[:j] + row[j + 1:]
-        labels = tuple(h.labels[i] for i in cols) if h.labels else None
-        system = HRep(len(cols), tuple(map(drop, eqs)), tuple(map(drop, ineqs)), labels)
-        minimal = not eq_coords
-        if minimal:
-            system = remove_redundancies(system)
-    return system if minimal else remove_redundancies(system)
+    return system if system is not None else remove_redundancies(cut())
 
 
 def _pairing_cost(rows: Sequence[Row], j: int) -> int:

@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 
 import entrocone
-from entrocone.causal import CausalStructure, Node
+from entrocone import polyhedra
+from entrocone.analysis import _independence_rows, _marginal_scenario, _nice_equalities
+from entrocone.causal import (CausalStructure, Node, build_post_selected_line,
+                              observed_independence_constraints)
 from entrocone.distributions import CausalModel
-from entrocone.entropy_space import (ConstraintSystem, CoordinateIndex,
+from entrocone.entropy_space import (ConstraintSystem, CoordinateIndex, classical_ci_system,
                                      conditional_mutual_information, elemental_shannon_system,
                                      system_rows)
-from entrocone.polyhedra import HRep
+from entrocone.polyhedra import (HRep, _eliminate, _kept_coordinates, dd_project, enumerate_rays,
+                                 fm_eliminate, primitive)
 
 
 # -- brute-force d-separation oracle ------------------------------------------
@@ -112,6 +116,89 @@ def local_markov_projection(structure: CausalStructure):
     hidden = [names.index(v) for v in structure.unobserved_ids()]
     drop = [i for i, mask in enumerate(ci.index.masks) if any(mask >> p & 1 for p in hidden)]
     return HRep(len(ci.index), tuple(eqs), tuple(ineqs)), drop
+
+
+# -- the full-coordinate projections: the oracles for marginalize and bc-cone ----
+
+def full_coordinate_marginal_cone(structure: CausalStructure, engine: str):
+    """marginalize's minimal H-rep and extremal rays, projected over every subset of all nodes.
+
+    This is the route the block split replaced: ``classical_ci_system`` over
+    all 2^N - 1 coordinates, every coordinate touching a hidden node
+    eliminated, the equalities named by the independence rows.
+    """
+    names = structure.node_ids()
+    system = classical_ci_system(structure)
+    index = system.index
+    eq_rows, ineq_rows = system_rows(system)
+    hrep = HRep(len(index), tuple(eq_rows), tuple(ineq_rows), labels=index.labels)
+    hidden_positions = {names.index(v) for v in structure.unobserved_ids()}
+    drop = [i for i, mask in enumerate(index.masks)
+            if any((mask >> p) & 1 for p in hidden_positions)]
+    projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
+    observed_index = CoordinateIndex(structure.observed_ids())
+    forms = observed_independence_constraints(structure, maximal_only=False)
+    minimal = _nice_equalities(projected, _independence_rows(forms, observed_index))
+    return minimal, enumerate_rays(minimal)
+
+
+def full_coordinate_post_selected_cone(k: int, engine: str):
+    """bc-cone's minimal H-rep and extremal rays, projected over every observed subset.
+
+    The Shannon rows and every independence row over all 2^N - 1 observed
+    coordinates, the subsets outside the scenario eliminated.
+    """
+    structure = build_post_selected_line(k)
+    index, marginal_index = _marginal_scenario(structure)
+    drop = [i for i, m in enumerate(index.masks) if m not in marginal_index.allowed]
+    forms = observed_independence_constraints(structure, maximal_only=False)
+    _, shannon = system_rows(elemental_shannon_system(index.variables))
+    hrep = HRep(len(index), tuple(_independence_rows(forms, index)), tuple(shannon), index.labels)
+    projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
+    minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
+    return minimal, enumerate_rays(minimal)
+
+
+def fm_eliminate_per_step(h: HRep, coords):
+    """``fm_eliminate`` as it was, building and cutting an HRep after every step.
+
+    The reference for the plain-row loop: both must hand the same systems
+    to ``polyhedra.remove_redundancies``, in the same order.
+    """
+    keep, _ = _kept_coordinates(h, coords)
+    targets = set(range(h.dimension)).difference(keep)
+    cols = list(range(h.dimension))
+    system, minimal = h, False
+    while targets:
+        at = {c: j for j, c in enumerate(cols)}
+        eqs, ineqs = system.equalities, system.inequalities
+        if eq_coords := [c for c in targets if any(e[at[c]] for e in eqs)]:
+            c = min(eq_coords)
+            j = at[c]
+            pivot = min((e for e in eqs if e[j]), key=lambda e: (sum(1 for v in e if v), e))
+            pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
+            substitute = lambda row: _eliminate(row, pivot, j) if row[j] else row
+            eqs, ineqs = map(substitute, eqs), map(substitute, ineqs)
+        else:
+            def cost(c):
+                p = sum(1 for r in ineqs if r[at[c]] > 0)
+                n = sum(1 for r in ineqs if r[at[c]] < 0)
+                return p * n - p - n
+            c = min(targets, key=lambda c: (cost(c), c))
+            j = at[c]
+            pos = [r for r in ineqs if r[j] > 0]
+            neg = [r for r in ineqs if r[j] < 0]
+            ineqs = [r for r in ineqs if r[j] == 0] + [
+                primitive([p[j] * x - n[j] * y for x, y in zip(n, p)]) for p in pos for n in neg]
+        targets.discard(c)
+        del cols[j]
+        drop = lambda row: row[:j] + row[j + 1:]
+        labels = tuple(h.labels[i] for i in cols) if h.labels else None
+        system = HRep(len(cols), tuple(map(drop, eqs)), tuple(map(drop, ineqs)), labels)
+        minimal = not eq_coords
+        if minimal:
+            system = polyhedra.remove_redundancies(system)
+    return system if minimal else polyhedra.remove_redundancies(system)
 
 
 # -- random structures and models ----------------------------------------------

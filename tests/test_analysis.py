@@ -22,7 +22,8 @@ from entrocone.errors import InvalidParameter, NodeGuardExceeded
 from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays, facets_from_rays,
                                  fm_eliminate, membership, primitive, reduce_mod_span, rref)
 
-from conftest import local_markov_projection, random_dag
+from conftest import (full_coordinate_marginal_cone, full_coordinate_post_selected_cone,
+                      local_markov_projection, random_dag)
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -54,7 +55,8 @@ class TestObservedOuterCone:
         # pn:7 has 161 independence rows; its 99 block equalities span the same
         # space, and the block cone has no equalities of its own
         structure = build_line_structure(7)
-        split = BlockSplit(CoordinateIndex(structure.observed_ids()), clash_masks(structure))
+        observed = structure.observed_ids()
+        split = BlockSplit(CoordinateIndex(observed), clash_masks(structure, observed))
         block_rows = len(contiguous_decomposition_equalities(split))
         sizes = []
 
@@ -219,9 +221,10 @@ class TestFullMarginalization:
 
     # The rays do not depend on the row order, so only the work shows a reorder.
     # Adjacency tests with elemental_forms' order and every d-separated row an
-    # equality: pn:3 51, bell 33.  With local Markov alone as equalities they
-    # were 884 and 121; a sparse-first sort in the DD made 56,884 on pn:3, and
-    # each pair's conditioning sets largest first 523 on bell.
+    # equality: pn:3 51, bell 33, over the full coordinates and the blocks
+    # alike.  With local Markov alone as equalities they were 884 and 121; a
+    # sparse-first sort in the DD made 56,884 on pn:3, and each pair's
+    # conditioning sets largest first 523 on bell.
     @pytest.mark.parametrize("name, adjacency_tests", [("pn:3", 51), ("bell", 33)])
     def test_elemental_order_keeps_the_double_description_small(self, monkeypatch, name,
                                                                  adjacency_tests):
@@ -239,13 +242,14 @@ class TestFullMarginalization:
         assert calls <= 2 * adjacency_tests
 
     # The largest system an fm pairing hands to remove_redundancies, in rows:
-    # bell 69, bc-cone 4 1,147.  Bell's was 99 while only local Markov was
-    # stated as equalities.  Before a minimization followed every pairing,
-    # bell's final pass took 1,668 rows and bc-cone 4's eighth pairing made
-    # 790,488.
+    # bell 53, bc-cone 4 1,131, projected in block coordinates.  Over the
+    # full coordinates they were 69 and 1,147, and bell's was 99 while only
+    # local Markov was stated as equalities.  Before a minimization followed
+    # every pairing, bell's final pass took 1,668 rows and bc-cone 4's eighth
+    # pairing made 790,488.
     @pytest.mark.parametrize("run, largest", [
-        (lambda: full_marginal_outer_cone(bell_structure(), engine="fm"), 69),
-        (lambda: post_selected_marginal_cone(4, engine="fm"), 1147)],
+        (lambda: full_marginal_outer_cone(bell_structure(), engine="fm"), 53),
+        (lambda: post_selected_marginal_cone(4, engine="fm"), 1131)],
         ids=["bell", "bc-cone-4"])
     def test_each_fm_pairing_stays_small(self, monkeypatch, run, largest):
         from entrocone import polyhedra
@@ -385,9 +389,9 @@ class TestPostSelectedCone:
         from entrocone.analysis import _marginal_scenario
         nodes = (Node("S0", "observed"), Node("S1", "observed"), Node("C", "unobserved"))
         edges = (("C", "S0"), ("C", "S1"))
-        _, plain, _ = _marginal_scenario(CausalStructure(nodes, edges))
+        _, plain = _marginal_scenario(CausalStructure(nodes, edges))
         assert plain.labels == ("H(S0)", "H(S1)", "H(S0S1)")
-        _, doubled, _ = _marginal_scenario(CausalStructure(nodes, edges, copies=(("S0", "S1"),)))
+        _, doubled = _marginal_scenario(CausalStructure(nodes, edges, copies=(("S0", "S1"),)))
         assert doubled.labels == ("H(S0)", "H(S1)")
 
     def test_k3_fm_cross_check(self):
@@ -404,7 +408,7 @@ class TestPrintedFamiliesDefineTheCone:
     def _scenario_index():
         from entrocone.analysis import _marginal_scenario
         structure = build_post_selected_line(3)
-        _, marginal_index, _ = _marginal_scenario(structure)
+        _, marginal_index = _marginal_scenario(structure)
         return marginal_index
 
     @staticmethod
@@ -609,6 +613,72 @@ def test_reports_carry_the_index_labels(pipeline, engine):
     assert report.hrep.labels == report.vrep.labels == report.index.labels
 
 
+# -- oracle: the full-coordinate projections the block route replaced -----------
+
+def _listed_in(structure, order):
+    return CausalStructure(tuple(next(n for n in structure.nodes if n.id == v) for v in order),
+                           structure.edges)
+
+
+def _hidden_before_observed_dags():
+    """Structures listing a hidden node before an observed one.
+
+    HIDDEN_FIRST, bell and pn:3 with each hidden node listed before its
+    second child, and 30 random DAGs of 3 or 4 nodes.  The random DAGs stop
+    at 4 nodes because a dense 5-node one with one hidden node takes 15 s
+    under dd and 50 s under fm, on either route.
+    """
+    rng = np.random.default_rng(20261020)
+    structures = [HIDDEN_FIRST, _listed_in(bell_structure(), "AXCYB"),
+                  _listed_in(build_line_structure(3), ("X1", "C1", "X2", "C2", "X3"))]
+    while len(structures) < 33:
+        g = random_dag(rng, int(rng.integers(3, 5)))
+        kinds = [node.kind for node in g.nodes]
+        if "unobserved" in kinds and "observed" in kinds[kinds.index("unobserved"):]:
+            structures.append(g)
+    return structures
+
+
+@pytest.mark.parametrize("engine", ["dd", "fm"])
+@pytest.mark.parametrize("name", ["bell", "pn:2", "pn:3", "pn:4"])
+def test_marginalize_equals_the_full_coordinate_projection(name, engine):
+    structure = structure_from_name(name)
+    hrep, vrep = full_coordinate_marginal_cone(structure, engine)
+    report = full_marginal_outer_cone(structure, engine=engine)
+    assert report.hrep == hrep
+    assert report.vrep == vrep
+
+
+@pytest.mark.parametrize("engine", ["dd", "fm"])
+def test_marginalize_equals_the_full_coordinate_projection_with_hidden_nodes_first(engine):
+    for structure in _hidden_before_observed_dags():
+        hrep, vrep = full_coordinate_marginal_cone(structure, engine)
+        report = full_marginal_outer_cone(structure, engine=engine)
+        assert (report.hrep, report.vrep) == (hrep, vrep), structure.to_json()
+
+
+def test_observed_blocks_of_all_nodes_keep_the_observed_split_order():
+    # marginalize lifts its projection with the observed split by position alone
+    from entrocone.entropy_space import _bit_positions
+    for structure in _hidden_before_observed_dags():
+        names, observed = structure.node_ids(), structure.observed_ids()
+        every = BlockSplit(CoordinateIndex(names), clash_masks(structure, names))
+        hidden = every.index.mask_of(structure.unobserved_ids())
+        at = {names.index(v): i for i, v in enumerate(observed)}
+        kept = tuple(sum(1 << at[p] for p in _bit_positions(block))
+                     for block in every.blocks if not block & hidden)
+        assert kept == BlockSplit(CoordinateIndex(observed), clash_masks(structure, observed)).blocks
+
+
+@pytest.mark.parametrize("engine", ["dd", "fm"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_bc_cone_equals_the_full_coordinate_projection(k, engine):
+    hrep, vrep = full_coordinate_post_selected_cone(k, engine)
+    report = post_selected_marginal_cone(k, engine=engine)
+    assert report.hrep == hrep
+    assert report.vrep == vrep
+
+
 # -- oracle: the scenario pool against the Fraction re-indexing it replaced ----
 
 def _fraction_scenario_shannon_pool(index):
@@ -632,7 +702,7 @@ def _fraction_scenario_shannon_pool(index):
 @pytest.mark.parametrize("k", [3, 4])
 def test_scenario_pool_matches_the_fraction_reindexing(k):
     from entrocone.analysis import _marginal_scenario, _scenario_shannon_pool
-    _, marginal_index, _ = _marginal_scenario(build_post_selected_line(k))
+    _, marginal_index = _marginal_scenario(build_post_selected_line(k))
     pool = _scenario_shannon_pool(marginal_index)
     assert pool == _fraction_scenario_shannon_pool(marginal_index)
     assert all(type(v) is int for row in pool for v in row)

@@ -22,7 +22,9 @@ from test_malformed_input import MISSING_PARENT_ALPHABET, REPEATED_EDGE, REPEATE
 
 
 # SHA-256 of stdout, recorded before the incremental echelon kernel replaced
-# one rref per candidate equality; these answers must stay byte-identical
+# one rref per candidate equality (the two fm marginalize digests: before
+# marginalize projected in block coordinates); these answers must stay
+# byte-identical
 PINNED_STDOUT = {
     "outer pn:7": "05da730a5d417427ac6eda5d2c1f43c6c38df50e9ef4409c94062038a407e4de",
     "outer pn:8": "3d97c03d684cfe0c9784dfbb59b4cb4fb032a1fa0288ceca2a371fb1e55506e7",
@@ -33,6 +35,10 @@ PINNED_STDOUT = {
     "--format json bc-cone 3": "3ebfc6ed40a51a32aa1a482753b2aa3f1ca858315ebd7c2a86c391d375e52ec7",
     "--engine dd marginalize bell":
         "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
+    "--engine fm --max-nodes 9 marginalize pn:5":
+        "f10e6e7e62420dd0d9ab0a57c23ffc314b0b9ced4245c6b5fa9074242872fcc4",
+    "--engine fm marginalize ptilde:3":
+        "9f6a6b5a30893ebea60a2857ad4550d9cbac41b25c60a1af5125612594bfd5a6",
     "verify pn:8": "0160a390cda66c7ce4083d2ab8f9b73b82afbdd11d0658cb1d04bb2fae26464a",
     "--format json verify pn:9": "673d2248e76b501badc27ff7f80cddc92c00957517b3ddef8ddf38e796900d2a",
 }
@@ -394,6 +400,14 @@ class TestCliContract:
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_marginalize_prints_the_outer_report_of_a_line(self, capsys, n):
+        # projecting the all-node system reaches outer's cone, named and printed alike
+        marginal = run_cli(capsys, "--max-nodes", "9", "marginalize", f"pn:{n}")
+        outer = run_cli(capsys, "outer", f"pn:{n}")
+        assert marginal[0] == outer[0] == 0
+        assert marginal[1] == outer[1]
 
     @pytest.mark.parametrize("command", ["outer", "verify"])
     def test_closed_stdout_exits_quietly(self, command):

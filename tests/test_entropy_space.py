@@ -211,7 +211,8 @@ class TestReducedSystem:
 
 def _line_split(n):
     structure = build_line_structure(n)
-    return BlockSplit(CoordinateIndex(structure.observed_ids()), clash_masks(structure))
+    observed = structure.observed_ids()
+    return BlockSplit(CoordinateIndex(observed), clash_masks(structure, observed))
 
 
 class TestContiguousReduction:
@@ -375,11 +376,10 @@ def test_line_split_is_the_contiguous_runs_in_length_start_order(n):
                for b in split.blocks for start, length in _block_runs(b))
 
 
-def _clash_components(structure, mask):
-    """Components of the clash graph on a subset of the observed nodes, by breadth-first search."""
-    observed = structure.observed_ids()
-    closures = [structure.ancestor_closure([v]) for v in observed]
-    members = [i for i in range(len(observed)) if mask >> i & 1]
+def _clash_components(structure, nodes, mask):
+    """Components of the clash graph on a subset of ``nodes``, by breadth-first search."""
+    closures = [structure.ancestor_closure([v]) for v in nodes]
+    members = [i for i in range(len(nodes)) if mask >> i & 1]
     components, seen = [], set()
     for first in members:
         if first in seen:
@@ -412,12 +412,21 @@ def test_split_parts_are_the_clash_components_on_random_dags():
         checked += 1
 
 
+def _check_parts(structure, nodes):
+    index = CoordinateIndex(nodes)
+    split = BlockSplit(index, clash_masks(structure, nodes))
+    components = [_clash_components(structure, nodes, m) for m in index.masks]
+    assert split.blocks == tuple(m for m, found in zip(index.masks, components) if len(found) == 1)
+    for part, found in zip(split.parts, components):
+        assert sorted(split.blocks[p] for p in part) == sorted(found)
+    return split
+
+
 def _check_split(structure):
-    index = CoordinateIndex(structure.observed_ids())
-    split = BlockSplit(index, clash_masks(structure))
-    assert split.blocks == tuple(m for m in index.masks if len(_clash_components(structure, m)) == 1)
-    for mask, part in zip(index.masks, split.parts):
-        assert sorted(split.blocks[p] for p in part) == sorted(_clash_components(structure, mask))
+    # marginalize splits over every node, hidden ones included
+    _check_parts(structure, structure.node_ids())
+    split = _check_parts(structure, structure.observed_ids())
+    index = split.index
     # the block equalities and the ancestor-disjoint independences span one space
     blocks = [f.row(index) for f in contiguous_decomposition_equalities(split)]
     independences = [f.row(index) for f in observed_independence_constraints(structure, False)]

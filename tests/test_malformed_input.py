@@ -242,3 +242,16 @@ def test_cone_file_wider_than_the_ceiling_is_refused(tmp_path, capsys, command, 
     assert rep_from_json('{"type": "%s", "dimension": 4095}' % kind).dimension == 4095
     with pytest.raises(InvalidParameter, match="'dimension' is 4096; the ceiling is 4095"):
         rep_from_json('{"type": "%s", "dimension": 4096}' % kind)
+
+
+@pytest.mark.parametrize("command", ["outer", "marginalize"])
+def test_structure_without_an_observed_node_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "hidden.json"
+    path.write_text(json.dumps({"nodes": [{"id": "C", "kind": "unobserved"},
+                                          {"id": "D", "kind": "unobserved"}],
+                                "edges": [["C", "D"]]}))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "structure has no observed node" in captured.err
+    assert "Traceback" not in captured.err

@@ -18,7 +18,7 @@ from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality
                                  remove_redundancies, rep_from_json, rep_to_json,
                                  rep_to_text, rref, sign_canonical)
 
-from conftest import local_markov_projection, random_cone_hrep
+from conftest import fm_eliminate_per_step, local_markov_projection, random_cone_hrep
 from reference_tables import LINE4_RAYS
 
 
@@ -743,3 +743,40 @@ def test_matches_textbook_fm_on_bell():
     h, drop = local_markov_projection(bell_structure())
     assert fm_eliminate(h, drop[:8]) == _textbook_fm(h, drop[:8])
     assert fm_eliminate(h, drop) == dd_project(h, drop)
+
+
+# -- oracle: the per-step HRep loop fm_eliminate replaced -------------------------
+
+def _fm_systems(monkeypatch, project, h, coords):
+    """The result of ``project`` and every system it hands to remove_redundancies."""
+    from entrocone import polyhedra
+    systems = []
+    minimize = polyhedra.remove_redundancies
+
+    def recorded(system):
+        systems.append(system)
+        return minimize(system)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(polyhedra, "remove_redundancies", recorded)
+        return project(h, coords), systems
+
+
+def test_fm_takes_the_per_step_loop_steps_on_random_projections(monkeypatch, rng):
+    for h, coords in _random_projections(rng):
+        assert (_fm_systems(monkeypatch, fm_eliminate, h, coords)
+                == _fm_systems(monkeypatch, fm_eliminate_per_step, h, coords))
+
+
+def test_fm_takes_the_per_step_loop_steps_on_bell(monkeypatch):
+    # bell's all-node system: substitutions through the d-separated rows and pairings
+    from entrocone.entropy_space import classical_ci_system
+    structure = bell_structure()
+    system = classical_ci_system(structure)
+    eqs, ineqs = system_rows(system)
+    h = HRep(len(system.index), tuple(eqs), tuple(ineqs), system.index.labels)
+    hidden = [structure.node_ids().index(v) for v in structure.unobserved_ids()]
+    drop = [i for i, m in enumerate(system.index.masks) if any(m >> p & 1 for p in hidden)]
+    new, steps = _fm_systems(monkeypatch, fm_eliminate, h, drop)
+    assert len(steps) > 1
+    assert (new, steps) == _fm_systems(monkeypatch, fm_eliminate_per_step, h, drop)
