@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from . import distributions as dist
 from .causal import (CausalStructure, build_line_structure, build_post_selected_line,
                      clash_masks, observed_independence_constraints)
-from .entropy_space import (BlockSplit, CoordinateIndex, LinearForm,
+from .entropy_space import (BlockSplit, ConstraintSystem, CoordinateIndex, LinearForm,
                             contiguous_decomposition_equalities, elemental_forms,
                             elemental_shannon_system, classical_ci_system, reduced_line_system,
                             substitute_contiguous, system_rows)
@@ -75,10 +75,10 @@ def _roman(k: int) -> str:
 def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> list[Row]:
     """Rows of the forms in ``index``, skipping those a restricted scenario cannot express.
 
-    The pipelines pass every ancestor-disjoint independence, maximal or not,
-    and compute those forms (and their d-separation checks) once.  Every
-    pipeline solves in block coordinates, where these rows vanish, so they
-    only name the printed equalities (``_nice_equalities``).
+    ``_block_cone`` passes every ancestor-disjoint independence, maximal or
+    not, and computes those forms (and their d-separation checks) once.  It
+    solves in block coordinates, where these rows vanish, so they only name
+    the printed equalities (``_nice_equalities``).
     """
     rows = []
     for form in forms:
@@ -121,24 +121,47 @@ def _observed_index(structure: CausalStructure) -> CoordinateIndex:
     return CoordinateIndex(observed)
 
 
-def _lift_block_cone(split: BlockSplit, block_h: HRep, block_rays: Iterable[Row],
-                     candidates: Sequence[Row]) -> tuple[HRep, VRep]:
-    """The cone over ``split``'s subset coordinates from its cone over the blocks.
+def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: CoordinateIndex,
+                name: str | None, start: float, engine: str = "dd") -> ConeReport:
+    """The cone of ``system``'s rows over ``scenario``'s coordinates, solved in blocks.
 
-    Every subset entropy is the sum of its blocks', so the block rays lift to
-    the extremal rays; the cone is pointed, as it lies in the Shannon cone of
-    the observed nodes.  The equality space is the split's block equalities
+    Every subset entropy is the sum of its blocks' (:class:`BlockSplit`), so
+    the rows are substituted into block coordinates (``HRep`` drops the rows
+    that vanish) and the source blocks that are not blocks of the scenario,
+    compared by node names, are eliminated by Fourier-Motzkin ("fm") or by
+    the double-description route ("dd").  The blocks left are the
+    scenario's, in the same order.  The block rays lift to the extremal
+    rays; the cone is pointed, as it lies in the Shannon cone of the
+    observed nodes.  The equality space is the scenario's block equalities
     plus the block cone's own, placed; each block facet, placed, is reduced
-    modulo it, and ``_nice_equalities`` names the equalities by
-    ``candidates``.
+    modulo it, and the ancestor-disjoint independence rows name the printed
+    equalities (``_nice_equalities``).  The report's timing runs from
+    ``start``, when the calling pipeline began.
     """
-    index = split.index
-    vrep = VRep(len(index), tuple(sorted(split.lift(block_rays))), (), labels=index.labels)
-    eq_rref, pivots = rref([*(f.row(index) for f in contiguous_decomposition_equalities(split)),
-                            *map(split.place, block_h.equalities)])
-    facets = sorted(reduce_mod_span(split.place(f), eq_rref, pivots) for f in block_h.inequalities)
-    minimal = _nice_equalities(HRep(len(index), tuple(eq_rref), tuple(facets), index.labels), candidates)
-    return minimal, vrep
+    if engine not in ("fm", "dd"):
+        raise InvalidParameter("engine must be 'fm' or 'dd'")
+    split = BlockSplit(system.index, clash_masks(structure, system.index.variables))
+    block = HRep(len(split.blocks), tuple(substitute_contiguous(split, system.equalities)),
+                 tuple(substitute_contiguous(split, system.inequalities)))
+    kept = BlockSplit(scenario, clash_masks(structure, scenario.variables))
+    wanted = {frozenset(scenario.members(b)) for b in kept.blocks}
+    drop = [i for i, b in enumerate(split.blocks)
+            if frozenset(system.index.members(b)) not in wanted]
+    if drop:
+        projected = fm_eliminate(block, drop) if engine == "fm" else dd_project(block, drop)
+        block_v = enumerate_rays(projected)
+    else:
+        block_v = enumerate_rays(block)
+        projected = facets_from_rays(block_v)
+    vrep = VRep(len(scenario), tuple(sorted(kept.lift(block_v.rays))), (), labels=scenario.labels)
+    eq_rref, pivots = rref([*(f.row(scenario) for f in contiguous_decomposition_equalities(kept)),
+                            *map(kept.place, projected.equalities)])
+    facets = sorted(reduce_mod_span(kept.place(f), eq_rref, pivots) for f in projected.inequalities)
+    forms = observed_independence_constraints(structure, maximal_only=False)
+    minimal = _nice_equalities(HRep(len(scenario), tuple(eq_rref), tuple(facets), scenario.labels),
+                               _independence_rows(forms, scenario))
+    return ConeReport(structure_name=name or structure.name or "structure", index=scenario,
+                      hrep=minimal, vrep=vrep, timing=time.perf_counter() - start)
 
 
 def observed_outer_cone(structure: CausalStructure,
@@ -150,25 +173,13 @@ def observed_outer_cone(structure: CausalStructure,
     version of the structure alike.  The independences say exactly that each
     subset entropy is the sum of its blocks' (:class:`BlockSplit`), so the
     elemental rows are solved in block coordinates, where the Shannon cone
-    stays pointed, and lifted (``_lift_block_cone``).  The independence rows
-    span the split's block equalities and only name the printed equalities.
+    stays pointed, and lifted (``_block_cone``, which drops no block here).
+    The independence rows span the split's block equalities and only name
+    the printed equalities.
     """
     start = time.perf_counter()
     index = _observed_index(structure)
-    forms = observed_independence_constraints(structure, maximal_only=False)
-    split = BlockSplit(index, clash_masks(structure, index.variables))
-    shannon = elemental_shannon_system(index.variables).inequalities
-    block_v = enumerate_rays(HRep(len(split.blocks), (), tuple(substitute_contiguous(split, shannon))))
-    minimal, vrep = _lift_block_cone(split, facets_from_rays(block_v), block_v.rays,
-                                     _independence_rows(forms, index))
-    return ConeReport(
-        structure_name=name or structure.name or "structure",
-        index=index,
-        hrep=minimal,
-        vrep=vrep,
-        verdict="outer-only",
-        timing=time.perf_counter() - start,
-    )
+    return _block_cone(structure, elemental_shannon_system(index.variables), index, name, start)
 
 
 def verify_line_tightness(n: int) -> ConeReport:
@@ -258,43 +269,18 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
     as an equality.  The blocks of an all-node subset (:class:`BlockSplit`
     over every node) have disjoint ancestor closures, so they are
     d-separated given nothing and the equalities make each subset entropy
-    the sum of its blocks'.  The rows are therefore substituted into block
-    coordinates, the rows that vanish dropped, and only the blocks that
-    touch an unobserved node eliminated, by Fourier-Motzkin ("fm") or by
-    the double-description route ("dd").  The blocks left are the observed
-    split's, in the same order, so the projection lifts like ``outer``'s
-    block cone (``_lift_block_cone``).
+    the sum of its blocks'.  ``_block_cone`` therefore solves it in block
+    coordinates, eliminating the blocks that touch an unobserved node, by
+    Fourier-Motzkin ("fm") or by the double-description route ("dd").
     """
-    if engine not in ("fm", "dd"):
-        raise InvalidParameter("engine must be 'fm' or 'dd'")
     node_count = len(structure.nodes)
     if node_count > max_nodes:
         raise NodeGuardExceeded(
             f"structure has {node_count} nodes, above the guard of {max_nodes}; "
             f"raise it with --max-nodes if the blow-up is acceptable")
     start = time.perf_counter()
-    observed_index = _observed_index(structure)
-    system = classical_ci_system(structure)
-    index = system.index
-    split = BlockSplit(index, clash_masks(structure, index.variables))
-    # HRep drops the rows that vanish on substitution
-    block = HRep(len(split.blocks), tuple(substitute_contiguous(split, system.equalities)),
-                 tuple(substitute_contiguous(split, system.inequalities)))
-    hidden = index.mask_of(structure.unobserved_ids())
-    drop = [i for i, mask in enumerate(split.blocks) if mask & hidden]
-    projected = fm_eliminate(block, drop) if engine == "fm" else dd_project(block, drop)
-    forms = observed_independence_constraints(structure, maximal_only=False)
-    kept = BlockSplit(observed_index, clash_masks(structure, observed_index.variables))
-    minimal, vrep = _lift_block_cone(kept, projected, enumerate_rays(projected).rays,
-                                     _independence_rows(forms, observed_index))
-    return ConeReport(
-        structure_name=name or structure.name or "structure",
-        index=observed_index,
-        hrep=minimal,
-        vrep=vrep,
-        verdict="outer-only",
-        timing=time.perf_counter() - start,
-    )
+    observed = _observed_index(structure)
+    return _block_cone(structure, classical_ci_system(structure), observed, name, start, engine)
 
 
 # -- the post-selected marginal pipeline ---------------------------------------
@@ -349,47 +335,29 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     doubled node, and reports the facets and extremal rays of the
     projection.  The independences make each subset entropy the sum of its
     blocks' (:class:`BlockSplit`), and a scenario subset's blocks lie in the
-    scenario, so projecting and splitting commute: the elemental rows are
-    substituted into block coordinates, where the independence rows vanish,
-    the blocks outside the scenario eliminated, and the rest lifted like
-    ``outer``'s block cone (``_lift_block_cone``).  The independence rows
-    only name the printed equalities.
+    scenario, so projecting and splitting commute: ``_block_cone`` solves
+    the elemental rows in block coordinates and eliminates the blocks
+    outside the scenario.  The notes count the facets that are and are not
+    scenario-Shannon (``classify_shannon_facets``).
     """
     if k not in (3, 4):
         raise InvalidParameter("the post-selected pipeline supports k in {3, 4}")
-    if engine not in ("fm", "dd"):
-        raise InvalidParameter("engine must be 'fm' or 'dd'")
     start = time.perf_counter()
     structure = build_post_selected_line(k)
     index, marginal_index = _marginal_scenario(structure)
-    forms = observed_independence_constraints(structure, maximal_only=False)
-    clash = clash_masks(structure, index.variables)
-    split = BlockSplit(index, clash)
-    shannon = elemental_shannon_system(index.variables).inequalities
-    # HRep drops the rows that vanish on substitution
-    block = HRep(len(split.blocks), (), tuple(substitute_contiguous(split, shannon)))
-    drop = [i for i, mask in enumerate(split.blocks) if mask not in marginal_index.allowed]
-    projected = fm_eliminate(block, drop) if engine == "fm" else dd_project(block, drop)
-    minimal, vrep = _lift_block_cone(BlockSplit(marginal_index, clash), projected,
-                                     enumerate_rays(projected).rays,
-                                     _independence_rows(forms, marginal_index))
+    report = _block_cone(structure, elemental_shannon_system(index.variables), marginal_index,
+                         name, start, engine)
+    minimal = report.hrep
     shannon_facets, extra_facets = classify_shannon_facets(minimal, marginal_index)
-    notes = (
+    report.notes = (
         f"facets: {len(minimal.inequalities)} "
         f"({len(shannon_facets)} scenario-Shannon, {len(extra_facets)} beyond)",
         f"equalities: {len(minimal.equalities)}",
         f"non-Shannon members incl. equalities: "
         f"{len(extra_facets) + len(minimal.equalities)}",
     )
-    return ConeReport(
-        structure_name=name or f"ptilde:{k}",
-        index=marginal_index,
-        hrep=minimal,
-        vrep=vrep,
-        verdict="outer-only",
-        timing=time.perf_counter() - start,
-        notes=notes,
-    )
+    report.timing = time.perf_counter() - start
+    return report
 
 
 def split_generated_rays() -> VRep:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .entropy_space import LinearForm, _bit_positions, conditional_mutual_information
+from .entropy_space import LinearForm, _bit_positions, clash_reach, conditional_mutual_information
 from .errors import InvalidParameter
 
 NodeKind = Literal["observed", "unobserved"]
@@ -351,13 +351,8 @@ def ancestor_disjoint_pairs(structure: CausalStructure,
     alongside the Shannon inequalities.
     """
     observed = structure.observed_ids()
-    clash = clash_masks(structure, observed)
-    # reach[mask] ORs the clash masks over the members
+    reach = clash_reach(clash_masks(structure, observed))
     everyone = (1 << len(observed)) - 1
-    reach = [0] * (everyone + 1)
-    for mask in range(1, everyone + 1):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | clash[low.bit_length() - 1]
     pairs: list[tuple[int, int]] = []
     for s in range(1, everyone + 1):
         # T draws from the nodes after S's first that clash with no member of S

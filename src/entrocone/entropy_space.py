@@ -63,9 +63,11 @@ class CoordinateIndex:
                 raise InvalidParameter(f"unknown variable {name!r}") from None
         return mask
 
+    def members(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.variables[i] for i in _bit_positions(mask))
+
     def label(self, mask: int) -> str:
-        members = "".join(self.variables[i] for i in _bit_positions(mask))
-        return f"H({members})"
+        return f"H({''.join(self.members(mask))})"
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -219,16 +221,11 @@ def classical_ci_system(structure) -> ConstraintSystem:
     """
     from .causal import d_separated  # causal imports this module
 
-    names = tuple(node.id for node in structure.nodes)
-    index = CoordinateIndex(names)
-
-    def members(mask: int) -> list[str]:
-        return [names[p] for p in _bit_positions(mask)]
-
+    index = CoordinateIndex(tuple(node.id for node in structure.nodes))
     equalities: list[LinearForm] = []
     inequalities: list[LinearForm] = []
-    for form, cmi in elemental_forms((1 << len(names)) - 1):
-        if cmi is not None and d_separated(structure, *map(members, cmi)):
+    for form, cmi in elemental_forms((1 << len(index.variables)) - 1):
+        if cmi is not None and d_separated(structure, *map(index.members, cmi)):
             equalities.append(LinearForm(form.coefficients, "=="))
         else:
             inequalities.append(form)
@@ -261,6 +258,14 @@ def reduced_line_system(n: int) -> ConstraintSystem:
 
 # -- block reduction: the entropies of ancestor-disjoint parts add up ---------
 
+def clash_reach(clash: Sequence[int]) -> list[int]:
+    """For every mask m over the positions of ``clash``, the OR of its members' clash masks."""
+    reach = [0]
+    for mask in clash:
+        reach += [r | mask for r in reach]
+    return reach
+
+
 @dataclass(frozen=True, eq=False)
 class BlockSplit:
     """Every subset split into its blocks, the components of its clash graph.
@@ -279,9 +284,7 @@ class BlockSplit:
     parts: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        reach = [0]  # reach[m] ORs the clash masks of m's members
-        for clash in self.clash:
-            reach += [r | clash for r in reach]
+        reach = clash_reach(self.clash)
         split = []
         for mask in self.index.masks:
             found, rest = [], mask

@@ -421,8 +421,7 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
             j = at[c]
             pos = [r for r in ineqs if r[j] > 0]
             neg = [r for r in ineqs if r[j] < 0]
-            ineqs = [r for r in ineqs if r[j] == 0] + [
-                primitive([p[j] * x - n[j] * y for x, y in zip(n, p)]) for p in pos for n in neg]
+            ineqs = [r for r in ineqs if r[j] == 0] + [_eliminate(n, p, j) for p in pos for n in neg]
             gone.add(j)
             system = remove_redundancies(cut())
             eqs, ineqs = list(system.equalities), list(system.inequalities)

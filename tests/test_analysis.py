@@ -276,6 +276,10 @@ class TestFullMarginalization:
         with pytest.raises(InvalidParameter):
             full_marginal_outer_cone(bell_structure(), engine="qq")
 
+    def test_guard_comes_before_the_engine_check(self):
+        with pytest.raises(NodeGuardExceeded):
+            full_marginal_outer_cone(build_line_structure(5), engine="qq")
+
 
 # -- oracle: the local-Markov-only system marginalize projected before ---------
 
@@ -639,10 +643,25 @@ def _hidden_before_observed_dags():
     return structures
 
 
+def _observed(*ids):
+    return tuple(Node(v, "observed") for v in ids)
+
+
+# a hidden-free chain (no block is dropped), a hidden-free collider, and a hidden
+# node named AB, whose block H(AB) has the label of the observed pair A, B
+_ORACLE_EXTRAS = {
+    "chain": CausalStructure(_observed("A", "B", "C"), (("A", "B"), ("B", "C"))),
+    "collider": CausalStructure(_observed("A", "B", "C"), (("A", "C"), ("B", "C"))),
+    "hidden-named-AB": CausalStructure((*_observed("A", "B"), Node("AB", "unobserved"),
+                                        *_observed("C")),
+                                       (("AB", "A"), ("AB", "B"), ("B", "C"))),
+}
+
+
 @pytest.mark.parametrize("engine", ["dd", "fm"])
-@pytest.mark.parametrize("name", ["bell", "pn:2", "pn:3", "pn:4"])
+@pytest.mark.parametrize("name", ["bell", "pn:2", "pn:3", "pn:4", *_ORACLE_EXTRAS])
 def test_marginalize_equals_the_full_coordinate_projection(name, engine):
-    structure = structure_from_name(name)
+    structure = _ORACLE_EXTRAS.get(name) or structure_from_name(name)
     hrep, vrep = full_coordinate_marginal_cone(structure, engine)
     report = full_marginal_outer_cone(structure, engine=engine)
     assert report.hrep == hrep
