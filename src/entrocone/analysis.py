@@ -11,7 +11,7 @@ closures coincide for that structure.
 from __future__ import annotations
 
 import json
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -52,7 +52,6 @@ class ConeReport:
     vrep: VRep
     witnesses: dict[tuple[int, ...], dict] = field(default_factory=dict)
     verdict: str = "outer-only"
-    timing: float = 0.0
     notes: tuple[str, ...] = ()
 
     @property
@@ -114,15 +113,23 @@ def _nice_equalities(hrep: HRep, candidates: Sequence[Row]) -> HRep:
 
 
 def _observed_index(structure: CausalStructure) -> CoordinateIndex:
-    """The observed coordinates of a structure, which must have an observed node."""
+    """The observed coordinates of a structure, each printed under its own label.
+
+    The structure needs an observed node, and names such as A, B and AB,
+    which label both {A, B} and {AB} H(AB), are refused.
+    """
     observed = structure.observed_ids()
     if not observed:
         raise InvalidParameter("structure has no observed node, so there is no cone to report")
-    return CoordinateIndex(observed)
+    index = CoordinateIndex(observed)
+    if twice := [label for label, count in Counter(index.labels).items() if count > 1]:
+        raise InvalidParameter(f"two subsets of observed nodes share the label {twice[0]}; "
+                               f"rename a node")
+    return index
 
 
 def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: CoordinateIndex,
-                name: str | None, start: float, engine: str = "dd") -> ConeReport:
+                name: str | None, engine: str = "dd") -> ConeReport:
     """The cone of ``system``'s rows over ``scenario``'s coordinates, solved in blocks.
 
     Every subset entropy is the sum of its blocks' (:class:`BlockSplit`), so
@@ -135,8 +142,7 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
     observed nodes.  The equality space is the scenario's block equalities
     plus the block cone's own, placed; each block facet, placed, is reduced
     modulo it, and the ancestor-disjoint independence rows name the printed
-    equalities (``_nice_equalities``).  The report's timing runs from
-    ``start``, when the calling pipeline began.
+    equalities (``_nice_equalities``).
     """
     if engine not in ("fm", "dd"):
         raise InvalidParameter("engine must be 'fm' or 'dd'")
@@ -161,7 +167,7 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
     minimal = _nice_equalities(HRep(len(scenario), tuple(eq_rref), tuple(facets), scenario.labels),
                                _independence_rows(forms, scenario))
     return ConeReport(structure_name=name or structure.name or "structure", index=scenario,
-                      hrep=minimal, vrep=vrep, timing=time.perf_counter() - start)
+                      hrep=minimal, vrep=vrep)
 
 
 def observed_outer_cone(structure: CausalStructure,
@@ -177,9 +183,8 @@ def observed_outer_cone(structure: CausalStructure,
     The independence rows span the split's block equalities and only name
     the printed equalities.
     """
-    start = time.perf_counter()
     index = _observed_index(structure)
-    return _block_cone(structure, elemental_shannon_system(index.variables), index, name, start)
+    return _block_cone(structure, elemental_shannon_system(index.variables), index, name)
 
 
 def verify_line_tightness(n: int) -> ConeReport:
@@ -206,7 +211,6 @@ def verify_line_tightness(n: int) -> ConeReport:
     if n > _MAX_VERIFY_NODES:
         raise InvalidParameter(f"verify of a {n}-node line is refused; "
                                f"the ceiling is {_MAX_VERIFY_NODES} nodes")
-    start = time.perf_counter()
     reduced = reduced_line_system(n)
     index = reduced.index
     split = BlockSplit(index, clash_masks(build_line_structure(n), index.variables))
@@ -254,7 +258,6 @@ def verify_line_tightness(n: int) -> ConeReport:
         vrep=vrep,
         witnesses=ray_to_witness,
         verdict="tight" if tight else "outer-only",
-        timing=time.perf_counter() - start,
         notes=tuple(notes),
     )
 
@@ -278,9 +281,8 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
         raise NodeGuardExceeded(
             f"structure has {node_count} nodes, above the guard of {max_nodes}; "
             f"raise it with --max-nodes if the blow-up is acceptable")
-    start = time.perf_counter()
     observed = _observed_index(structure)
-    return _block_cone(structure, classical_ci_system(structure), observed, name, start, engine)
+    return _block_cone(structure, classical_ci_system(structure), observed, name, engine)
 
 
 # -- the post-selected marginal pipeline ---------------------------------------
@@ -342,11 +344,10 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     """
     if k not in (3, 4):
         raise InvalidParameter("the post-selected pipeline supports k in {3, 4}")
-    start = time.perf_counter()
     structure = build_post_selected_line(k)
     index, marginal_index = _marginal_scenario(structure)
     report = _block_cone(structure, elemental_shannon_system(index.variables), marginal_index,
-                         name, start, engine)
+                         name, engine)
     minimal = report.hrep
     shannon_facets, extra_facets = classify_shannon_facets(minimal, marginal_index)
     report.notes = (
@@ -356,7 +357,6 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
         f"non-Shannon members incl. equalities: "
         f"{len(extra_facets) + len(minimal.equalities)}",
     )
-    report.timing = time.perf_counter() - start
     return report
 
 

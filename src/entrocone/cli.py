@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import analysis, distributions as dist
@@ -85,7 +86,7 @@ def _load_structure(selector: str) -> CausalStructure:
     except InvalidParameter as exc:
         reason = exc
     path = Path(selector)
-    if not path.exists():
+    if not selector or not path.exists():  # Path('') is the current directory
         raise InvalidParameter(
             f"{selector!r} is neither a built-in structure name nor an existing file "
             f"({reason})")
@@ -93,12 +94,8 @@ def _load_structure(selector: str) -> CausalStructure:
 
 
 def _emit_report(report: analysis.ConeReport, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        print(analysis.report_to_json(report))
-    else:
-        print(analysis.report_to_text(report))
-    if args.verbose:
-        print(f"[timing] {report.timing:.3f}s", file=sys.stderr)
+    print(analysis.report_to_json(report) if args.format == "json"
+          else analysis.report_to_text(report))
 
 
 def _emit_rep(rep: HRep | VRep, args: argparse.Namespace) -> None:
@@ -177,8 +174,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # usage errors exit 1, --help exits 0
         return int(exc.code or 0)
     try:
+        start = time.perf_counter()
         code = _run(args)
         sys.stdout.flush()  # a closed stdout then fails here, not in the exit flush
+        if args.verbose:
+            print(f"[timing] {time.perf_counter() - start:.3f}s", file=sys.stderr)
         return code
     except BrokenPipeError:
         # the reader has gone; silence the interpreter's final flush of stdout

@@ -129,18 +129,6 @@ class EntropyVector:
     def __getitem__(self, names: Sequence[str]) -> float:
         return float(self.values[self.index.position(self.index.mask_of(names))])
 
-    def snapped(self) -> tuple[int, ...] | None:
-        """Integer form of the vector, or None unless every entry is exactly an integer.
-
-        Exact for the witnesses: a uniform marginal on 2^k outcomes has dyadic
-        probabilities, and its 2^k equal terms k 2^-k sum to exactly k.
-        """
-        import numpy as np
-        ints = np.rint(self.values)
-        if np.array_equal(ints, self.values):
-            return tuple(int(v) for v in ints)
-        return None
-
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Base-2 entropy with the 0 log 0 := 0 convention."""
@@ -189,16 +177,6 @@ def gf2_entropy_vector(forms: Sequence[int], index: CoordinateIndex) -> tuple[in
         echelons[mask] = basis
         ranks.append(len(basis))
     return tuple(ranks)
-
-
-def conditional_mutual_information_bits(joint: JointDistribution, x: Sequence[str],
-                                        y: Sequence[str], z: Sequence[str]) -> float:
-    """I(X:Y|Z) in bits evaluated on a compiled distribution."""
-    hxz = shannon_entropy(joint.marginal([*x, *z]).table)
-    hyz = shannon_entropy(joint.marginal([*y, *z]).table)
-    hxyz = shannon_entropy(joint.marginal([*x, *y, *z]).table)
-    hz = shannon_entropy(joint.marginal(list(z)).table) if z else 0.0
-    return hxz + hyz - hxyz - hz
 
 
 # -- witness constructions ---------------------------------------------------------
@@ -312,24 +290,6 @@ def post_select_joint(model: CausalModel) -> JointDistribution:
     return JointDistribution(("X0", "X1", "Y", "Z0", "Z1"), (nx, nx, ny, nz, nz), table)
 
 
-def setting_conditionals(model: CausalModel) -> dict[tuple[int, int], np.ndarray]:
-    """P(X, Y | A=a, B=b) tables of a compiled reduced-line Bell model."""
-    import numpy as np
-    joint = compile_model(model).marginal(["A", "X", "Y", "B"])
-    names = joint.variables
-    table = np.moveaxis(joint.table, [names.index("A"), names.index("B"),
-                                      names.index("X"), names.index("Y")], [0, 1, 2, 3])
-    out = {}
-    for a in range(2):
-        for b in range(2):
-            block = table[a, b]
-            weight = block.sum()
-            if weight <= _PROB_TOL:
-                raise InvalidParameter(f"setting (A={a}, B={b}) has zero probability")
-            out[(a, b)] = block / weight
-    return out
-
-
 _SPLIT_MODES = ("keep0", "keep1", "copy")
 
 
@@ -400,17 +360,6 @@ def bc_functional(tables: Mapping[tuple[int, int], np.ndarray],
             + h(1 - a_star, 1 - b_star, 0)
             + h(1 - a_star, b_star, 1)
             - h(a_star, b_star, 1))
-
-
-def bc_functional_variants(tables: Mapping[tuple[int, int], np.ndarray]) -> dict[str, float]:
-    """All eight orientation variants of the functional."""
-    out = {}
-    for swap in (False, True):
-        for a in range(2):
-            for b in range(2):
-                label = f"{'yx' if swap else 'xy'}:{a}{b}"
-                out[label] = bc_functional(tables, minus_setting=(a, b), swap_roles=swap)
-    return out
 
 
 # -- model serialization ---------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameter
-from .polyhedra import _row_text, primitive
+from .polyhedra import primitive
 
 Relation = Literal[">=", "=="]
 
@@ -109,15 +109,6 @@ class LinearForm:
         for mask, coeff in self.coefficients:
             row[index.position(mask)] += coeff
         return tuple(row)
-
-    def evaluate(self, values: Sequence[int | float], index: CoordinateIndex) -> int | float:
-        """The form at ``values``: exact on integers, floating point on floats."""
-        return sum(c * values[index.position(m)] for m, c in self.coefficients)
-
-    def text(self, index: CoordinateIndex) -> str:
-        terms = sorted(self.coefficients, key=lambda mc: index.position(mc[0]))
-        body = _row_text([c for _, c in terms], [index.label(m) for m, _ in terms])
-        return f"{body} {self.relation} 0"
 
 
 @dataclass(frozen=True)

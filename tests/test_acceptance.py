@@ -16,9 +16,7 @@ from entrocone.causal import (bell_structure, build_line_structure, d_separated,
                               observed_independence_constraints,
                               reduced_line_structure)
 from entrocone.cli import main as cli_main
-from entrocone.distributions import (CausalModel, bc_functional_variants,
-                                     compile_model, entropy_vector,
-                                     setting_conditionals)
+from entrocone.distributions import CausalModel, compile_model, entropy_vector
 from entrocone.entropy_space import (CoordinateIndex, elemental_shannon_system,
                                      reduced_line_system, system_rows)
 from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays,
@@ -26,6 +24,7 @@ from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays,
                                  reduce_mod_span, rref, sign_canonical)
 
 from conftest import random_cone_hrep
+from oracles import bc_functional_variants, setting_conditionals
 from reference_tables import (LINE4_RAYS, POST_SELECTED3_FAMILIES,
                               POST_SELECTED3_RAYS)
 

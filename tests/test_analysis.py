@@ -24,6 +24,7 @@ from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays, 
 
 from conftest import (full_coordinate_marginal_cone, full_coordinate_post_selected_cone,
                       local_markov_projection, random_dag)
+from oracles import snapped
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -368,7 +369,7 @@ class TestPostSelectedCone:
         split_generated_rays()
         index = CoordinateIndex(build_post_selected_line(3).observed_ids())
         modes = ("keep0", "keep1", "copy")
-        expected = [entropy_vector(split_p3_witness(model, xm, zm), index).snapped()
+        expected = [snapped(entropy_vector(split_p3_witness(model, xm, zm), index))
                     for model in line_witness_models(3).values()
                     for xm in modes for zm in modes]
         assert len(seen) == 54

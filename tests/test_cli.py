@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,7 +78,9 @@ class TestOuter:
         assert code == 1
         assert "neither a built-in structure name nor an existing file" in err
 
-    @pytest.mark.parametrize("selector, reason", [("pn:0", "n >= 1"), ("ptilde:2", "k >= 3")])
+    # an empty selector is no name, and not the current directory either
+    @pytest.mark.parametrize("selector, reason", [("pn:0", "n >= 1"), ("ptilde:2", "k >= 3"),
+                                                  ("", "unknown structure name ''")])
     def test_bad_size_gives_the_builder_reason(self, capsys, selector, reason):
         code, out, err = run_cli(capsys, "outer", selector)
         assert code == 1
@@ -431,7 +434,26 @@ class TestCliContract:
         _build_parser.cache_clear()
         assert run_cli(capsys, "verify", "pn:3") == after_error
 
-    def test_verbose_timing_on_stderr_only(self, capsys):
-        _, out, err = run_cli(capsys, "--verbose", "outer", "pn:2")
-        assert "[timing]" in err
-        assert "[timing]" not in out
+    @pytest.mark.parametrize("command", ["outer", "verify", "marginalize", "bc-cone",
+                                         "bc-eval", "entropy", "rays", "facets"])
+    def test_verbose_timing_on_stderr_only(self, tmp_path, capsys, command):
+        files = {
+            "bc-eval": json.dumps({"alphabets": [2, 2],
+                                   "tables": {k: [[0.5, 0.0], [0.0, 0.5]]
+                                              for k in ("00", "01", "10", "11")}}),
+            "entropy": model_to_json(witness_line(1, 2, 2)),
+            "rays": rep_to_json(HRep(2, inequalities=((1, 0), (0, 1)))),
+            "facets": rep_to_json(VRep(2, rays=((1, 0), (0, 1)))),
+        }
+        if command in files:
+            path = tmp_path / "input.json"
+            path.write_text(files[command])
+            operand = str(path)
+        else:
+            operand = {"outer": "pn:2", "verify": "pn:2", "marginalize": "pn:2",
+                       "bc-cone": "3"}[command]
+        plain = run_cli(capsys, command, operand)
+        code, out, err = run_cli(capsys, "--verbose", command, operand)
+        assert code == 0
+        assert plain == (0, out, "")  # the same stdout, and nothing on stderr
+        assert re.fullmatch(r"\[timing\] \d+\.\d{3}s\n", err)

@@ -11,16 +11,15 @@ from hypothesis import given, settings, strategies as st
 from entrocone.causal import (CausalStructure, Node, build_line_structure,
                               build_post_selected_line, reduced_line_structure)
 from entrocone.distributions import (CausalModel, EntropyVector, bc_functional,
-                                     bc_functional_variants, compile_model,
-                                     entropy_vector, gf2_entropy_vector,
+                                     compile_model, entropy_vector, gf2_entropy_vector,
                                      line_witness_causes, line_witness_models,
                                      model_from_json, model_to_json, post_select_joint,
-                                     setting_conditionals, split_p3_witness,
-                                     tables_from_json, witness_line)
+                                     split_p3_witness, tables_from_json, witness_line)
 from entrocone.entropy_space import CoordinateIndex, reduced_line_system
 from entrocone.errors import InvalidModel, InvalidParameter
 
 from conftest import random_model
+from oracles import bc_functional_variants, evaluate, form_text, setting_conditionals, snapped
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -95,17 +94,17 @@ class TestEntropyVector:
     def test_strategy_i_vector(self):
         model = witness_line(1, 4, 4)
         joint = compile_model(model).marginal([f"X{k}" for k in range(1, 5)])
-        assert entropy_vector(joint).snapped() == LINE4_RAYS["i"]
+        assert snapped(entropy_vector(joint)) == LINE4_RAYS["i"]
 
     def test_snapped_rejects_non_integer(self):
         s = CausalStructure((Node("X", "observed"),), ())
         model = CausalModel(s, {"X": 3}, {"X": np.array([0.5, 0.25, 0.25])})
-        assert entropy_vector(compile_model(model)).snapped() is None
+        assert snapped(entropy_vector(compile_model(model))) is None
 
     def test_snapped_rejects_entries_just_off_an_integer(self):
         index = CoordinateIndex(("X",))
-        assert EntropyVector(index, np.array([1.0 + 1e-12])).snapped() is None
-        assert EntropyVector(index, np.array([1.0])).snapped() == (1,)
+        assert snapped(EntropyVector(index, np.array([1.0 + 1e-12]))) is None
+        assert snapped(EntropyVector(index, np.array([1.0]))) == (1,)
 
     def test_getitem(self):
         vector = entropy_vector(compile_model(_two_bits()))
@@ -117,7 +116,7 @@ class TestLineWitnesses:
         achieved = set()
         for model in line_witness_models(4).values():
             joint = compile_model(model).marginal([f"X{k}" for k in range(1, 5)])
-            achieved.add(entropy_vector(joint).snapped())
+            achieved.add(snapped(entropy_vector(joint)))
         assert achieved == set(LINE4_RAYS.values())
 
     def test_diagonal_witness_monotonicity_only(self):
@@ -127,8 +126,8 @@ class TestLineWitnesses:
             model = witness_line(i, i, n)
             joint = compile_model(model).marginal([f"X{k}" for k in range(1, n + 1)])
             vector = entropy_vector(joint, system.index)
-            positive = [f.text(system.index) for f in system.inequalities
-                        if f.evaluate(vector.values, system.index) > 1e-9]
+            positive = [form_text(f, system.index) for f in system.inequalities
+                        if evaluate(f, vector.values, system.index) > 1e-9]
             full = system.index.mask_of([f"X{k}" for k in range(1, n + 1)])
             rest = full & ~system.index.mask_of([f"X{i}"])
             expected = (f"-{system.index.label(rest)}+{system.index.label(full)} >= 0")
@@ -142,14 +141,14 @@ class TestLineWitnesses:
         for (i, j), model in line_witness_models(n).items():
             joint = compile_model(model).marginal(observed)
             vector = entropy_vector(joint, system.index)
-            values = [f.evaluate(vector.values, system.index)
+            values = [evaluate(f, vector.values, system.index)
                       for f in system.inequalities]
             positive = [v for v in values if v > 1e-9]
             assert len(positive) == 1, (n, i, j)
             assert positive[0] == pytest.approx(1.0, abs=1e-9)
-            snapped = vector.snapped()
-            assert snapped is not None
-            seen_rays.add(snapped)
+            ray = snapped(vector)
+            assert ray is not None
+            seen_rays.add(ray)
         assert len(seen_rays) == n * (n + 1) // 2
 
     def test_strictly_positive_form_is_the_pair_information(self):
@@ -157,8 +156,8 @@ class TestLineWitnesses:
         model = witness_line(2, 4, 5)
         joint = compile_model(model).marginal([f"X{k}" for k in range(1, 6)])
         vector = entropy_vector(joint, system.index)
-        positive = [f.text(system.index) for f in system.inequalities
-                    if f.evaluate(vector.values, system.index) > 1e-9]
+        positive = [form_text(f, system.index) for f in system.inequalities
+                    if evaluate(f, vector.values, system.index) > 1e-9]
         assert positive == ["-H(X3)+H(X2X3)+H(X3X4)-H(X2X3X4) >= 0"]
 
     def test_out_of_range_rejected(self):
@@ -173,14 +172,14 @@ class TestLineWitnesses:
         for n in range(2, 9):
             for model in line_witness_models(n).values():
                 joint = compile_model(model).marginal([f"X{k}" for k in range(1, n + 1)])
-                assert entropy_vector(joint).snapped() is not None
+                assert snapped(entropy_vector(joint)) is not None
         splits = [split_p3_witness(model, x_mode, z_mode)
                   for model in line_witness_models(3).values()
                   for x_mode in ("keep0", "keep1", "copy")
                   for z_mode in ("keep0", "keep1", "copy")]
         assert len(splits) == 54
         for joint in splits:
-            assert entropy_vector(joint).snapped() is not None
+            assert snapped(entropy_vector(joint)) is not None
 
     @pytest.mark.parametrize("n", sorted(WITNESS_MODEL_SHA256))
     def test_witness_models_are_pinned(self, n):
@@ -194,7 +193,7 @@ class TestLineWitnesses:
 def _float_route(model: CausalModel, index: CoordinateIndex):
     """The compiled joint's snapped vector: the oracle for the rank route."""
     joint = compile_model(model).marginal(list(index.variables))
-    return entropy_vector(joint, index).snapped()
+    return snapped(entropy_vector(joint, index))
 
 
 @st.composite
@@ -351,7 +350,7 @@ class TestSplitting:
         joint = split_p3_witness(witness_line(2, 3, 3), "copy", "keep0")
         obs = build_post_selected_line(3).observed_ids()
         index = CoordinateIndex(obs)
-        vec = entropy_vector(joint, index).snapped()
+        vec = snapped(entropy_vector(joint, index))
         allowed = [m for m in index.masks
                    if not ((m >> 0 & 1) and (m >> 1 & 1))
                    and not ((m >> 3 & 1) and (m >> 4 & 1))]

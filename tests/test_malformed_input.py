@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrocone import analysis
 from entrocone.causal import CausalStructure, structure_from_name
 from entrocone.cli import main
 from entrocone.distributions import bc_functional, compile_model, model_from_json, tables_from_json
@@ -254,4 +255,23 @@ def test_structure_without_an_observed_node_is_refused(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "structure has no observed node" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["outer", "marginalize"])
+def test_colliding_labels_are_refused_before_a_system_is_built(tmp_path, capsys, monkeypatch,
+                                                                command):
+    # {A, B} and {AB} would both print as H(AB)
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps({"nodes": [{"id": "A"}, {"id": "B"}, {"id": "AB"}]}))
+
+    def unbuilt(*args):
+        raise AssertionError("a constraint system was built")
+
+    monkeypatch.setattr(analysis, "elemental_shannon_system", unbuilt)
+    monkeypatch.setattr(analysis, "classical_ci_system", unbuilt)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "share the label H(AB)" in captured.err
     assert "Traceback" not in captured.err
