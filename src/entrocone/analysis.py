@@ -11,7 +11,6 @@ closures coincide for that structure.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -20,8 +19,8 @@ from .causal import (CausalStructure, build_line_structure, build_post_selected_
                      clash_masks, observed_independence_constraints)
 from .entropy_space import (BlockSplit, ConstraintSystem, CoordinateIndex, LinearForm,
                             contiguous_decomposition_equalities, elemental_forms,
-                            elemental_shannon_system, classical_ci_system, reduced_line_system,
-                            substitute_contiguous, system_rows)
+                            elemental_shannon_system, classical_ci_system, labeled_index,
+                            reduced_line_system, substitute_contiguous, system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, dot, enumerate_rays,
                         extremalize, facets_from_rays, fm_eliminate, membership, primitive,
@@ -74,10 +73,10 @@ def _roman(k: int) -> str:
 def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> list[Row]:
     """Rows of the forms in ``index``, skipping those a restricted scenario cannot express.
 
-    ``_block_cone`` passes every ancestor-disjoint independence, maximal or
-    not, and computes those forms (and their d-separation checks) once.  It
-    solves in block coordinates, where these rows vanish, so they only name
-    the printed equalities (``_nice_equalities``).
+    ``_block_cone`` passes every ancestor-disjoint independence and computes
+    those forms (and their d-separation checks) once.  It solves in block
+    coordinates, where these rows vanish, so they only name the printed
+    equalities (``_nice_equalities``).
     """
     rows = []
     for form in forms:
@@ -121,15 +120,11 @@ def _observed_index(structure: CausalStructure) -> CoordinateIndex:
     observed = structure.observed_ids()
     if not observed:
         raise InvalidParameter("structure has no observed node, so there is no cone to report")
-    index = CoordinateIndex(observed)
-    if twice := [label for label, count in Counter(index.labels).items() if count > 1]:
-        raise InvalidParameter(f"two subsets of observed nodes share the label {twice[0]}; "
-                               f"rename a node")
-    return index
+    return labeled_index(observed, "observed nodes")
 
 
 def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: CoordinateIndex,
-                name: str | None, engine: str = "dd") -> ConeReport:
+                engine: str = "dd") -> ConeReport:
     """The cone of ``system``'s rows over ``scenario``'s coordinates, solved in blocks.
 
     Every subset entropy is the sum of its blocks' (:class:`BlockSplit`), so
@@ -142,7 +137,8 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
     observed nodes.  The equality space is the scenario's block equalities
     plus the block cone's own, placed; each block facet, placed, is reduced
     modulo it, and the ancestor-disjoint independence rows name the printed
-    equalities (``_nice_equalities``).
+    equalities (``_nice_equalities``).  The report carries the structure's
+    name, or "structure" for an unnamed one.
     """
     if engine not in ("fm", "dd"):
         raise InvalidParameter("engine must be 'fm' or 'dd'")
@@ -163,15 +159,14 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
     eq_rref, pivots = rref([*(f.row(scenario) for f in contiguous_decomposition_equalities(kept)),
                             *map(kept.place, projected.equalities)])
     facets = sorted(reduce_mod_span(kept.place(f), eq_rref, pivots) for f in projected.inequalities)
-    forms = observed_independence_constraints(structure, maximal_only=False)
+    forms = observed_independence_constraints(structure)
     minimal = _nice_equalities(HRep(len(scenario), tuple(eq_rref), tuple(facets), scenario.labels),
                                _independence_rows(forms, scenario))
-    return ConeReport(structure_name=name or structure.name or "structure", index=scenario,
+    return ConeReport(structure_name=structure.name or "structure", index=scenario,
                       hrep=minimal, vrep=vrep)
 
 
-def observed_outer_cone(structure: CausalStructure,
-                        name: str | None = None) -> ConeReport:
+def observed_outer_cone(structure: CausalStructure) -> ConeReport:
     """Shannon constraints plus observed independences, minimized and solved.
 
     The resulting cone is an outer approximation to the achievable entropy
@@ -184,7 +179,7 @@ def observed_outer_cone(structure: CausalStructure,
     the printed equalities.
     """
     index = _observed_index(structure)
-    return _block_cone(structure, elemental_shannon_system(index.variables), index, name)
+    return _block_cone(structure, elemental_shannon_system(index.variables), index)
 
 
 def verify_line_tightness(n: int) -> ConeReport:
@@ -263,8 +258,7 @@ def verify_line_tightness(n: int) -> ConeReport:
 
 
 def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
-                             max_nodes: int = NODE_GUARD,
-                             name: str | None = None) -> ConeReport:
+                             max_nodes: int = NODE_GUARD) -> ConeReport:
     """Project the all-node constraint system onto the observed coordinates.
 
     The system (``classical_ci_system``) holds every elemental Shannon form
@@ -282,7 +276,7 @@ def full_marginal_outer_cone(structure: CausalStructure, engine: str = "dd",
             f"structure has {node_count} nodes, above the guard of {max_nodes}; "
             f"raise it with --max-nodes if the blow-up is acceptable")
     observed = _observed_index(structure)
-    return _block_cone(structure, classical_ci_system(structure), observed, name, engine)
+    return _block_cone(structure, classical_ci_system(structure), observed, engine)
 
 
 # -- the post-selected marginal pipeline ---------------------------------------
@@ -327,8 +321,7 @@ def classify_shannon_facets(hrep: HRep, marginal_index: CoordinateIndex) -> tupl
     return shannon, extra
 
 
-def post_selected_marginal_cone(k: int, engine: str = "dd",
-                                name: str | None = None) -> ConeReport:
+def post_selected_marginal_cone(k: int, engine: str = "dd") -> ConeReport:
     """Marginal cone of the post-selected line on the setting-indexed triples.
 
     Takes the Shannon constraints over the observed nodes of the
@@ -347,7 +340,7 @@ def post_selected_marginal_cone(k: int, engine: str = "dd",
     structure = build_post_selected_line(k)
     index, marginal_index = _marginal_scenario(structure)
     report = _block_cone(structure, elemental_shannon_system(index.variables), marginal_index,
-                         name, engine)
+                         engine)
     minimal = report.hrep
     shannon_facets, extra_facets = classify_shannon_facets(minimal, marginal_index)
     report.notes = (

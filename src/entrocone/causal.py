@@ -59,8 +59,10 @@ class CausalStructure:
         object.__setattr__(self, "_parents",
                            self._links((child, parent) for parent, child in self.edges))
         object.__setattr__(self, "_children", self._links(self.edges))
-        if len(self._kahn_order()) != len(self.nodes):
-            raise InvalidParameter("edge relation must be acyclic")
+        if len(order := self._kahn_order()) != len(self.nodes):
+            left = ", ".join(repr(n.id) for n in self.nodes if n.id not in order)
+            raise InvalidParameter(
+                f"edge relation must be acyclic; on a cycle or below one: {left}")
 
     def _kahn_order(self) -> tuple[str, ...]:
         """Nodes with every parent first; a cycle leaves its nodes out."""
@@ -340,15 +342,13 @@ def clash_masks(structure: CausalStructure, nodes: Sequence[str]) -> list[int]:
     return [sum(1 << j for j, other in enumerate(closures) if mine & other) for mine in closures]
 
 
-def ancestor_disjoint_pairs(structure: CausalStructure,
-                            maximal_only: bool = True) -> list[tuple[frozenset[str], frozenset[str]]]:
-    """Pairs of observed subsets with disjoint ancestor closures.
+def ancestor_disjoint_pairs(
+        structure: CausalStructure) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """Every pair of observed subsets with disjoint ancestor closures.
 
     Each unordered pair comes once, with the earliest observed node in the
-    first set, and the list is sorted by member positions.  With
-    ``maximal_only`` each returned pair cannot be grown on either side
-    without the closures intersecting; the pipelines consume the full list
-    alongside the Shannon inequalities.
+    first set, and the list is sorted by member positions.  The pipelines
+    consume the whole list alongside the Shannon inequalities.
     """
     observed = structure.observed_ids()
     reach = clash_reach(clash_masks(structure, observed))
@@ -359,18 +359,15 @@ def ancestor_disjoint_pairs(structure: CausalStructure,
         free = everyone & ~reach[s] & -(2 * (s & -s))
         t = free
         while t:
-            # maximal: every node left out clashes with both sides
-            if not maximal_only or not (everyone & ~(s | t) & ~(reach[s] & reach[t])):
-                pairs.append((s, t))
+            pairs.append((s, t))
             t = (t - 1) & free
     pairs.sort(key=lambda st: (_bit_positions(st[0]), _bit_positions(st[1])))
     return [tuple(frozenset(observed[i] for i in _bit_positions(side)) for side in st)
             for st in pairs]
 
 
-def observed_independence_constraints(structure: CausalStructure,
-                                      maximal_only: bool = True) -> tuple[LinearForm, ...]:
-    """I(S:T) = 0 for observed subsets with no shared ancestor.
+def observed_independence_constraints(structure: CausalStructure) -> tuple[LinearForm, ...]:
+    """The forms I(S:T), zero for every pair of observed subsets with no shared ancestor.
 
     Valid for both the classical and the quantum version of the structure,
     since the argument only uses disjoint ancestry.  Every returned pair is
@@ -378,10 +375,9 @@ def observed_independence_constraints(structure: CausalStructure,
     """
     bit = {v: 1 << i for i, v in enumerate(structure.observed_ids())}
     forms = []
-    for s, t in ancestor_disjoint_pairs(structure, maximal_only=maximal_only):
+    for s, t in ancestor_disjoint_pairs(structure):
         if not d_separated(structure, s, t, frozenset()):
             raise InvalidParameter(
                 f"ancestor-disjoint pair {sorted(s)} / {sorted(t)} is not d-separated")
-        forms.append(conditional_mutual_information(sum(map(bit.get, s)), sum(map(bit.get, t)),
-                                                    0, "=="))
+        forms.append(conditional_mutual_information(sum(map(bit.get, s)), sum(map(bit.get, t))))
     return tuple(forms)

@@ -8,6 +8,7 @@ stdout is deterministic; timing goes to stderr under --verbose.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -81,6 +82,7 @@ def _read_text(path: str | Path) -> str:
 
 
 def _load_structure(selector: str) -> CausalStructure:
+    """A built-in structure, or a structure file named by its path as typed."""
     try:
         return structure_from_name(selector)
     except InvalidParameter as exc:
@@ -90,7 +92,7 @@ def _load_structure(selector: str) -> CausalStructure:
         raise InvalidParameter(
             f"{selector!r} is neither a built-in structure name nor an existing file "
             f"({reason})")
-    return CausalStructure.from_json(_read_text(path))
+    return dataclasses.replace(CausalStructure.from_json(_read_text(path)), name=selector)
 
 
 def _emit_report(report: analysis.ConeReport, args: argparse.Namespace) -> None:
@@ -112,8 +114,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.max_nodes < 1:
         raise InvalidParameter(f"--max-nodes must be at least 1, not {args.max_nodes}")
     if args.command == "outer":
-        report = analysis.observed_outer_cone(_load_structure(args.structure),
-                                              name=args.structure)
+        report = analysis.observed_outer_cone(_load_structure(args.structure))
         _emit_report(report, args)
         return 0
     if args.command == "verify":
@@ -123,8 +124,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "marginalize":
         report = analysis.full_marginal_outer_cone(_load_structure(args.structure),
                                                    engine=args.engine,
-                                                   max_nodes=args.max_nodes,
-                                                   name=args.structure)
+                                                   max_nodes=args.max_nodes)
         _emit_report(report, args)
         return 0
     if args.command == "bc-cone":

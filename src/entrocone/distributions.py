@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .causal import CausalStructure, build_line_structure, reduced_line_structure, structure_from_name
-from .entropy_space import CoordinateIndex
+from .entropy_space import CoordinateIndex, labeled_index
 from .errors import InvalidModel, InvalidParameter
 
 _PROB_TOL = 1e-12
@@ -139,14 +139,14 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
     return float(0.0 - (positive * np.log2(positive)).sum())
 
 
-def entropy_vector(joint: JointDistribution,
-                   index: CoordinateIndex | None = None) -> EntropyVector:
-    """Entropy of every nonempty subset, in coordinate-index order."""
+def entropy_vector(joint: JointDistribution) -> EntropyVector:
+    """Entropy of every nonempty subset of the joint's variables, in coordinate-index order.
+
+    Variable names that give two subsets one label are refused, as they are
+    for a cone report.
+    """
     import numpy as np
-    if index is None:
-        index = CoordinateIndex(joint.variables)
-    elif index.variables != joint.variables:
-        raise InvalidParameter("index variables do not match the distribution")
+    index = labeled_index(joint.variables, "nodes")
     n = len(joint.variables)
     values = np.empty(len(index), dtype=float)
     for i, mask in enumerate(index.masks):
@@ -319,17 +319,14 @@ def split_p3_witness(model: CausalModel, x_mode: str, z_mode: str) -> JointDistr
 
 # -- the chained conditional-entropy functional -------------------------------------
 
-def bc_functional(tables: Mapping[tuple[int, int], np.ndarray],
-                  minus_setting: tuple[int, int] = (0, 0),
-                  swap_roles: bool = False) -> float:
+def bc_functional(tables: Mapping[tuple[int, int], np.ndarray]) -> float:
     """Chained conditional-entropy expression over four conditional tables.
 
     ``tables[(a, b)]`` is the joint of (X, Y) conditioned on the settings.
-    The default orientation evaluates
-    H(Y|X)_11 + H(X|Y)_10 + H(X|Y)_01 - H(X|Y)_00, in bits; other
-    ``minus_setting`` choices and the role swap give the permuted variants,
-    all of which are nonnegative whenever a joint over both outcome copies
-    exists.
+    This evaluates H(X|Y)_01 + H(Y|X)_11 + H(X|Y)_10 - H(X|Y)_00, in bits,
+    which is nonnegative whenever a joint over both outcome copies exists.
+    The other seven orientations are this expression on relabelled settings,
+    ``tables[(a ^ a*, b ^ b*)]``, or on transposed tables.
     """
     import numpy as np
     keys = {(a, b) for a in range(2) for b in range(2)}
@@ -347,19 +344,13 @@ def bc_functional(tables: Mapping[tuple[int, int], np.ndarray],
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameter(f"table {key} sums to {total!r}, not 1")
         norm[key] = arr
-    a_star, b_star = minus_setting
-    if (a_star, b_star) not in keys:
-        raise InvalidParameter("minus_setting must be a pair of bits")
 
     def h(a: int, b: int, given: int) -> float:
-        """H(other | given) on table (a, b); axis 0 is X, or Y under the role swap."""
-        t = norm[(a, b)].T if swap_roles else norm[(a, b)]
+        """H(other | given) on table (a, b); axis 0 is X."""
+        t = norm[(a, b)]
         return shannon_entropy(t) - shannon_entropy(t.sum(axis=1 - given))
 
-    return (h(a_star, 1 - b_star, 1)
-            + h(1 - a_star, 1 - b_star, 0)
-            + h(1 - a_star, b_star, 1)
-            - h(a_star, b_star, 1))
+    return h(0, 1, 1) + h(1, 1, 0) + h(1, 0, 1) - h(0, 0, 1)
 
 
 # -- model serialization ---------------------------------------------------------

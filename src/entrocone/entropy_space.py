@@ -10,13 +10,12 @@ structure, and the reduced system for line structures.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameter
 from .polyhedra import primitive
-
-Relation = Literal[">=", "=="]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,21 +87,33 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def labeled_index(variables: Sequence[str], what: str) -> CoordinateIndex:
+    """The index over ``variables``, each subset printed under its own label.
+
+    Names such as A, B and AB, which label both {A, B} and {AB} H(AB), are
+    refused; ``what`` names the variables in the message.
+    """
+    index = CoordinateIndex(tuple(variables))
+    if twice := [label for label, count in Counter(index.labels).items() if count > 1]:
+        raise InvalidParameter(f"two subsets of {what} share the label {twice[0]}; rename a node")
+    return index
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """Integer-coefficient functional over entropy coordinates.
 
-    ``coefficients`` maps subset masks to nonzero integers; ``relation``
-    states whether the form is constrained to be nonnegative or zero.
+    ``coefficients`` maps subset masks to nonzero integers.  Whether the
+    form is nonnegative or zero is said by the list of a
+    :class:`ConstraintSystem` that holds it.
     """
 
     coefficients: tuple[tuple[int, int], ...]
-    relation: Relation = ">="
 
     @staticmethod
-    def build(coeffs: Mapping[int, int], relation: Relation = ">=") -> "LinearForm":
+    def build(coeffs: Mapping[int, int]) -> "LinearForm":
         items = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
-        return LinearForm(items, relation)
+        return LinearForm(items)
 
     def row(self, index: CoordinateIndex) -> tuple[int, ...]:
         row = [0] * len(index)
@@ -125,8 +136,7 @@ class ConstraintSystem:
                 self.index.position(mask)
 
 
-def conditional_mutual_information(s: int, t: int, z: int = 0,
-                                   relation: Relation = ">=") -> LinearForm:
+def conditional_mutual_information(s: int, t: int, z: int = 0) -> LinearForm:
     """I(S:T|Z) expanded as H(SZ) + H(TZ) - H(STZ) - H(Z)."""
     if s & t or s & z or t & z:
         raise InvalidParameter("S, T, Z must be pairwise disjoint")
@@ -136,7 +146,7 @@ def conditional_mutual_information(s: int, t: int, z: int = 0,
     for mask, c in ((s | z, 1), (t | z, 1), (s | t | z, -1), (z, -1)):
         if mask:
             coeffs[mask] = coeffs.get(mask, 0) + c
-    return LinearForm.build(coeffs, relation)
+    return LinearForm.build(coeffs)
 
 
 class Elemental(NamedTuple):
@@ -217,7 +227,7 @@ def classical_ci_system(structure) -> ConstraintSystem:
     inequalities: list[LinearForm] = []
     for form, cmi in elemental_forms((1 << len(index.variables)) - 1):
         if cmi is not None and d_separated(structure, *map(index.members, cmi)):
-            equalities.append(LinearForm(form.coefficients, "=="))
+            equalities.append(form)
         else:
             inequalities.append(form)
     return ConstraintSystem(index, tuple(equalities), tuple(inequalities))
@@ -318,7 +328,7 @@ def substitute_contiguous(split: BlockSplit, forms: Iterable[LinearForm]) -> lis
 
 def contiguous_decomposition_equalities(split: BlockSplit) -> tuple[LinearForm, ...]:
     """H(S) = the sum of its blocks' entropies, for every S of more than one block."""
-    return tuple(LinearForm.build({mask: 1} | {split.blocks[p]: -1 for p in part}, "==")
+    return tuple(LinearForm.build({mask: 1} | {split.blocks[p]: -1 for p in part})
                  for mask, part in zip(split.index.masks, split.parts) if len(part) > 1)
 
 

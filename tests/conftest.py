@@ -98,7 +98,7 @@ def local_markov_system(structure: CausalStructure):
         descendants = index.mask_of(structure.descendants(node.id))
         nondesc = ((1 << len(names)) - 1) & ~node_mask & ~descendants & ~parents
         if nondesc:
-            forms.append(conditional_mutual_information(node_mask, nondesc, parents, "=="))
+            forms.append(conditional_mutual_information(node_mask, nondesc, parents))
     return ConstraintSystem(index, tuple(forms), ())
 
 
@@ -137,7 +137,7 @@ def full_coordinate_marginal_cone(structure: CausalStructure, engine: str):
             if any((mask >> p) & 1 for p in hidden_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     observed_index = CoordinateIndex(structure.observed_ids())
-    forms = observed_independence_constraints(structure, maximal_only=False)
+    forms = observed_independence_constraints(structure)
     minimal = _nice_equalities(projected, _independence_rows(forms, observed_index))
     return minimal, enumerate_rays(minimal)
 
@@ -151,7 +151,7 @@ def full_coordinate_post_selected_cone(k: int, engine: str):
     structure = build_post_selected_line(k)
     index, marginal_index = _marginal_scenario(structure)
     drop = [i for i, m in enumerate(index.masks) if m not in marginal_index.allowed]
-    forms = observed_independence_constraints(structure, maximal_only=False)
+    forms = observed_independence_constraints(structure)
     _, shannon = system_rows(elemental_shannon_system(index.variables))
     hrep = HRep(len(index), tuple(_independence_rows(forms, index)), tuple(shannon), index.labels)
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)

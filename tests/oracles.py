@@ -25,10 +25,9 @@ def evaluate(form: LinearForm, values: Sequence[int | float],
 
 
 def form_text(form: LinearForm, index: CoordinateIndex) -> str:
-    """The form as a signed sum of subset labels with its relation, e.g. ``+H(A)-H(AB) >= 0``."""
+    """The form as a signed sum of subset labels, e.g. ``+H(A)-H(AB)``."""
     terms = sorted(form.coefficients, key=lambda mc: index.position(mc[0]))
-    body = _row_text([c for _, c in terms], [index.label(m) for m, _ in terms])
-    return f"{body} {form.relation} 0"
+    return _row_text([c for _, c in terms], [index.label(m) for m, _ in terms])
 
 
 def snapped(vector: EntropyVector) -> tuple[int, ...] | None:
@@ -71,11 +70,41 @@ def setting_conditionals(model: CausalModel) -> dict[tuple[int, int], np.ndarray
 
 
 def bc_functional_variants(tables: Mapping[tuple[int, int], np.ndarray]) -> dict[str, float]:
-    """All eight orientation variants of the functional."""
+    """All eight orientation variants of the functional, keyed ``xy:ab`` or ``yx:ab``.
+
+    Variant (a*, b*) evaluates the functional on the settings relabelled
+    (a, b) -> (a ^ a*, b ^ b*); the ``yx`` variants on the transposed tables.
+    """
     out = {}
     for swap in (False, True):
         for a in range(2):
             for b in range(2):
-                label = f"{'yx' if swap else 'xy'}:{a}{b}"
-                out[label] = bc_functional(tables, minus_setting=(a, b), swap_roles=swap)
+                relabelled = {(x, y): np.asarray(tables[(x ^ a, y ^ b)])
+                              for x in range(2) for y in range(2)}
+                if swap:
+                    relabelled = {key: t.T for key, t in relabelled.items()}
+                out[f"{'yx' if swap else 'xy'}:{a}{b}"] = bc_functional(relabelled)
     return out
+
+
+def bc_functional_oriented(tables: Mapping[tuple[int, int], np.ndarray],
+                           minus_setting: tuple[int, int], swap_roles: bool) -> float:
+    """The functional in one of its eight orientations, written out directly.
+
+    With ``minus_setting`` (a*, b*) it evaluates
+    H(X|Y)_a*,b*' + H(Y|X)_a*',b*' + H(X|Y)_a*',b* - H(X|Y)_a*,b*, primes
+    flipping a bit; ``swap_roles`` exchanges X and Y.  Tables are read as
+    given, without the checks ``bc_functional`` makes.
+    """
+    a_star, b_star = minus_setting
+
+    def h(a: int, b: int, given: int) -> float:
+        """H(other | given) on table (a, b); axis 0 is X, or Y under the role swap."""
+        t = np.asarray(tables[(a, b)], dtype=float)
+        t = t.T if swap_roles else t
+        return shannon_entropy(t) - shannon_entropy(t.sum(axis=1 - given))
+
+    return (h(a_star, 1 - b_star, 1)
+            + h(1 - a_star, 1 - b_star, 0)
+            + h(1 - a_star, b_star, 1)
+            - h(a_star, b_star, 1))

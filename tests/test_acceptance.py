@@ -112,8 +112,7 @@ def test_criterion_4_reduction_cone_equivalence(capsys):
         observed = structure.observed_ids()
         index = CoordinateIndex(observed)
         eq_rows = tuple(primitive(f.row(index))
-                        for f in observed_independence_constraints(
-                            structure, maximal_only=False))
+                        for f in observed_independence_constraints(structure))
         _, shannon_rows = system_rows(elemental_shannon_system(observed))
         _, reduced_rows = system_rows(reduced_line_system(n))
         full = HRep(len(index), eq_rows, tuple(shannon_rows))
@@ -311,7 +310,7 @@ def test_criterion_10_d_separation_soundness(capsys):
         observed = structure.observed_ids()
         joint = compile_model(model).marginal(observed)
         index = CoordinateIndex(observed)
-        vector = entropy_vector(joint, index)
+        vector = entropy_vector(joint)
 
         def h(names):
             if not names:

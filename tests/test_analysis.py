@@ -367,9 +367,8 @@ class TestPostSelectedCone:
 
         monkeypatch.setattr(dist, "gf2_entropy_vector", recorded)
         split_generated_rays()
-        index = CoordinateIndex(build_post_selected_line(3).observed_ids())
         modes = ("keep0", "keep1", "copy")
-        expected = [snapped(entropy_vector(split_p3_witness(model, xm, zm), index))
+        expected = [snapped(entropy_vector(split_p3_witness(model, xm, zm)))
                     for model in line_witness_models(3).values()
                     for xm in modes for zm in modes]
         assert len(seen) == 54
@@ -483,7 +482,7 @@ class TestReports:
         assert "timing_seconds" not in data
 
     def test_label_note_for_bell_coordinates(self):
-        report = observed_outer_cone(bell_structure(), name="bell")
+        report = observed_outer_cone(bell_structure())
         text = report_to_text(report)
         assert "H(AZ)" in text  # the alternate-label note is present
 
@@ -528,8 +527,7 @@ def test_outer_matches_the_full_coordinate_route_on_random_dags():
 # -- oracle: the incremental equality choice against one rref per candidate ----
 
 def _candidates(structure, index):
-    return _independence_rows(observed_independence_constraints(structure, maximal_only=False),
-                              index)
+    return _independence_rows(observed_independence_constraints(structure), index)
 
 
 def _rref_per_candidate(hrep, candidates):

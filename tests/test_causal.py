@@ -272,49 +272,34 @@ class TestDSeparation:
 
 class TestObservedIndependences:
     def test_line4_matches_known_pair(self):
+        # the two pairs that cannot grow, and the three they imply
         g = build_line_structure(4)
         idx = CoordinateIndex(g.observed_ids())
         forms = observed_independence_constraints(g)
         texts = {form_text(f, idx) for f in forms}
-        assert texts == {"+H(X1)+H(X3X4)-H(X1X3X4) == 0",
-                         "+H(X4)+H(X1X2)-H(X1X2X4) == 0"}
+        assert texts == {"+H(X1)+H(X3X4)-H(X1X3X4)", "+H(X4)+H(X1X2)-H(X1X2X4)",
+                         "+H(X1)+H(X3)-H(X1X3)", "+H(X1)+H(X4)-H(X1X4)",
+                         "+H(X2)+H(X4)-H(X2X4)"}
 
     def test_single_node_empty(self):
         assert observed_independence_constraints(build_line_structure(1)) == ()
 
     def test_post_selected_3_maximal(self):
+        # the maximal pair and the marginal independences it implies are all listed
         g = build_post_selected_line(3)
         idx = CoordinateIndex(g.observed_ids())
-        forms = observed_independence_constraints(g)
-        assert {form_text(f, idx) for f in forms} == {"+H(X0X1)+H(Z0Z1)-H(X0X1Z0Z1) == 0"}
-        # the implied marginal independences appear in the full list
-        full = observed_independence_constraints(g, maximal_only=False)
-        assert "+H(X0)+H(Z0)-H(X0Z0) == 0" in {form_text(f, idx) for f in full}
+        texts = {form_text(f, idx) for f in observed_independence_constraints(g)}
+        assert {"+H(X0X1)+H(Z0Z1)-H(X0X1Z0Z1)", "+H(X0)+H(Z0)-H(X0Z0)"} <= texts
 
     def test_all_forms_certified_by_d_separation(self):
         for g in (build_line_structure(5), build_post_selected_line(4)):
-            for s, t in ancestor_disjoint_pairs(g, maximal_only=False):
+            for s, t in ancestor_disjoint_pairs(g):
                 assert d_separated(g, s, t, set())
-
-    def test_line_n_prefix_suffix_pairs_present(self):
-        # the prefix/suffix splits across a single skipped node are maximal
-        for n in range(3, 8):
-            g = build_line_structure(n)
-            pairs = {(frozenset(s), frozenset(t))
-                     for s, t in ancestor_disjoint_pairs(g)}
-            for k in range(1, n - 1):
-                left = frozenset(f"X{i}" for i in range(1, k + 1))
-                right = frozenset(f"X{i}" for i in range(k + 2, n + 1))
-                assert (left, right) in pairs or (right, left) in pairs
-
-    def test_line4_maximal_pairs_exactly_two(self):
-        g = build_line_structure(4)
-        assert len(ancestor_disjoint_pairs(g)) == 2
 
 
 # -- oracle: the 3^m assignment scan that the bitmask pass replaced ------------
 
-def _scan_ancestor_disjoint_pairs(structure, maximal_only=True):
+def _scan_ancestor_disjoint_pairs(structure):
     """Every way to put each observed node in S, in T or in neither."""
     observed = structure.observed_ids()
     m = len(observed)
@@ -339,11 +324,6 @@ def _scan_ancestor_disjoint_pairs(structure, maximal_only=True):
         anc_t = set().union(*(closures[v] for v in t))
         if anc_s & anc_t:
             continue
-        if maximal_only and any(
-                v not in s and v not in t
-                and (not (closures[v] & anc_t) or not (closures[v] & anc_s))
-                for v in observed):
-            continue
         key = frozenset((frozenset(s), frozenset(t)))
         if key in seen:
             continue
@@ -367,18 +347,14 @@ def _dags(draw):
     return CausalStructure(nodes, edges)
 
 
-@pytest.mark.parametrize("maximal_only", [True, False])
 @settings(max_examples=150, deadline=None)
 @given(_dags())
-def test_pairs_match_the_assignment_scan_on_random_dags(maximal_only, structure):
-    assert (ancestor_disjoint_pairs(structure, maximal_only)
-            == _scan_ancestor_disjoint_pairs(structure, maximal_only))
+def test_pairs_match_the_assignment_scan_on_random_dags(structure):
+    assert ancestor_disjoint_pairs(structure) == _scan_ancestor_disjoint_pairs(structure)
 
 
-@pytest.mark.parametrize("maximal_only", [True, False])
 @pytest.mark.parametrize("name", [*(f"pn:{n}" for n in range(1, 9)), "bell",
                                   "ptilde:3", "ptilde:4", "ptilde:5"])
-def test_pairs_match_the_assignment_scan_on_builtins(name, maximal_only):
+def test_pairs_match_the_assignment_scan_on_builtins(name):
     structure = structure_from_name(name)
-    assert (ancestor_disjoint_pairs(structure, maximal_only)
-            == _scan_ancestor_disjoint_pairs(structure, maximal_only))
+    assert ancestor_disjoint_pairs(structure) == _scan_ancestor_disjoint_pairs(structure)

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import entrocone
-from entrocone.analysis import verify_line_tightness
-from entrocone.causal import build_line_structure
+from entrocone.analysis import observed_outer_cone, report_to_text, verify_line_tightness
+from entrocone.causal import CausalStructure, build_line_structure
 from entrocone.cli import _build_parser, main
 from entrocone.distributions import model_to_json, witness_line
 from entrocone.polyhedra import rep_to_json, HRep, VRep
@@ -72,6 +72,23 @@ class TestOuter:
         code, out, _ = run_cli(capsys, "outer", str(path))
         assert code == 0
         assert "extremal rays (3)" in out
+
+    @pytest.mark.parametrize("command", ["outer", "marginalize"])
+    def test_structure_file_report_names_the_path_as_typed(self, tmp_path, capsys, monkeypatch,
+                                                           command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "line2.json").write_text(build_line_structure(2).to_json())
+        for typed in ("line2.json", "./line2.json", str(tmp_path / "line2.json")):
+            code, out, _ = run_cli(capsys, command, typed)
+            assert code == 0
+            assert out.startswith(f"structure: {typed}\n")
+            code, out, _ = run_cli(capsys, "--format", "json", command, typed)
+            assert code == 0
+            assert json.loads(out)["structure"] == typed
+
+    def test_unnamed_structure_reports_as_structure(self):
+        structure = CausalStructure.from_json(build_line_structure(2).to_json())
+        assert report_to_text(observed_outer_cone(structure)).startswith("structure: structure\n")
 
     def test_unknown_structure(self, capsys):
         code, _, err = run_cli(capsys, "outer", "pn:zero")

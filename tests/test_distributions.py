@@ -19,7 +19,8 @@ from entrocone.entropy_space import CoordinateIndex, reduced_line_system
 from entrocone.errors import InvalidModel, InvalidParameter
 
 from conftest import random_model
-from oracles import bc_functional_variants, evaluate, form_text, setting_conditionals, snapped
+from oracles import (bc_functional_oriented, bc_functional_variants, evaluate, form_text,
+                     setting_conditionals, snapped)
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -125,12 +126,12 @@ class TestLineWitnesses:
         for i in range(1, n + 1):
             model = witness_line(i, i, n)
             joint = compile_model(model).marginal([f"X{k}" for k in range(1, n + 1)])
-            vector = entropy_vector(joint, system.index)
+            vector = entropy_vector(joint)
             positive = [form_text(f, system.index) for f in system.inequalities
                         if evaluate(f, vector.values, system.index) > 1e-9]
             full = system.index.mask_of([f"X{k}" for k in range(1, n + 1)])
             rest = full & ~system.index.mask_of([f"X{i}"])
-            expected = (f"-{system.index.label(rest)}+{system.index.label(full)} >= 0")
+            expected = f"-{system.index.label(rest)}+{system.index.label(full)}"
             assert positive == [expected]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -140,7 +141,7 @@ class TestLineWitnesses:
         seen_rays = set()
         for (i, j), model in line_witness_models(n).items():
             joint = compile_model(model).marginal(observed)
-            vector = entropy_vector(joint, system.index)
+            vector = entropy_vector(joint)
             values = [evaluate(f, vector.values, system.index)
                       for f in system.inequalities]
             positive = [v for v in values if v > 1e-9]
@@ -155,10 +156,10 @@ class TestLineWitnesses:
         system = reduced_line_system(5)
         model = witness_line(2, 4, 5)
         joint = compile_model(model).marginal([f"X{k}" for k in range(1, 6)])
-        vector = entropy_vector(joint, system.index)
+        vector = entropy_vector(joint)
         positive = [form_text(f, system.index) for f in system.inequalities
                     if evaluate(f, vector.values, system.index) > 1e-9]
-        assert positive == ["-H(X3)+H(X2X3)+H(X3X4)-H(X2X3X4) >= 0"]
+        assert positive == ["-H(X3)+H(X2X3)+H(X3X4)-H(X2X3X4)"]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -193,7 +194,7 @@ class TestLineWitnesses:
 def _float_route(model: CausalModel, index: CoordinateIndex):
     """The compiled joint's snapped vector: the oracle for the rank route."""
     joint = compile_model(model).marginal(list(index.variables))
-    return snapped(entropy_vector(joint, index))
+    return snapped(entropy_vector(joint))
 
 
 @st.composite
@@ -350,7 +351,7 @@ class TestSplitting:
         joint = split_p3_witness(witness_line(2, 3, 3), "copy", "keep0")
         obs = build_post_selected_line(3).observed_ids()
         index = CoordinateIndex(obs)
-        vec = snapped(entropy_vector(joint, index))
+        vec = snapped(entropy_vector(joint))
         allowed = [m for m in index.masks
                    if not ((m >> 0 & 1) and (m >> 1 & 1))
                    and not ((m >> 3 & 1) and (m >> 4 & 1))]
@@ -410,11 +411,23 @@ class TestFunctional:
             perm_x = rng.permutation(2)
             perm_y = rng.permutation(3)
             relabeled = {k: t[np.ix_(perm_x, perm_y)] for k, t in raw.items()}
+            variants = bc_functional_variants(relabeled)
+            for label, value in bc_functional_variants(raw).items():
+                assert value == pytest.approx(variants[label])
+
+    def test_variants_match_the_oriented_formula(self, rng):
+        # each orientation is the one functional on relabelled settings or transposed tables
+        for _ in range(10):
+            raw = {(a, b): rng.dirichlet(np.ones(6)).reshape(2, 3)
+                   for a in range(2) for b in range(2)}
+            variants = bc_functional_variants(raw)
+            assert len(variants) == 8
             for swap in (False, True):
                 for a in range(2):
                     for b in range(2):
-                        assert (bc_functional(raw, (a, b), swap)
-                                == pytest.approx(bc_functional(relabeled, (a, b), swap)))
+                        assert (variants[f"{'yx' if swap else 'xy'}:{a}{b}"]
+                                == bc_functional_oriented(raw, (a, b), swap))
+            assert variants["xy:00"] == bc_functional(raw)
 
     def test_input_validation(self):
         unif = np.full((2, 2), 0.25)

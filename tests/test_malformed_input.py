@@ -275,3 +275,35 @@ def test_colliding_labels_are_refused_before_a_system_is_built(tmp_path, capsys,
     assert captured.out == ""
     assert "share the label H(AB)" in captured.err
     assert "Traceback" not in captured.err
+
+
+# {A, B} and {AB} would both print as H(AB); AB is a constant
+COLLIDING_LABELS_MODEL = {"structure": {"nodes": [{"id": "A"}, {"id": "B"}, {"id": "AB"}]},
+                          "alphabets": {"A": 2, "B": 2, "AB": 1},
+                          "cpts": {"A": [0.5, 0.5], "B": [0.5, 0.5], "AB": [1]}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_entropy_refuses_colliding_labels(tmp_path, capsys, fmt):
+    path = tmp_path / "collide-model.json"
+    path.write_text(json.dumps(COLLIDING_LABELS_MODEL))
+    assert main(["--format", fmt, "entropy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two subsets of nodes share the label H(AB)" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("nodes, edges, named", [
+    (["A"], [["A", "A"]], "'A'"),
+    # B and C form the cycle and D hangs below it; A is placed, and the names follow node order
+    (["D", "B", "A", "C"], [["C", "B"], ["B", "C"], ["C", "D"]], "'D', 'B', 'C'"),
+], ids=["self-loop", "two-cycle"])
+def test_cycle_is_refused_naming_its_nodes(tmp_path, capsys, nodes, edges, named):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"nodes": [{"id": v} for v in nodes], "edges": edges}))
+    assert main(["outer", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("entrocone: edge relation must be acyclic; "
+                            f"on a cycle or below one: {named}\n")
