@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .entropy_space import LinearForm, _bit_positions, clash_reach, conditional_mutual_information
-from .errors import InvalidParameter
+from .errors import InvalidParameter, parse_json
 
 NodeKind = Literal["observed", "unobserved"]
 
@@ -142,10 +142,7 @@ class CausalStructure:
 
     @staticmethod
     def from_json(text: str) -> "CausalStructure":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
-            raise InvalidParameter(f"structure file is not valid JSON: {exc}") from None
+        data = parse_json(text, "structure file")
         if not isinstance(data, dict) or "nodes" not in data:
             raise InvalidParameter("structure file must be an object with a 'nodes' field")
         for key in ("nodes", "edges"):
@@ -202,19 +199,19 @@ def build_line_structure(n: int) -> CausalStructure:
     return CausalStructure(tuple(nodes), tuple(edges), name=f"pn:{n}")
 
 
-def reduced_line_structure(n: int, names: Sequence[str] | None = None) -> CausalStructure:
-    """Line structure with the outermost hidden nodes identified with the
-    outer observed nodes, which generate the same observed correlations.
+def reduced_line_structure(names: Sequence[str]) -> CausalStructure:
+    """Line structure on the observed ``names`` with the outermost hidden
+    nodes identified with the outer observed nodes, which generate the same
+    observed correlations.
 
-    Observed nodes keep the line order; the surviving hidden nodes sit
-    between interior neighbours.  For n = 4 with names A, X, Y, B this is
-    the standard bipartite Bell structure.
+    Observed nodes keep the order of ``names``; the surviving hidden nodes
+    sit between interior neighbours.  For the names A, X, Y, B this is the
+    standard bipartite Bell structure.
     """
+    obs = list(names)
+    n = len(obs)
     if n < 3:
-        raise InvalidParameter("reduced line structure needs n >= 3")
-    obs = list(names) if names is not None else [f"X{i}" for i in range(1, n + 1)]
-    if len(obs) != n:
-        raise InvalidParameter("names must match the node count")
+        raise InvalidParameter("reduced line structure needs at least 3 names")
     hidden = [f"C{i}" if n > 4 else "C" for i in range(2, n - 1)]
     nodes = [Node(v, "observed") for v in obs] + [Node(h, "unobserved") for h in hidden]
     edges: list[tuple[str, str]] = [(obs[0], obs[1]), (obs[-1], obs[-2])]
@@ -226,7 +223,7 @@ def reduced_line_structure(n: int, names: Sequence[str] | None = None) -> Causal
 
 def bell_structure() -> CausalStructure:
     """Bipartite Bell scenario: settings A, B; outcomes X, Y; shared cause C."""
-    structure = reduced_line_structure(4, names=("A", "X", "Y", "B"))
+    structure = reduced_line_structure(("A", "X", "Y", "B"))
     return CausalStructure(structure.nodes, structure.edges, name="bell")
 
 

@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .causal import CausalStructure, build_line_structure, reduced_line_structure, structure_from_name
+from .causal import (CausalStructure, build_line_structure, build_post_selected_line,
+                     reduced_line_structure, structure_from_name)
 from .entropy_space import CoordinateIndex, labeled_index
-from .errors import InvalidModel, InvalidParameter
+from .errors import InvalidModel, InvalidParameter, parse_json
 
 _PROB_TOL = 1e-12
 _MAX_JOINT_CELLS = 2 ** 26  # 512 MiB of float64
@@ -251,43 +252,30 @@ def post_select_joint(model: CausalModel) -> JointDistribution:
     """Joint of both-setting outcome copies for a five-node reduced line.
 
     The model must live on the reduced five-node line (outer observed
-    nodes A and B acting as the outermost causes, binary).  The returned
-    distribution over (X0, X1, Y, Z0, Z1) couples the X outcome under
-    A=0 and A=1 through the shared interior cause, and likewise for Z
-    under B; its (Xa, Y, Zb) marginals equal the setting-conditioned
-    distributions of the model.
+    nodes A and B acting as the outermost causes, binary).  It is read as a
+    model on the doubled line ``ptilde:3``: C and D are C2 and C3, X0 and X1
+    take X's CPT at A=0 and A=1, Z0 and Z1 take Z's at B=0 and B=1, and Y
+    keeps its own.  The result is that model's marginal on
+    (X0, X1, Y, Z0, Z1), whose (Xa, Y, Zb) marginals equal the
+    setting-conditioned distributions of the model.  The joint is compiled
+    over both hidden causes first, so :func:`compile_model`'s cell ceiling
+    bounds it.
     """
-    import numpy as np
     structure = model.structure
-    expected = reduced_line_structure(5, names=("A", "X", "Y", "Z", "B"))
+    expected = reduced_line_structure(("A", "X", "Y", "Z", "B"))
     if structure.node_ids() != expected.node_ids() or set(structure.edges) != set(expected.edges):
         raise InvalidParameter("model must live on the reduced 5-node line (A,X,Y,Z,B)")
-    if model.alphabet_sizes["A"] != 2 or model.alphabet_sizes["B"] != 2:
+    sizes, cpts = model.alphabet_sizes, model.cpts
+    if sizes["A"] != 2 or sizes["B"] != 2:
         raise InvalidParameter("outer settings A and B must be binary")
-    nx = model.alphabet_sizes["X"]
-    ny = model.alphabet_sizes["Y"]
-    nz = model.alphabet_sizes["Z"]
-    nc2 = model.alphabet_sizes["C2"]
-    nc3 = model.alphabet_sizes["C3"]
-    p_c2 = np.asarray(model.cpts["C2"], dtype=float)
-    p_c3 = np.asarray(model.cpts["C3"], dtype=float)
     # CPT axes follow node order: X given (A, C2); Y given (C2, C3); Z given (B, C3)
-    p_x = np.asarray(model.cpts["X"], dtype=float)
-    p_y = np.asarray(model.cpts["Y"], dtype=float)
-    p_z = np.asarray(model.cpts["Z"], dtype=float)
-    table = np.zeros((nx, nx, ny, nz, nz))
-    for c2 in range(nc2):
-        for c3 in range(nc3):
-            weight = p_c2[c2] * p_c3[c3]
-            if weight == 0:
-                continue
-            block = (p_x[0, c2][:, None, None, None, None]
-                     * p_x[1, c2][None, :, None, None, None]
-                     * p_y[c2, c3][None, None, :, None, None]
-                     * p_z[0, c3][None, None, None, :, None]
-                     * p_z[1, c3][None, None, None, None, :])
-            table += weight * block
-    return JointDistribution(("X0", "X1", "Y", "Z0", "Z1"), (nx, nx, ny, nz, nz), table)
+    doubled = CausalModel(
+        build_post_selected_line(3),
+        {"X0": sizes["X"], "X1": sizes["X"], "Y": sizes["Y"], "Z0": sizes["Z"],
+         "Z1": sizes["Z"], "C": sizes["C2"], "D": sizes["C3"]},
+        {"X0": cpts["X"][0], "X1": cpts["X"][1], "Y": cpts["Y"],
+         "Z0": cpts["Z"][0], "Z1": cpts["Z"][1], "C": cpts["C2"], "D": cpts["C3"]})
+    return compile_model(doubled).marginal(("X0", "X1", "Y", "Z0", "Z1"))
 
 
 _SPLIT_MODES = ("keep0", "keep1", "copy")
@@ -367,10 +355,7 @@ def model_to_json(model: CausalModel) -> str:
 
 
 def model_from_json(text: str) -> CausalModel:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
-        raise InvalidParameter(f"model file is not valid JSON: {exc}") from None
+    data = parse_json(text, "model file")
     if not isinstance(data, dict):
         raise InvalidParameter("model file must be a JSON object")
     for fieldname in ("structure", "alphabets", "cpts"):
@@ -408,10 +393,7 @@ def _numeric_array(raw: object, field: str) -> np.ndarray:
 
 def tables_from_json(text: str) -> dict[tuple[int, int], np.ndarray]:
     """Parse the four setting-conditioned tables for the functional."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
-        raise InvalidParameter(f"tables file is not valid JSON: {exc}") from None
+    data = parse_json(text, "tables file")
     if not isinstance(data, dict) or not isinstance(data.get("tables"), dict):
         raise InvalidParameter("tables file must be an object with a 'tables' object")
     sizes = data.get("alphabets")

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from ._simplex import conic_combination
-from .errors import InvalidParameter
+from .errors import InvalidParameter, parse_json
 
 Row = tuple[int, ...]
 _MAX_FILE_DIMENSION = 4095  # widest cone file: 2^12 - 1 coordinates, as in verify pn:12
@@ -155,17 +155,11 @@ class HRep:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise InvalidParameter("dimension must be positive")
         eqs = tuple(primitive(r) for r in self.equalities if any(r))
         ineqs = tuple(primitive(r) for r in self.inequalities if any(r))
-        for row in (*eqs, *ineqs):
-            if len(row) != self.dimension:
-                raise InvalidParameter("row length must equal the dimension")
+        _check_shape(self, (*eqs, *ineqs), "row")
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "inequalities", ineqs)
-        if self.labels is not None and len(self.labels) != self.dimension:
-            raise InvalidParameter("labels must match the dimension")
 
 
 @dataclass(frozen=True)
@@ -178,11 +172,19 @@ class VRep:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise InvalidParameter("dimension must be positive")
-        for row in (*self.rays, *self.lineality):
-            if len(row) != self.dimension:
-                raise InvalidParameter("vector length must equal the dimension")
+        _check_shape(self, (*self.rays, *self.lineality), "vector")
+
+
+def _check_shape(rep: HRep | VRep, rows: Sequence[Row], what: str) -> None:
+    """Refuse a representation whose dimension, row lengths or labels do not fit."""
+    dim = rep.dimension
+    if dim < 1:
+        raise InvalidParameter("dimension must be positive")
+    for row in rows:
+        if len(row) != dim:
+            raise InvalidParameter(f"{what} length must equal the dimension")
+    if rep.labels is not None and len(rep.labels) != dim:
+        raise InvalidParameter("labels must match the dimension")
 
 
 # -- double description --------------------------------------------------------
@@ -491,10 +493,7 @@ def rep_to_json(rep: HRep | VRep) -> str:
 
 
 def rep_from_json(text: str) -> HRep | VRep:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long numbers, deep nesting
-        raise InvalidParameter(f"cone file is not valid JSON: {exc}") from None
+    data = parse_json(text, "cone file")
     if not isinstance(data, dict) or "type" not in data:
         raise InvalidParameter("cone file must be an object with a 'type' field")
     kind = data["type"]

@@ -237,7 +237,7 @@ def test_criterion_8_post_selected_4_counts(capsys):
 def test_criterion_9_functional_positivity(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(20250810)  # fixed recorded seed
-    structure = reduced_line_structure(4, names=("A", "X", "Y", "B"))
+    structure = reduced_line_structure(("A", "X", "Y", "B"))
     parents = structure.parents_map()
     worst = np.inf
     for _ in range(1000):

@@ -12,7 +12,7 @@ from entrocone.causal import (CausalStructure, Node, ancestor_disjoint_pairs,
                               bell_structure, build_line_structure,
                               build_post_selected_line, d_separated,
                               observed_independence_constraints,
-                              structure_from_name)
+                              reduced_line_structure, structure_from_name)
 from entrocone.cli import main
 from entrocone.distributions import compile_model
 from entrocone.entropy_space import CoordinateIndex
@@ -68,6 +68,11 @@ class TestBuilders:
         bell = bell_structure()
         assert bell.node_ids() == ("A", "X", "Y", "B", "C")
         assert set(bell.edges) == {("A", "X"), ("C", "X"), ("C", "Y"), ("B", "Y")}
+
+    @pytest.mark.parametrize("names", [(), ("A",), ("A", "B")])
+    def test_reduced_line_needs_three_names(self, names):
+        with pytest.raises(InvalidParameter, match="at least 3 names"):
+            reduced_line_structure(names)
 
     def test_structure_from_name(self):
         assert structure_from_name("pn:5").observed_ids() == tuple(f"X{i}" for i in range(1, 6))

@@ -255,7 +255,7 @@ def _force_binary_settings(model: CausalModel, rng) -> CausalModel:
 
 
 def _xor_reduced_line5() -> CausalModel:
-    structure = reduced_line_structure(5, names=("A", "X", "Y", "Z", "B"))
+    structure = reduced_line_structure(("A", "X", "Y", "Z", "B"))
     sizes = {v: 2 for v in structure.node_ids()}
 
     def det(fn):
@@ -299,7 +299,7 @@ class TestPostSelection:
                 assert np.abs(conditioned - got.table).max() < 1e-12
 
     def test_marginal_consistency_random_models(self, rng):
-        structure = reduced_line_structure(5, names=("A", "X", "Y", "Z", "B"))
+        structure = reduced_line_structure(("A", "X", "Y", "Z", "B"))
         for _ in range(10):
             model = _force_binary_settings(random_model(rng, structure), rng)
             ps = post_select_joint(model)
@@ -316,7 +316,7 @@ class TestPostSelection:
                     assert np.abs(conditioned - got.table).max() < 1e-12
 
     def test_x_ignoring_setting_gives_equal_copies(self):
-        structure = reduced_line_structure(5, names=("A", "X", "Y", "Z", "B"))
+        structure = reduced_line_structure(("A", "X", "Y", "Z", "B"))
         sizes = {v: 2 for v in structure.node_ids()}
         copy_c2 = np.zeros((2, 2, 2))
         for a, c2 in itertools.product(range(2), repeat=2):
@@ -334,7 +334,7 @@ class TestPostSelection:
             post_select_joint(witness_line(1, 2, 5))
 
     def test_nonbinary_setting_rejected(self):
-        structure = reduced_line_structure(5, names=("A", "X", "Y", "Z", "B"))
+        structure = reduced_line_structure(("A", "X", "Y", "Z", "B"))
         model = _xor_reduced_line5()
         sizes = dict(model.alphabet_sizes)
         sizes["A"] = 3
@@ -397,7 +397,7 @@ class TestFunctional:
         assert bc_functional(tables) == pytest.approx(3.0)
 
     def test_nonnegative_on_compiled_models(self, rng):
-        structure = reduced_line_structure(4, names=("A", "X", "Y", "B"))
+        structure = reduced_line_structure(("A", "X", "Y", "B"))
         for _ in range(40):
             model = _force_binary_settings(random_model(rng, structure), rng)
             tables = setting_conditionals(model)
@@ -442,7 +442,7 @@ class TestFunctional:
             bc_functional(unnorm)
 
     def test_zero_probability_setting_rejected(self):
-        structure = reduced_line_structure(4, names=("A", "X", "Y", "B"))
+        structure = reduced_line_structure(("A", "X", "Y", "B"))
         sizes = {v: 2 for v in structure.node_ids()}
         cpts = {
             "A": np.array([1.0, 0.0]),  # setting A=1 never occurs

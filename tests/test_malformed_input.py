@@ -199,10 +199,13 @@ def test_selectors_parse_or_are_refused(name):
     assert structure.name == name  # a selector that parses names what it builds
 
 
-@pytest.mark.parametrize("parse", [model_from_json, tables_from_json])
+@pytest.mark.parametrize("parse, kind", [
+    (model_from_json, "model file"), (tables_from_json, "tables file"),
+    (rep_from_json, "cone file"), (CausalStructure.from_json, "structure file"),
+], ids=["model_from_json", "tables_from_json", "rep_from_json", "CausalStructure.from_json"])
 @pytest.mark.parametrize("text", [HUGE_INTEGER, DEEP_NESTING], ids=["huge-integer", "deep"])
-def test_other_readers_refuse_unparsable_json(parse, text):
-    with pytest.raises(InvalidParameter, match="not valid JSON"):
+def test_other_readers_refuse_unparsable_json(parse, kind, text):
+    with pytest.raises(InvalidParameter, match=f"^{kind} is not valid JSON: "):
         parse(text)
 
 

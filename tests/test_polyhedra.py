@@ -42,6 +42,14 @@ class TestNormalization:
         for vec in [(3, 6, -9), (0, 0, 5), (7,)]:
             assert primitive(primitive(vec)) == primitive(vec)
 
+    @pytest.mark.parametrize("build", [
+        lambda: HRep(2, inequalities=((1, 0),), labels=("a", "b", "c")),
+        lambda: VRep(2, rays=((1, 0),), labels=("a", "b", "c")),
+    ], ids=["hrep", "vrep"])
+    def test_labels_that_miss_the_dimension_are_refused(self, build):
+        with pytest.raises(InvalidParameter, match="^labels must match the dimension$"):
+            build()
+
 
 class TestDoubleDescription:
     def test_positive_orthant(self):
