@@ -2,7 +2,7 @@
 
 Each pipeline assembles a constraint system, runs the exact polyhedral
 engine, and packages the outcome as a ConeReport: the minimal H-rep, the
-extremal rays, optional witness models achieving the rays, and a verdict.
+extremal rays, witness records achieving the rays, and a verdict.
 A verdict of "tight" certifies that the outer approximation equals the
 closure of the achievable set, and hence that the classical and quantum
 closures coincide for that structure.
@@ -23,8 +23,8 @@ from .entropy_space import (BlockSplit, ConstraintSystem, CoordinateIndex, Linea
                             reduced_line_system, substitute_contiguous, system_rows)
 from .errors import InvalidParameter, NodeGuardExceeded
 from .polyhedra import (Echelon, HRep, Row, VRep, _row_text, dd_project, dot, enumerate_rays,
-                        extremalize, facets_from_rays, fm_eliminate, membership, primitive,
-                        reduce_mod_span, rref)
+                        facets_from_rays, fm_eliminate, membership, primitive, reduce_mod_span,
+                        rref)
 
 # The most nodes marginalize projects without --max-nodes.  In block
 # coordinates, at 7 nodes, pn:4 takes about 0.2 s under either engine and
@@ -52,10 +52,6 @@ class ConeReport:
     witnesses: dict[tuple[int, ...], dict] = field(default_factory=dict)
     verdict: str = "outer-only"
     notes: tuple[str, ...] = ()
-
-    @property
-    def rays(self) -> tuple[tuple[int, ...], ...]:
-        return self.vrep.rays
 
 
 def _roman(k: int) -> str:
@@ -87,17 +83,15 @@ def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> l
     return rows
 
 
-def _nice_equalities(hrep: HRep, candidates: Sequence[Row]) -> HRep:
+def _nice_equalities(base: Sequence[Row], pivots: Sequence[int],
+                     candidates: Sequence[Row]) -> Sequence[Row]:
     """Present the equality space through independence rows when they span it.
 
-    The canonical equality basis coming out of the double-description dual
-    is echelon-reduced; replacing it with ``candidates``, the structure's
-    ancestor-disjointness equalities (when those span the same space),
-    keeps reports readable and diffable.
+    ``base`` and ``pivots`` are the :func:`rref` of the equality space, and
+    the rows to print are ``base`` unless ``candidates``, the structure's
+    ancestor-disjointness equalities, span the same space; those keep
+    reports readable and diffable.
     """
-    if not hrep.equalities:
-        return hrep
-    base, pivots = rref(hrep.equalities)
     independent = Echelon()
     chosen: list[tuple[int, ...]] = []
     for row in candidates:
@@ -106,9 +100,7 @@ def _nice_equalities(hrep: HRep, candidates: Sequence[Row]) -> HRep:
         # the span test comes first: only rows that are kept may enter ``independent``
         if not any(reduce_mod_span(row, base, pivots)) and independent.add(row):
             chosen.append(row)
-    if len(chosen) == len(base):
-        return HRep(hrep.dimension, tuple(chosen), hrep.inequalities, hrep.labels)
-    return hrep
+    return chosen if len(chosen) == len(base) else base
 
 
 def _observed_index(structure: CausalStructure) -> CoordinateIndex:
@@ -160,8 +152,8 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
                             *map(kept.place, projected.equalities)])
     facets = sorted(reduce_mod_span(kept.place(f), eq_rref, pivots) for f in projected.inequalities)
     forms = observed_independence_constraints(structure)
-    minimal = _nice_equalities(HRep(len(scenario), tuple(eq_rref), tuple(facets), scenario.labels),
-                               _independence_rows(forms, scenario))
+    equalities = _nice_equalities(eq_rref, pivots, _independence_rows(forms, scenario))
+    minimal = HRep(len(scenario), tuple(equalities), tuple(facets), scenario.labels)
     return ConeReport(structure_name=structure.name or "structure", index=scenario,
                       hrep=minimal, vrep=vrep)
 
@@ -376,7 +368,7 @@ def split_generated_rays() -> VRep:
                     vectors.add(primitive(restricted))
     seed = VRep(len(marginal_index), tuple(sorted(vectors)), (),
                 labels=marginal_index.labels)
-    return extremalize(seed)
+    return enumerate_rays(facets_from_rays(seed))
 
 
 # -- report rendering -----------------------------------------------------------
@@ -403,10 +395,6 @@ def report_to_text(report: ConeReport) -> str:
         if witness is not None:
             entry += f"   <- witness i={witness['i']} j={witness['j']}"
         lines.append(entry)
-    if report.vrep.lineality:
-        lines.append(f"lineality ({len(report.vrep.lineality)}):")
-        for row in report.vrep.lineality:
-            lines.append(f"  {_row_text(row, None)}")
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"verdict: {report.verdict}")

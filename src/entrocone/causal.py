@@ -85,16 +85,9 @@ class CausalStructure:
     def observed_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.kind == "observed")
 
-    def unobserved_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.kind == "unobserved")
-
     def parents_map(self) -> dict[str, list[str]]:
         """Each node's parents in node order, as a fresh dict the caller may change."""
         return {node: list(linked) for node, linked in self._parents.items()}
-
-    def children_map(self) -> dict[str, list[str]]:
-        """Each node's children in node order, as a fresh dict the caller may change."""
-        return {node: list(linked) for node, linked in self._children.items()}
 
     def _links(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
         """Each node's linked nodes in node order, from (node, linked) pairs."""
@@ -107,16 +100,6 @@ class CausalStructure:
     def parents(self, node: str) -> tuple[str, ...]:
         self._require(node)
         return self._parents[node]
-
-    def ancestors(self, node: str) -> frozenset[str]:
-        """Strict ancestors of a node (the node itself excluded)."""
-        self._require(node)
-        return _reach(self._parents[node], self._parents)
-
-    def descendants(self, node: str) -> frozenset[str]:
-        """Strict descendants of a node."""
-        self._require(node)
-        return _reach(self._children[node], self._children)
 
     def ancestor_closure(self, nodes: Iterable[str]) -> frozenset[str]:
         """Nodes together with all of their ancestors."""

@@ -3,9 +3,8 @@
 A model attaches a conditional probability table to every node of a causal
 structure; compilation multiplies the tables into the joint distribution.
 This module also constructs the explicit witness families used to certify
-cone tightness: the line-structure witnesses, the post-selected joint of a
-five-node line with binary outer settings, and the outer-node splitting of
-three-node-line witnesses.
+cone tightness: the line-structure witnesses and the post-selected joint of
+a five-node line with binary outer settings.
 
 numpy is imported inside the float-route functions only (CPT models,
 joints, float entropies, the functional and the JSON model and table
@@ -20,13 +19,18 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .causal import (CausalStructure, build_line_structure, build_post_selected_line,
-                     reduced_line_structure, structure_from_name)
+from .causal import (_MAX_SELECTOR_OBSERVED, CausalStructure, build_line_structure,
+                     build_post_selected_line, reduced_line_structure, structure_from_name)
 from .entropy_space import CoordinateIndex, labeled_index
 from .errors import InvalidModel, InvalidParameter, parse_json
 
 _PROB_TOL = 1e-12
 _MAX_JOINT_CELLS = 2 ** 26  # 512 MiB of float64
+# entropy_vector sums the whole joint once per subset, so its work is subsets
+# times cells: 14 binary roots (about 2^28) take 4 s, 20 one-valued roots
+# (2^20 subsets of one cell) 25 s.  It takes at most the 20 nodes, 1,048,575
+# coordinates, of the structure-file ceiling.
+_MAX_ENTROPY_SUMS = 2 ** 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +131,6 @@ class EntropyVector:
     index: CoordinateIndex
     values: np.ndarray
 
-    def __getitem__(self, names: Sequence[str]) -> float:
-        return float(self.values[self.index.position(self.index.mask_of(names))])
-
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Base-2 entropy with the 0 log 0 := 0 convention."""
@@ -144,11 +145,20 @@ def entropy_vector(joint: JointDistribution) -> EntropyVector:
     """Entropy of every nonempty subset of the joint's variables, in coordinate-index order.
 
     Variable names that give two subsets one label are refused, as they are
-    for a cone report.
+    for a cone report, and so are more than 20 variables or more than 2^30
+    cells summed over all subsets, before the index is built.
     """
     import numpy as np
-    index = labeled_index(joint.variables, "nodes")
     n = len(joint.variables)
+    if n > _MAX_SELECTOR_OBSERVED:
+        raise InvalidParameter(f"the entropy vector of {n} nodes is refused; "
+                               f"the ceiling is {_MAX_SELECTOR_OBSERVED} nodes")
+    sums = ((1 << n) - 1) * joint.table.size
+    if sums > _MAX_ENTROPY_SUMS:
+        raise InvalidParameter(f"the entropy vector of {n} nodes sums {joint.table.size} "
+                               f"joint cells for each of {(1 << n) - 1} subsets, {sums} in all; "
+                               f"the ceiling is {_MAX_ENTROPY_SUMS}")
+    index = labeled_index(joint.variables, "nodes")
     values = np.empty(len(index), dtype=float)
     for i, mask in enumerate(index.masks):
         axes = tuple(j for j in range(n) if not (mask >> j) & 1)
@@ -276,33 +286,6 @@ def post_select_joint(model: CausalModel) -> JointDistribution:
         {"X0": cpts["X"][0], "X1": cpts["X"][1], "Y": cpts["Y"],
          "Z0": cpts["Z"][0], "Z1": cpts["Z"][1], "C": cpts["C2"], "D": cpts["C3"]})
     return compile_model(doubled).marginal(("X0", "X1", "Y", "Z0", "Z1"))
-
-
-_SPLIT_MODES = ("keep0", "keep1", "copy")
-
-
-def split_p3_witness(model: CausalModel, x_mode: str, z_mode: str) -> JointDistribution:
-    """Split the outer nodes of a three-node-line joint into setting copies.
-
-    From the observed joint (X, Y, Z) of the model, build a distribution
-    over (X0, X1, Y, Z0, Z1) where each outer pair is either (value, 1),
-    (1, value) or two perfect copies, per the requested mode.
-    """
-    import numpy as np
-    if x_mode not in _SPLIT_MODES or z_mode not in _SPLIT_MODES:
-        raise InvalidParameter(f"modes must be one of {_SPLIT_MODES}")
-    if model.structure.observed_ids() != ("X1", "X2", "X3"):
-        raise InvalidParameter("model must live on the 3-node line")
-    joint = compile_model(model).marginal(["X1", "X2", "X3"])
-    nx, ny, nz = joint.alphabet_sizes
-    table = np.zeros((nx, nx, ny, nz, nz))
-    for (x, y, z), p in np.ndenumerate(joint.table):
-        if p == 0:
-            continue
-        x0, x1 = {"keep0": (x, 1), "keep1": (1, x), "copy": (x, x)}[x_mode]
-        z0, z1 = {"keep0": (z, 1), "keep1": (1, z), "copy": (z, z)}[z_mode]
-        table[x0, x1, y, z0, z1] += p
-    return JointDistribution(("X0", "X1", "Y", "Z0", "Z1"), (nx, nx, ny, nz, nz), table)
 
 
 # -- the chained conditional-entropy functional -------------------------------------

@@ -53,15 +53,6 @@ class CoordinateIndex:
         except KeyError:
             raise InvalidParameter(f"subset mask {mask!r} is not a coordinate") from None
 
-    def mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            try:
-                mask |= 1 << self.variables.index(name)
-            except ValueError:
-                raise InvalidParameter(f"unknown variable {name!r}") from None
-        return mask
-
     def members(self, mask: int) -> tuple[str, ...]:
         return tuple(self.variables[i] for i in _bit_positions(mask))
 

@@ -1,4 +1,4 @@
-"""Exact rational polyhedral cones.
+"""Exact integer polyhedral cones.
 
 H-representations are integer inequality/equality rows (a row r constrains
 r . v >= 0 or r . v = 0); V-representations are primitive integer extremal
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
@@ -31,14 +30,9 @@ _MAX_FILE_DIMENSION = 4095  # widest cone file: 2^12 - 1 coordinates, as in veri
 
 # -- small integer linear algebra --------------------------------------------
 
-def primitive(vector: Sequence[int | Fraction]) -> Row:
+def primitive(vector: Sequence[int]) -> Row:
     """Scale to coprime integers, preserving orientation."""
-    try:
-        g = gcd(*vector)  # all-int rows; a Fraction entry raises TypeError
-    except TypeError:
-        denom = lcm(*(v.denominator for v in vector))
-        vector = [v.numerator * (denom // v.denominator) for v in vector]
-        g = gcd(*vector)
+    g = gcd(*vector)
     return tuple(v // g for v in vector) if g > 1 else tuple(vector)
 
 
@@ -72,13 +66,13 @@ class Echelon:
     :func:`rref` turns it into the unique reduced form.
     """
 
-    def __init__(self, rows: Iterable[Sequence[int | Fraction]] = ()) -> None:
+    def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
         self.rows: list[Row] = []
         self.pivots: list[int] = []
         for row in rows:
             self.add(row)
 
-    def add(self, vector: Sequence[int | Fraction]) -> bool:
+    def add(self, vector: Sequence[int]) -> bool:
         """Append a row unless it lies in the span; whether it was appended."""
         new = reduce_mod_span(vector, self.rows, self.pivots)
         pc = next((c for c, v in enumerate(new) if v), None)
@@ -89,7 +83,7 @@ class Echelon:
         return True
 
 
-def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]]:
+def rref(rows: Iterable[Sequence[int]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of ``rows``: its nonzero rows and their pivot columns.
 
     The rows are primitive with positive leads, sorted by pivot, and each
@@ -111,7 +105,7 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[Row], list[int]
     return reduced, pivots
 
 
-def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
+def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
     """Primitive integer basis of {v : row . v = 0 for all rows}, one vector per free column.
 
     Back-substitution runs on the integer :func:`rref` rows: the free entry
@@ -129,7 +123,7 @@ def nullspace(rows: Sequence[Sequence[int | Fraction]], dim: int) -> list[Row]:
     return basis
 
 
-def reduce_mod_span(vector: Sequence[int | Fraction], basis_rref: Sequence[Row],
+def reduce_mod_span(vector: Sequence[int], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
     """Canonical representative of a vector modulo the row span of an :func:`rref` basis.
 
@@ -340,36 +334,12 @@ def remove_redundancies(h: HRep, certificates: bool = False):
     return minimal, certs
 
 
-def membership(cone: HRep | VRep, vector: Sequence[int | Fraction]) -> bool:
-    """Exact test whether a rational vector lies in the cone (a V-rep is converted to facets)."""
+def membership(cone: HRep, vector: Sequence[int]) -> bool:
+    """Exact test whether an integer vector lies in the cone."""
     if len(vector) != cone.dimension:
         raise InvalidParameter("vector dimension mismatch")
-    if isinstance(cone, VRep):
-        cone = facets_from_rays(cone)
-    # a positive scaling keeps every sign, so the tests run on integers
-    target = primitive(vector)
-    return (all(dot(row, target) == 0 for row in cone.equalities)
-            and all(dot(row, target) >= 0 for row in cone.inequalities))
-
-
-def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
-    """Whether every point of ``inner`` lies in ``outer``."""
-    if outer.dimension != inner.dimension:
-        raise InvalidParameter("cone dimensions differ")
-    inner_v = inner if isinstance(inner, VRep) else enumerate_rays(inner)
-    outer_h = facets_from_rays(outer) if isinstance(outer, VRep) else outer
-    for ray in inner_v.rays:
-        if not membership(outer_h, ray):
-            return False
-    for line in inner_v.lineality:
-        if not membership(outer_h, line) or not membership(outer_h, [-v for v in line]):
-            return False
-    return True
-
-
-def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
-    """Mutual containment of two cones, exact."""
-    return contains(a, b) and contains(b, a)
+    return (all(dot(row, vector) == 0 for row in cone.equalities)
+            and all(dot(row, vector) >= 0 for row in cone.inequalities))
 
 
 # -- Fourier-Motzkin elimination ------------------------------------------------
@@ -465,11 +435,6 @@ def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
     return minimal_h
 
 
-def extremalize(v: VRep) -> VRep:
-    """Canonical extremal generator set of the cone spanned by ``v``."""
-    return enumerate_rays(facets_from_rays(v))
-
-
 # -- serialization ---------------------------------------------------------------
 
 def rep_to_json(rep: HRep | VRep) -> str:
@@ -528,7 +493,7 @@ def rep_from_json(text: str) -> HRep | VRep:
     raise InvalidParameter("cone file 'type' must be 'hrep' or 'vrep'")
 
 
-def _row_text(row: Sequence[int | Fraction], labels: Sequence[str] | None) -> str:
+def _row_text(row: Sequence[int], labels: Sequence[str] | None) -> str:
     """Signed labelled terms such as ``+H(A)-2*H(AB)``; bare numbers without labels."""
     if labels is None:
         return " ".join(str(v) for v in row)

@@ -13,7 +13,7 @@ import pytest
 
 import entrocone
 from entrocone import polyhedra
-from entrocone.analysis import _independence_rows, _marginal_scenario, _nice_equalities
+from entrocone.analysis import _independence_rows, _marginal_scenario
 from entrocone.causal import (CausalStructure, Node, build_post_selected_line,
                               observed_independence_constraints)
 from entrocone.distributions import CausalModel
@@ -22,6 +22,28 @@ from entrocone.entropy_space import (ConstraintSystem, CoordinateIndex, classica
                                      system_rows)
 from entrocone.polyhedra import (HRep, _eliminate, _kept_coordinates, dd_project, enumerate_rays,
                                  fm_eliminate, primitive)
+
+from oracles import mask_of, nice_equalities
+
+
+# -- graph queries from the parent lists -----------------------------------------
+
+def hidden_ids(structure: CausalStructure) -> tuple[str, ...]:
+    """The unobserved node ids, in node order."""
+    observed = set(structure.observed_ids())
+    return tuple(v for v in structure.node_ids() if v not in observed)
+
+
+def descendants(structure: CausalStructure, node: str) -> frozenset[str]:
+    """Strict descendants of ``node``: every node with it among its ancestors."""
+    parents = structure.parents_map()
+    found: set[str] = set()
+    frontier = {node}
+    while frontier:
+        frontier = {child for child, ps in parents.items()
+                    if child not in found and frontier.intersection(ps)}
+        found |= frontier
+    return frozenset(found)
 
 
 # -- brute-force d-separation oracle ------------------------------------------
@@ -54,7 +76,7 @@ def all_undirected_paths(structure: CausalStructure, start: str, goal: str):
 def dsep_bruteforce(structure: CausalStructure, xs, ys, zs) -> bool:
     """Path-by-path blocking test (collider condition with descendants)."""
     zs = set(zs)
-    descendants = {n.id: structure.descendants(n.id) for n in structure.nodes}
+    below = {n.id: descendants(structure, n.id) for n in structure.nodes}
 
     def blocked(path) -> bool:
         # interior node k sits between edges path[k-1] and path[k]
@@ -63,7 +85,7 @@ def dsep_bruteforce(structure: CausalStructure, xs, ys, zs) -> bool:
             into_prev = path[k - 1][2] == "out"   # previous edge points into node
             into_next = path[k][2] == "in"        # next edge points into node
             if into_prev and into_next:  # collider
-                if node not in zs and not (descendants[node] & zs):
+                if node not in zs and not (below[node] & zs):
                     return True
             else:  # chain or fork
                 if node in zs:
@@ -93,10 +115,10 @@ def local_markov_system(structure: CausalStructure):
     index = CoordinateIndex(names)
     forms = []
     for node in structure.nodes:
-        node_mask = index.mask_of([node.id])
-        parents = index.mask_of(structure.parents(node.id))
-        descendants = index.mask_of(structure.descendants(node.id))
-        nondesc = ((1 << len(names)) - 1) & ~node_mask & ~descendants & ~parents
+        node_mask = mask_of(index, [node.id])
+        parents = mask_of(index, structure.parents(node.id))
+        below = mask_of(index, descendants(structure, node.id))
+        nondesc = ((1 << len(names)) - 1) & ~node_mask & ~below & ~parents
         if nondesc:
             forms.append(conditional_mutual_information(node_mask, nondesc, parents))
     return ConstraintSystem(index, tuple(forms), ())
@@ -113,7 +135,7 @@ def local_markov_projection(structure: CausalStructure):
     ci = local_markov_system(structure)
     eqs, _ = system_rows(ci)
     _, ineqs = system_rows(elemental_shannon_system(names))
-    hidden = [names.index(v) for v in structure.unobserved_ids()]
+    hidden = [names.index(v) for v in hidden_ids(structure)]
     drop = [i for i, mask in enumerate(ci.index.masks) if any(mask >> p & 1 for p in hidden)]
     return HRep(len(ci.index), tuple(eqs), tuple(ineqs)), drop
 
@@ -132,13 +154,13 @@ def full_coordinate_marginal_cone(structure: CausalStructure, engine: str):
     index = system.index
     eq_rows, ineq_rows = system_rows(system)
     hrep = HRep(len(index), tuple(eq_rows), tuple(ineq_rows), labels=index.labels)
-    hidden_positions = {names.index(v) for v in structure.unobserved_ids()}
+    hidden_positions = {names.index(v) for v in hidden_ids(structure)}
     drop = [i for i, mask in enumerate(index.masks)
             if any((mask >> p) & 1 for p in hidden_positions)]
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     observed_index = CoordinateIndex(structure.observed_ids())
     forms = observed_independence_constraints(structure)
-    minimal = _nice_equalities(projected, _independence_rows(forms, observed_index))
+    minimal = nice_equalities(projected, _independence_rows(forms, observed_index))
     return minimal, enumerate_rays(minimal)
 
 
@@ -155,7 +177,7 @@ def full_coordinate_post_selected_cone(k: int, engine: str):
     _, shannon = system_rows(elemental_shannon_system(index.variables))
     hrep = HRep(len(index), tuple(_independence_rows(forms, index)), tuple(shannon), index.labels)
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
-    minimal = _nice_equalities(projected, _independence_rows(forms, marginal_index))
+    minimal = nice_equalities(projected, _independence_rows(forms, marginal_index))
     return minimal, enumerate_rays(minimal)
 
 

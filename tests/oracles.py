@@ -1,21 +1,74 @@
-"""Helpers only the tests call: a form's value and text, and the float-route oracles.
+"""Helpers only the tests call: form values and text, cone containment and the float oracles.
 
-The oracles read compiled models and entropy vectors in floating point, so
-the exact routes (GF(2) ranks, integer rows) are checked against an
-independent computation.
+The float oracles read compiled models and entropy vectors in floating
+point, so the exact routes (GF(2) ranks, integer rows) are checked against
+an independent computation.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from fractions import Fraction
+from math import gcd
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from entrocone.analysis import _nice_equalities
 from entrocone.distributions import (_PROB_TOL, CausalModel, EntropyVector, JointDistribution,
                                      bc_functional, compile_model, shannon_entropy)
 from entrocone.entropy_space import CoordinateIndex, LinearForm
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import _row_text
+from entrocone.polyhedra import (HRep, VRep, _row_text, enumerate_rays, facets_from_rays,
+                                 membership, rref)
+
+
+def fraction_primitive(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Coprime integers on the ray of a rational vector, computed in Fractions."""
+    fracs = [Fraction(v) for v in vector]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def mask_of(index: CoordinateIndex, names: Iterable[str]) -> int:
+    """The bitmask of ``names`` over ``index``'s variables."""
+    mask = 0
+    for name in names:
+        mask |= 1 << index.variables.index(name)
+    return mask
+
+
+def contains(outer: HRep | VRep, inner: HRep | VRep) -> bool:
+    """Whether every point of ``inner`` lies in ``outer``."""
+    if outer.dimension != inner.dimension:
+        raise InvalidParameter("cone dimensions differ")
+    inner_v = inner if isinstance(inner, VRep) else enumerate_rays(inner)
+    outer_h = facets_from_rays(outer) if isinstance(outer, VRep) else outer
+    for ray in inner_v.rays:
+        if not membership(outer_h, ray):
+            return False
+    for line in inner_v.lineality:
+        if not membership(outer_h, line) or not membership(outer_h, [-v for v in line]):
+            return False
+    return True
+
+
+def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
+    """Mutual containment of two cones, exact."""
+    return contains(a, b) and contains(b, a)
+
+
+def nice_equalities(hrep: HRep, candidates: Sequence[Sequence[int]]) -> HRep:
+    """``hrep`` with its equalities printed as ``_nice_equalities`` picks them."""
+    rows = _nice_equalities(*rref(hrep.equalities), candidates)
+    return HRep(hrep.dimension, tuple(rows), hrep.inequalities, hrep.labels)
 
 
 def evaluate(form: LinearForm, values: Sequence[int | float],
@@ -108,3 +161,30 @@ def bc_functional_oriented(tables: Mapping[tuple[int, int], np.ndarray],
             + h(1 - a_star, 1 - b_star, 0)
             + h(1 - a_star, b_star, 1)
             - h(a_star, b_star, 1))
+
+
+_SPLIT_MODES = ("keep0", "keep1", "copy")
+
+
+def split_p3_witness(model: CausalModel, x_mode: str, z_mode: str) -> JointDistribution:
+    """Split the outer nodes of a three-node-line joint into setting copies.
+
+    From the observed joint (X, Y, Z) of the model, build a distribution
+    over (X0, X1, Y, Z0, Z1) where each outer pair is either (value, 1),
+    (1, value) or two perfect copies, per the requested mode.  The float
+    oracle of ``split_generated_rays``.
+    """
+    if x_mode not in _SPLIT_MODES or z_mode not in _SPLIT_MODES:
+        raise InvalidParameter(f"modes must be one of {_SPLIT_MODES}")
+    if model.structure.observed_ids() != ("X1", "X2", "X3"):
+        raise InvalidParameter("model must live on the 3-node line")
+    joint = compile_model(model).marginal(["X1", "X2", "X3"])
+    nx, ny, nz = joint.alphabet_sizes
+    table = np.zeros((nx, nx, ny, nz, nz))
+    for (x, y, z), p in np.ndenumerate(joint.table):
+        if p == 0:
+            continue
+        x0, x1 = {"keep0": (x, 1), "keep1": (1, x), "copy": (x, x)}[x_mode]
+        z0, z1 = {"keep0": (z, 1), "keep1": (1, z), "copy": (z, z)}[z_mode]
+        table[x0, x1, y, z0, z1] += p
+    return JointDistribution(("X0", "X1", "Y", "Z0", "Z1"), (nx, nx, ny, nz, nz), table)

@@ -19,12 +19,12 @@ from entrocone.cli import main as cli_main
 from entrocone.distributions import CausalModel, compile_model, entropy_vector
 from entrocone.entropy_space import (CoordinateIndex, elemental_shannon_system,
                                      reduced_line_system, system_rows)
-from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays,
+from entrocone.polyhedra import (HRep, dd_project, enumerate_rays,
                                  facets_from_rays, fm_eliminate, primitive,
                                  reduce_mod_span, rref, sign_canonical)
 
 from conftest import random_cone_hrep
-from oracles import bc_functional_variants, setting_conditionals
+from oracles import bc_functional_variants, cones_equal, mask_of, setting_conditionals
 from reference_tables import (LINE4_RAYS, POST_SELECTED3_FAMILIES,
                               POST_SELECTED3_RAYS)
 
@@ -77,7 +77,7 @@ def test_criterion_2_tightness_up_to_seven(capsys):
         t_n = time.perf_counter() - t0
         expected = n * (n + 1) // 2
         assert report.verdict == "tight", f"n={n} not tight: {report.notes}"
-        assert len(report.rays) == expected
+        assert len(report.vrep.rays) == expected
         assert len(report.witnesses) == expected
         pairs = {(w["i"], w["j"]) for w in report.witnesses.values()}
         assert len(pairs) == expected  # distinct witness per ray
@@ -128,13 +128,13 @@ def test_criterion_4_reduction_cone_equivalence(capsys):
 
 def test_criterion_5_marginalization_consistency(capsys):
     target = observed_outer_cone(build_line_structure(4))
-    assert set(target.rays) == set(LINE4_RAYS.values())
+    assert set(target.vrep.rays) == set(LINE4_RAYS.values())
 
     t0 = time.perf_counter()
     via_dd = full_marginal_outer_cone(bell_structure(), engine="dd")
     t_dd = time.perf_counter() - t0
     assert cones_equal(via_dd.hrep, target.hrep)
-    assert set(via_dd.rays) == set(LINE4_RAYS.values())
+    assert set(via_dd.vrep.rays) == set(LINE4_RAYS.values())
     assert t_dd < 60.0, f"DD engine took {t_dd:.2f}s (budget 60s)"
 
     t0 = time.perf_counter()
@@ -161,9 +161,9 @@ def test_criterion_5_marginalization_consistency(capsys):
 def _family_row(terms, index: CoordinateIndex) -> tuple[int, ...]:
     row = [0] * len(index)
     for coeff, subset, condition in terms:
-        subset_mask = index.mask_of(_split_names(subset))
+        subset_mask = mask_of(index, _split_names(subset))
         if condition:
-            cond_mask = index.mask_of(_split_names(condition))
+            cond_mask = mask_of(index, _split_names(condition))
             row[index.position(subset_mask | cond_mask)] += coeff
             row[index.position(cond_mask)] -= coeff
         else:
@@ -187,8 +187,8 @@ def _split_names(text: str) -> list[str]:
 def test_criterion_6_post_selected_3(capsys):
     start = time.perf_counter()
     report = post_selected_marginal_cone(3)
-    assert len(report.rays) == 20
-    assert set(report.rays) == set(POST_SELECTED3_RAYS.values())
+    assert len(report.vrep.rays) == 20
+    assert set(report.vrep.rays) == set(POST_SELECTED3_RAYS.values())
     shannon, extra = classify_shannon_facets(report.hrep, report.index)
     assert len(extra) + len(report.hrep.equalities) == 36
 
@@ -315,7 +315,7 @@ def test_criterion_10_d_separation_soundness(capsys):
         def h(names):
             if not names:
                 return 0.0
-            return vector.values[index.position(index.mask_of(names))]
+            return vector.values[index.position(mask_of(index, names))]
 
         for xs, ys, zs in triples:
             value = h(xs + zs) + h(ys + zs) - h(xs + ys + zs) - h(zs)

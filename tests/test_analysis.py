@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entrocone.analysis import (_independence_rows, _nice_equalities,
-                                classify_shannon_facets,
+from entrocone.analysis import (_independence_rows, classify_shannon_facets,
                                 full_marginal_outer_cone, observed_outer_cone,
                                 post_selected_marginal_cone, report_to_json,
                                 report_to_text, split_generated_rays,
@@ -19,33 +18,34 @@ from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
                                      contiguous_decomposition_equalities,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
-from entrocone.polyhedra import (HRep, cones_equal, dd_project, enumerate_rays, facets_from_rays,
-                                 fm_eliminate, membership, primitive, reduce_mod_span, rref)
+from entrocone.polyhedra import (HRep, dd_project, enumerate_rays, facets_from_rays, fm_eliminate,
+                                 membership, primitive, reduce_mod_span, rref)
 
 from conftest import (full_coordinate_marginal_cone, full_coordinate_post_selected_cone,
-                      local_markov_projection, random_dag)
-from oracles import snapped
+                      hidden_ids, local_markov_projection, random_dag)
+from oracles import (cones_equal, fraction_primitive, mask_of, nice_equalities, snapped,
+                     split_p3_witness)
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
 class TestObservedOuterCone:
     def test_line4_rays(self):
         report = observed_outer_cone(build_line_structure(4))
-        assert set(report.rays) == set(LINE4_RAYS.values())
+        assert set(report.vrep.rays) == set(LINE4_RAYS.values())
 
     def test_line2_rays(self):
         report = observed_outer_cone(build_line_structure(2))
-        assert set(report.rays) == {(1, 0, 1), (0, 1, 1), (1, 1, 1)}
+        assert set(report.vrep.rays) == {(1, 0, 1), (0, 1, 1), (1, 1, 1)}
 
     def test_line1_ray(self):
         report = observed_outer_cone(build_line_structure(1))
-        assert report.rays == ((1,),)
+        assert report.vrep.rays == ((1,),)
 
     def test_bell_names_follow_coordinate_order(self):
         report = observed_outer_cone(bell_structure())
         assert report.index.labels[:7] == ("H(A)", "H(X)", "H(Y)", "H(B)",
                                            "H(AX)", "H(AY)", "H(AB)")
-        assert set(report.rays) == set(LINE4_RAYS.values())
+        assert set(report.vrep.rays) == set(LINE4_RAYS.values())
 
     def test_verdict_outer_only(self):
         assert observed_outer_cone(build_line_structure(3)).verdict == "outer-only"
@@ -77,12 +77,12 @@ class TestVerify:
     def test_tight_with_expected_ray_count(self, n):
         report = verify_line_tightness(n)
         assert report.verdict == "tight"
-        assert len(report.rays) == n * (n + 1) // 2
+        assert len(report.vrep.rays) == n * (n + 1) // 2
         assert len(report.witnesses) == n * (n + 1) // 2
 
     def test_line4_rays_match_table(self):
         report = verify_line_tightness(4)
-        assert set(report.rays) == set(LINE4_RAYS.values())
+        assert set(report.vrep.rays) == set(LINE4_RAYS.values())
 
     def test_witness_vectors_lie_on_their_rays(self):
         report = verify_line_tightness(4)
@@ -100,12 +100,12 @@ class TestVerify:
             direct = observed_outer_cone(build_line_structure(n))
             lifted = verify_line_tightness(n)
             assert cones_equal(direct.hrep, lifted.hrep)
-            assert set(direct.rays) == set(lifted.rays)
+            assert set(direct.vrep.rays) == set(lifted.vrep.rays)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_rays_equal_the_outer_rays(self, n):
         # the n(n+1)/2 reduced rows against every elemental row, both through the block split
-        assert verify_line_tightness(n).rays == observed_outer_cone(build_line_structure(n)).rays
+        assert verify_line_tightness(n).vrep.rays == observed_outer_cone(build_line_structure(n)).vrep.rays
 
     def test_quantum_note_only_when_tight(self):
         report = verify_line_tightness(3)
@@ -188,7 +188,7 @@ class TestFullMarginalization:
         report = full_marginal_outer_cone(bell_structure(), engine="dd")
         target = observed_outer_cone(build_line_structure(4))
         assert cones_equal(report.hrep, target.hrep)
-        assert set(report.rays) == set(LINE4_RAYS.values())
+        assert set(report.vrep.rays) == set(LINE4_RAYS.values())
 
     def test_engines_agree_on_bell(self):
         dd = full_marginal_outer_cone(bell_structure(), engine="dd")
@@ -271,7 +271,7 @@ class TestFullMarginalization:
 
     def test_guard_override(self):
         report = full_marginal_outer_cone(build_line_structure(3), max_nodes=10)
-        assert report.rays
+        assert report.vrep.rays
 
     def test_bad_engine(self):
         with pytest.raises(InvalidParameter):
@@ -315,8 +315,8 @@ def test_projection_equals_the_local_markov_oracle(engine):
 class TestPostSelectedCone:
     def test_k3_rays_match_table(self):
         report = post_selected_marginal_cone(3)
-        assert set(report.rays) == set(POST_SELECTED3_RAYS.values())
-        assert len(report.rays) == 20
+        assert set(report.vrep.rays) == set(POST_SELECTED3_RAYS.values())
+        assert len(report.vrep.rays) == 20
 
     def test_k3_equalities_include_outer_pair(self):
         report = post_selected_marginal_cone(3)
@@ -355,8 +355,7 @@ class TestPostSelectedCone:
 
     def test_split_vectors_match_the_float_route(self, monkeypatch):
         import entrocone.distributions as dist
-        from entrocone.distributions import (entropy_vector, line_witness_models,
-                                             split_p3_witness)
+        from entrocone.distributions import entropy_vector, line_witness_models
 
         gf2 = dist.gf2_entropy_vector
         seen = []
@@ -402,7 +401,7 @@ class TestPostSelectedCone:
         fm = post_selected_marginal_cone(3, engine="fm")
         dd = post_selected_marginal_cone(3, engine="dd")
         assert cones_equal(fm.hrep, dd.hrep)
-        assert set(fm.rays) == set(dd.rays)
+        assert set(fm.vrep.rays) == set(dd.vrep.rays)
 
 
 class TestPrintedFamiliesDefineTheCone:
@@ -422,7 +421,7 @@ class TestPrintedFamiliesDefineTheCone:
         for pos, mask in enumerate(index.masks):
             if row[pos]:
                 names = [mapping[index.variables[i]] for i in _bit_positions(mask)]
-                out[index.position(index.mask_of(names))] += row[pos]
+                out[index.position(mask_of(index, names))] += row[pos]
         return tuple(out)
 
     def test_families_plus_scenario_shannon_give_the_20_rays(self):
@@ -500,7 +499,7 @@ def _full_coordinate_outer(structure):
     equalities = _candidates(structure, index)
     _, shannon = system_rows(elemental_shannon_system(index.variables))
     vrep = enumerate_rays(HRep(len(index), tuple(equalities), tuple(shannon), index.labels))
-    return _nice_equalities(facets_from_rays(vrep), equalities), vrep
+    return nice_equalities(facets_from_rays(vrep), equalities), vrep
 
 
 @pytest.mark.parametrize("selector", [*(f"pn:{n}" for n in range(1, 9)),
@@ -531,7 +530,7 @@ def _candidates(structure, index):
 
 
 def _rref_per_candidate(hrep, candidates):
-    """_nice_equalities as it was: a full rref of the chosen rows for every candidate."""
+    """The equality choice as it was: a full rref of the chosen rows for every candidate."""
     if not hrep.equalities:
         return hrep
     base, pivots = rref(hrep.equalities)
@@ -556,7 +555,7 @@ def test_incremental_equality_choice_matches_rref_per_candidate(selector):
     candidates = _candidates(structure, report.index)
     expected = _rref_per_candidate(dual, candidates)
     assert expected is not dual  # independence rows span the equalities
-    assert _nice_equalities(dual, candidates) == expected
+    assert nice_equalities(dual, candidates) == expected
     assert report.hrep == expected
 
 
@@ -571,7 +570,7 @@ def test_equality_choice_passes_over_rows_outside_the_span(selector):
                    report.hrep.labels)
     expected = _rref_per_candidate(partial, rows)
     assert expected is not partial
-    assert _nice_equalities(partial, rows) == expected
+    assert nice_equalities(partial, rows) == expected
 
 
 def test_rows_outside_the_span_do_not_block_later_rows():
@@ -579,7 +578,7 @@ def test_rows_outside_the_span_do_not_block_later_rows():
     # is in it; passing them over must leave (1,0,0) free to be chosen
     candidates = [(1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
     hrep = HRep(3, equalities=((1, 1, 0), (0, 1, 0)), inequalities=((0, 0, 1),))
-    assert _nice_equalities(hrep, candidates).equalities == ((1, 0, 0), (0, 1, 0))
+    assert nice_equalities(hrep, candidates).equalities == ((1, 0, 0), (0, 1, 0))
 
 
 @pytest.mark.parametrize("pipeline", [
@@ -614,6 +613,26 @@ HIDDEN_FIRST = CausalStructure(
 def test_reports_carry_the_index_labels(pipeline, engine):
     report = pipeline(engine)
     assert report.hrep.labels == report.vrep.labels == report.index.labels
+
+
+# each pipeline's cone lies in the Shannon cone of its observed nodes, which is
+# pointed, so no report has lineality: the text prints none and the JSON an empty list
+POINTED_REPORTS = {
+    **{f"outer-{s}": lambda s=s: observed_outer_cone(structure_from_name(s))
+       for s in ("pn:1", "pn:2", "pn:3", "pn:4", "bell")},
+    **{f"marginalize-bell-{e}": lambda e=e: full_marginal_outer_cone(bell_structure(), engine=e)
+       for e in ("dd", "fm")},
+    "bc-cone-3": lambda: post_selected_marginal_cone(3),
+    **{f"verify-pn:{n}": lambda n=n: verify_line_tightness(n) for n in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("build", POINTED_REPORTS.values(), ids=POINTED_REPORTS.keys())
+def test_every_pipeline_report_has_no_lineality(build):
+    report = build()
+    assert report.vrep.lineality == ()
+    assert "lineality" not in report_to_text(report)
+    assert json.loads(report_to_json(report))["lineality"] == []
 
 
 # -- oracle: the full-coordinate projections the block route replaced -----------
@@ -681,7 +700,7 @@ def test_observed_blocks_of_all_nodes_keep_the_observed_split_order():
     for structure in _hidden_before_observed_dags():
         names, observed = structure.node_ids(), structure.observed_ids()
         every = BlockSplit(CoordinateIndex(names), clash_masks(structure, names))
-        hidden = every.index.mask_of(structure.unobserved_ids())
+        hidden = mask_of(every.index, hidden_ids(structure))
         at = {names.index(v): i for i, v in enumerate(observed)}
         kept = tuple(sum(1 << at[p] for p in _bit_positions(block))
                      for block in every.blocks if not block & hidden)
@@ -711,9 +730,9 @@ def _fraction_scenario_shannon_pool(index):
         for coeffs in _fraction_elemental_forms(len(sub.variables)):
             row = [Fraction(0)] * len(index)
             for smask, coeff in coeffs.items():
-                gmask = index.mask_of(v for i, v in enumerate(sub.variables) if smask >> i & 1)
+                gmask = mask_of(index, (v for i, v in enumerate(sub.variables) if smask >> i & 1))
                 row[index.position(gmask)] += coeff
-            pool.add(primitive(row))
+            pool.add(fraction_primitive(row))
     return sorted(pool)
 
 

@@ -174,7 +174,7 @@ class TestVerify:
         data = json.loads(out)
         report = verify_line_tightness(3)
         assert data["verdict"] == report.verdict
-        assert [tuple(r) for r in data["rays"].values()] == list(report.rays)
+        assert [tuple(r) for r in data["rays"].values()] == list(report.vrep.rays)
 
     @pytest.mark.parametrize("n", [14, 20])
     def test_line_above_the_ceiling_exits_at_once(self, capsys, monkeypatch, n):

@@ -14,13 +14,13 @@ from entrocone.distributions import (CausalModel, EntropyVector, bc_functional,
                                      compile_model, entropy_vector, gf2_entropy_vector,
                                      line_witness_causes, line_witness_models,
                                      model_from_json, model_to_json, post_select_joint,
-                                     split_p3_witness, tables_from_json, witness_line)
+                                     tables_from_json, witness_line)
 from entrocone.entropy_space import CoordinateIndex, reduced_line_system
 from entrocone.errors import InvalidModel, InvalidParameter
 
 from conftest import random_model
 from oracles import (bc_functional_oriented, bc_functional_variants, evaluate, form_text,
-                     setting_conditionals, snapped)
+                     mask_of, setting_conditionals, snapped, split_p3_witness)
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -107,10 +107,6 @@ class TestEntropyVector:
         assert snapped(EntropyVector(index, np.array([1.0 + 1e-12]))) is None
         assert snapped(EntropyVector(index, np.array([1.0]))) == (1,)
 
-    def test_getitem(self):
-        vector = entropy_vector(compile_model(_two_bits()))
-        assert vector[["X", "Y"]] == pytest.approx(2.0)
-
 
 class TestLineWitnesses:
     def test_all_line4_rays_hit(self):
@@ -129,8 +125,8 @@ class TestLineWitnesses:
             vector = entropy_vector(joint)
             positive = [form_text(f, system.index) for f in system.inequalities
                         if evaluate(f, vector.values, system.index) > 1e-9]
-            full = system.index.mask_of([f"X{k}" for k in range(1, n + 1)])
-            rest = full & ~system.index.mask_of([f"X{i}"])
+            full = mask_of(system.index, [f"X{k}" for k in range(1, n + 1)])
+            rest = full & ~mask_of(system.index, [f"X{i}"])
             expected = f"-{system.index.label(rest)}+{system.index.label(full)}"
             assert positive == [expected]
 
@@ -245,7 +241,7 @@ def _force_binary_settings(model: CausalModel, rng) -> CausalModel:
             continue
         sizes[setting] = 2
         cpts[setting] = rng.dirichlet(np.ones(2))
-        for child in model.structure.children_map()[setting]:
+        for child in (c for c, ps in parents.items() if setting in ps):
             shape = tuple(sizes[p] for p in parents[child]) + (sizes[child],)
             cpt = np.empty(shape)
             for idx in np.ndindex(shape[:-1]):

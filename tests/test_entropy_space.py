@@ -19,7 +19,7 @@ from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import Echelon, primitive
 
 from conftest import dsep_bruteforce, local_markov_system, random_dag, random_model
-from oracles import evaluate, form_text
+from oracles import evaluate, form_text, fraction_primitive, mask_of
 
 
 class TestCoordinateIndex:
@@ -35,15 +35,15 @@ class TestCoordinateIndex:
         idx = CoordinateIndex(tuple(f"V{i}" for i in range(n)))
         assert len(idx) == 2 ** n - 1
 
-    def test_restrict_keeps_order(self):
-        idx = CoordinateIndex(("A", "B", "C"))
-        sub = idx.restrict([idx.mask_of("A"), idx.mask_of("AB"), idx.mask_of("B")])
-        assert sub.labels == ("H(A)", "H(B)", "H(AB)")
-
     def test_unknown_variable(self):
         idx = CoordinateIndex(("A",))
-        with pytest.raises(InvalidParameter):
-            idx.mask_of(["B"])
+        with pytest.raises(InvalidParameter, match="is not a coordinate"):
+            idx.position(0b10)
+
+    def test_restrict_keeps_order(self):
+        idx = CoordinateIndex(("A", "B", "C"))
+        sub = idx.restrict([mask_of(idx, "A"), mask_of(idx, "AB"), mask_of(idx, "B")])
+        assert sub.labels == ("H(A)", "H(B)", "H(AB)")
 
     def test_duplicate_variables_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -53,8 +53,8 @@ class TestCoordinateIndex:
 class TestForms:
     def test_cmi_expansion(self):
         idx = CoordinateIndex(("A", "B", "C"))
-        form = conditional_mutual_information(idx.mask_of("A"), idx.mask_of("B"),
-                                              idx.mask_of("C"))
+        form = conditional_mutual_information(mask_of(idx, "A"), mask_of(idx, "B"),
+                                              mask_of(idx, "C"))
         assert form_text(form, idx) == "-H(C)+H(AC)+H(BC)-H(ABC)"
 
     def test_unconditional_mi(self):
@@ -133,8 +133,8 @@ class TestClassicalCI:
         system = classical_ci_system(bell_structure())
         index = system.index
         # I(X : YB | AC) = 0, X's local Markov condition, is a sum of stated equalities
-        form = conditional_mutual_information(index.mask_of("X"), index.mask_of("YB"),
-                                              index.mask_of("AC"))
+        form = conditional_mutual_information(mask_of(index, "X"), mask_of(index, "YB"),
+                                              mask_of(index, "AC"))
         assert form_text(form, index) == "-H(AC)+H(AXC)+H(AYBC)-H(AXYBC)"
         assert _spans(system, form)
 
@@ -236,10 +236,10 @@ class TestContiguousReduction:
         lifted = _line_split(n).lift([block_values])[0]
         idx = CoordinateIndex(tuple(f"X{i}" for i in range(1, n + 1)))
         # contiguous coordinates reproduce the block values
-        assert lifted[idx.position(idx.mask_of(["X1"]))] == block_values[0]
-        assert lifted[idx.position(idx.mask_of(["X1", "X2"]))] == block_values[n]
+        assert lifted[idx.position(mask_of(idx, ["X1"]))] == block_values[0]
+        assert lifted[idx.position(mask_of(idx, ["X1", "X2"]))] == block_values[n]
         # non-contiguous ones are sums of their blocks
-        assert (lifted[idx.position(idx.mask_of(["X1", "X3"]))]
+        assert (lifted[idx.position(mask_of(idx, ["X1", "X3"]))]
                 == block_values[0] + block_values[2])
 
     def test_decomposition_equalities_hold_on_witnesses(self):
@@ -334,7 +334,7 @@ def _fraction_substitute_contiguous(system):
         for mask, coeff in form.coefficients:
             for start, length in _block_runs(mask):
                 row[_fraction_block_position(n, start, length)] += Fraction(coeff)
-        rows.append(primitive(row))
+        rows.append(fraction_primitive(row))
     return rows
 
 

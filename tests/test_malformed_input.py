@@ -310,3 +310,37 @@ def test_cycle_is_refused_naming_its_nodes(tmp_path, capsys, nodes, edges, named
     assert captured.out == ""
     assert captured.err == ("entrocone: edge relation must be acyclic; "
                             f"on a cycle or below one: {named}\n")
+
+
+# pn:20 with one-valued alphabets: 39 nodes and one joint cell, but 2^39 - 1 subsets
+PN20_UNIT_MODEL = {
+    "structure": "pn:20",
+    "alphabets": {**{f"X{k}": 1 for k in range(1, 21)}, **{f"C{k}": 1 for k in range(1, 20)}},
+    "cpts": {**{f"C{k}": [1] for k in range(1, 20)}, "X1": [[1]], "X20": [[1]],
+             **{f"X{k}": [[[1]]] for k in range(2, 20)}},
+}
+# 16 binary roots: 65,536 cells summed once for each of 65,535 subsets
+ROOTS16_MODEL = {"structure": {"nodes": [{"id": f"R{k}"} for k in range(16)]},
+                 "alphabets": {f"R{k}": 2 for k in range(16)},
+                 "cpts": {f"R{k}": [0.5, 0.5] for k in range(16)}}
+
+
+@pytest.mark.parametrize("model, message", [
+    (PN20_UNIT_MODEL, "the entropy vector of 39 nodes is refused; the ceiling is 20 nodes"),
+    (ROOTS16_MODEL, "the entropy vector of 16 nodes sums 65536 joint cells for each of "
+                    "65535 subsets, 4294901760 in all; the ceiling is 1073741824"),
+], ids=["pn20-unit", "roots16"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_entropy_refuses_a_model_above_its_ceilings(tmp_path, capsys, monkeypatch, model,
+                                                     message, fmt):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+
+    def unbuilt(*args):
+        raise AssertionError("the coordinate index was built")
+
+    monkeypatch.setattr("entrocone.distributions.labeled_index", unbuilt)
+    assert main(["--format", fmt, "entropy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entrocone: {message}\n"
