@@ -97,10 +97,6 @@ class CausalStructure:
         order = {n.id: i for i, n in enumerate(self.nodes)}
         return {node: tuple(sorted(lst, key=order.__getitem__)) for node, lst in out.items()}
 
-    def parents(self, node: str) -> tuple[str, ...]:
-        self._require(node)
-        return self._parents[node]
-
     def ancestor_closure(self, nodes: Iterable[str]) -> frozenset[str]:
         """Nodes together with all of their ancestors."""
         nodes = list(nodes)

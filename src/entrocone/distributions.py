@@ -80,9 +80,13 @@ class CausalModel:
         import numpy as np
         parents = self.structure.parents_map()
         # every node before any shape: a CPT's shape reads its parents' alphabets
-        for what, given in (("an alphabet size", self.alphabet_sizes), ("a CPT", self.cpts)):
+        for field, what, given in (("alphabets", "an alphabet size", self.alphabet_sizes),
+                                   ("cpts", "a CPT", self.cpts)):
             if missing := [node for node in parents if node not in given]:
                 raise InvalidModel(f"nodes without {what}: {', '.join(map(repr, missing))}")
+            if unknown := [node for node in given if node not in parents]:
+                raise InvalidModel(f"{field!r} names nodes the structure lacks: "
+                                   f"{', '.join(map(repr, unknown))}")
         for node in parents:
             cpt = np.asarray(self.cpts[node], dtype=float)
             expected = tuple(self.alphabet_sizes[p] for p in parents[node])
@@ -192,19 +196,6 @@ def gf2_entropy_vector(forms: Sequence[int], index: CoordinateIndex) -> tuple[in
 
 # -- witness constructions ---------------------------------------------------------
 
-def _uniform_bit() -> np.ndarray:
-    import numpy as np
-    return np.array([0.5, 0.5])
-
-
-def _deterministic(parent_sizes: Sequence[int], out_size: int, fn) -> np.ndarray:
-    import numpy as np
-    cpt = np.zeros((*parent_sizes, out_size))
-    for idx in np.ndindex(*parent_sizes):
-        cpt[idx + (fn(*idx),)] = 1.0
-    return cpt
-
-
 def line_witness_causes(i: int, j: int, n: int) -> tuple[int, ...]:
     """Bitmask forms of X_1 .. X_n in witness (i, j), as :func:`gf2_entropy_vector` reads them.
 
@@ -230,32 +221,27 @@ def witness_line(i: int, j: int, n: int) -> CausalModel:
     Each observed node is the XOR of the causes its form from
     :func:`line_witness_causes` names, so the entropy vector is integral.
     """
-    return _line_witness(build_line_structure(n), line_witness_causes(i, j, n))
-
-
-def _line_witness(structure: CausalStructure, forms: Sequence[int]) -> CausalModel:
-    """The CPTs of a witness on an n-node line structure, from its bitmask forms."""
-    n = len(forms)
+    import numpy as np
+    forms = line_witness_causes(i, j, n)
+    structure = build_line_structure(n)
     sizes = {v: 2 for v in structure.node_ids()}
-    cpts: dict[str, np.ndarray] = {f"C{k}": _uniform_bit() for k in range(1, n)}
+    cpts = {f"C{m}": np.array([0.5, 0.5]) for m in range(1, n)}
     if n == 1:
         # degenerate line: a single observed root carries one uniform bit
-        cpts["X1"] = _uniform_bit()
-        return CausalModel(structure, sizes, cpts)
-
+        return CausalModel(structure, sizes, {"X1": np.array([0.5, 0.5])})
     for k, form in enumerate(forms, 1):
-        parents = structure.parents(f"X{k}")
-        picked = [pos for pos, p in enumerate(parents) if form >> int(p[1:]) & 1]  # p is C_m
-        cpts[f"X{k}"] = _deterministic([2] * len(parents), 2,
-                                       lambda *cs: sum(cs[p] for p in picked) % 2 if picked else 1)
+        causes = [m for m in (k - 1, k) if 1 <= m < n]  # X_k's parents C_m, in node order
+        cpt = np.zeros((2,) * len(causes) + (2,))
+        for bits in np.ndindex(*cpt.shape[:-1]):
+            picked = [b for b, m in zip(bits, causes) if form >> m & 1]
+            cpt[bits + (sum(picked) % 2 if picked else 1,)] = 1.0
+        cpts[f"X{k}"] = cpt
     return CausalModel(structure, sizes, cpts)
 
 
 def line_witness_models(n: int) -> dict[tuple[int, int], CausalModel]:
-    """All n(n+1)/2 witnesses, keyed by (i, j), sharing one structure."""
-    structure = build_line_structure(n)
-    return {(i, j): _line_witness(structure, line_witness_causes(i, j, n))
-            for i in range(1, n + 1) for j in range(i, n + 1)}
+    """All n(n+1)/2 witnesses, keyed by (i, j)."""
+    return {(i, j): witness_line(i, j, n) for i in range(1, n + 1) for j in range(i, n + 1)}
 
 
 def post_select_joint(model: CausalModel) -> JointDistribution:

@@ -9,7 +9,9 @@ time: substitution through an equality, or pairing followed by one
 redundancy removal) or the double-description route (enumerate rays, drop
 coordinates, re-extremalize).  Rank and span queries grow one forward
 integer echelon, :class:`Echelon`; :func:`rref` is the only
-back-elimination.  Everything is computed in exact integer arithmetic.
+back-elimination.  Everything is computed in exact integer arithmetic:
+every row the echelon, the double description and Fourier-Motzkin form
+from two rows comes from one fraction-free step, :func:`_combine`.
 """
 
 from __future__ import annotations
@@ -36,25 +38,18 @@ def primitive(vector: Sequence[int]) -> Row:
     return tuple(v // g for v in vector) if g > 1 else tuple(vector)
 
 
-def sign_canonical(vector: Sequence[int]) -> Row:
-    """Primitive form with the first nonzero entry positive (for lines)."""
-    vec = primitive(vector)
-    for v in vec:
-        if v > 0:
-            return vec
-        if v < 0:
-            return tuple(-x for x in vec)
-    return vec
-
-
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> Row:
+    """``s*u - t*v`` made primitive: the one fraction-free step from two rows (cf. Bareiss 1968)."""
+    return primitive([s * x - t * y for x, y in zip(u, v)])
+
+
 def _eliminate(row: Row, pivot_row: Row, pc: int) -> Row:
-    """``row`` with column pc cleared by ``pivot_row``, without fractions (cf. Bareiss 1968)."""
-    lead, f = pivot_row[pc], row[pc]
-    return primitive([lead * v - f * w for v, w in zip(row, pivot_row)])
+    """``row`` with column pc cleared by ``pivot_row``."""
+    return _combine(pivot_row[pc], row, row[pc], pivot_row)
 
 
 class Echelon:
@@ -209,27 +204,13 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
             if vals_b[pivot] < 0:
                 b0 = tuple(-v for v in b0)
             a_b0 = abs(vals_b[pivot])
-            new_basis = []
-            for i, b in enumerate(basis):
-                if i == pivot:
-                    continue
-                if vals_b[i] == 0:
-                    new_basis.append(b)
-                else:
-                    # b0 is already flipped so that a . b0 = a_b0 > 0
-                    new_basis.append(sign_canonical(
-                        tuple(a_b0 * x - vals_b[i] * y for x, y in zip(b, b0))))
-            new_rays = []
-            for r, z in rays:
-                a_r = dot(a, r)
-                if a_r == 0:
-                    new_rays.append((r, z | bit))
-                else:
-                    adj = primitive(tuple(a_b0 * x - a_r * y for x, y in zip(r, b0)))
-                    new_rays.append((adj, z | bit))
-            new_rays.append((b0, prev_mask))
-            basis = new_basis
-            rays = new_rays
+            # every other vector x moves along b0 to a_b0 x - (a . x) b0, which is
+            # tight on a; b0 itself becomes a ray, the only one not tight on a
+            basis = [_combine(a_b0, b, v, b0) if v else b
+                     for i, (b, v) in enumerate(zip(basis, vals_b)) if i != pivot]
+            rays = [(_combine(a_b0, r, v, b0) if (v := dot(a, r)) else r, z | bit)
+                    for r, z in rays]
+            rays.append((b0, prev_mask))
             continue
         # lineality untouched: split rays by sign
         pos: list[tuple[Row, int, int]] = []
@@ -256,7 +237,7 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
                     if j not in tight_on:
                         tight_on[j] = [z for z in tight_on[-1] if z >> j & 1]
                     if _adjacent(meet, zp, zn, tight_on[j]):
-                        w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+                        w = _combine(vp, rn, vn, rp)
                         combined.setdefault(w, meet | bit)
         rays = [(r, z) for r, z, _ in pos] + zero + list(combined.items())
     ray_vectors = [r for r, _ in rays]

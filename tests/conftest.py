@@ -116,7 +116,7 @@ def local_markov_system(structure: CausalStructure):
     forms = []
     for node in structure.nodes:
         node_mask = mask_of(index, [node.id])
-        parents = mask_of(index, structure.parents(node.id))
+        parents = mask_of(index, structure.parents_map()[node.id])
         below = mask_of(index, descendants(structure, node.id))
         nondesc = ((1 << len(names)) - 1) & ~node_mask & ~below & ~parents
         if nondesc:

@@ -1,4 +1,5 @@
-"""Helpers only the tests call: form values and text, cone containment and the float oracles.
+"""Helpers only the tests call: form values and text, cone containment, lines up to sign
+and the float oracles.
 
 The float oracles read compiled models and entropy vectors in floating
 point, so the exact routes (GF(2) ranks, integer rows) are checked against
@@ -19,7 +20,7 @@ from entrocone.distributions import (_PROB_TOL, CausalModel, EntropyVector, Join
 from entrocone.entropy_space import CoordinateIndex, LinearForm
 from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import (HRep, VRep, _row_text, enumerate_rays, facets_from_rays,
-                                 membership, rref)
+                                 membership, primitive, rref)
 
 
 def fraction_primitive(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -35,6 +36,15 @@ def fraction_primitive(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)
+
+
+def sign_canonical(vector: Sequence[int]) -> tuple[int, ...]:
+    """Primitive form with the first nonzero entry positive, to compare lines up to sign."""
+    vec = primitive(vector)
+    for v in vec:
+        if v:
+            return vec if v > 0 else tuple(-x for x in vec)
+    return vec
 
 
 def mask_of(index: CoordinateIndex, names: Iterable[str]) -> int:

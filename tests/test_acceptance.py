@@ -21,10 +21,11 @@ from entrocone.entropy_space import (CoordinateIndex, elemental_shannon_system,
                                      reduced_line_system, system_rows)
 from entrocone.polyhedra import (HRep, dd_project, enumerate_rays,
                                  facets_from_rays, fm_eliminate, primitive,
-                                 reduce_mod_span, rref, sign_canonical)
+                                 reduce_mod_span, rref)
 
 from conftest import random_cone_hrep
-from oracles import bc_functional_variants, cones_equal, mask_of, setting_conditionals
+from oracles import (bc_functional_variants, cones_equal, mask_of, setting_conditionals,
+                     sign_canonical)
 from reference_tables import (LINE4_RAYS, POST_SELECTED3_FAMILIES,
                               POST_SELECTED3_RAYS)
 

@@ -158,7 +158,7 @@ class TestGraphMaps:
         parents["X3"].clear()
         del parents["X1"]
         assert g.parents_map()["X2"] == ["C1", "C2"]
-        assert g.parents("X3") == ("C2", "C3")
+        assert g.parents_map()["X3"] == ["C2", "C3"]
         assert descendants(g, "C1") == {"X1", "X2"}
         assert g.ancestor_closure(["X3"]) == {"X3", "C2", "C3"}
         assert not d_separated(g, {"X2"}, {"X3"}, set())

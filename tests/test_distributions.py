@@ -205,7 +205,7 @@ def xor_models(draw):
                                 + tuple(Node(y, "observed") for y in names), edges)
     cpts = {r: np.array([0.5, 0.5]) for r in roots}
     for y in names:
-        parents = structure.parents(y)
+        parents = structure.parents_map()[y]
         cpt = np.zeros((2,) * len(parents) + (2,))
         for bits in itertools.product(range(2), repeat=len(parents)):
             # a node without causes is the constant 1
@@ -361,7 +361,7 @@ class TestSplitting:
         det1 = {1: np.array([0.0, 1.0])}
         cpts = {"C1": np.array([0.5, 0.5]), "C2": np.array([0.5, 0.5])}
         for k in (1, 2, 3):
-            parents = structure.parents(f"X{k}")
+            parents = structure.parents_map()[f"X{k}"]
             cpt = np.zeros((2,) * len(parents) + (2,))
             cpt[..., 1] = 1.0
             cpts[f"X{k}"] = cpt

@@ -312,6 +312,23 @@ def test_cycle_is_refused_naming_its_nodes(tmp_path, capsys, nodes, edges, named
                             f"on a cycle or below one: {named}\n")
 
 
+# Q is not a node of pn:1; the alphabets are checked before the CPTs
+@pytest.mark.parametrize("alphabets, cpts, field", [
+    ({"X1": 2, "Q": 3}, {"X1": [0.5, 0.5], "Q": [1, 0]}, "alphabets"),
+    ({"X1": 2}, {"X1": [0.5, 0.5], "Q": [1, 0]}, "cpts"),
+], ids=["both", "cpts"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_entropy_refuses_a_model_naming_unknown_nodes(tmp_path, capsys, alphabets, cpts, field,
+                                                       fmt):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"structure": "pn:1", "alphabets": alphabets, "cpts": cpts}))
+    assert main(["--format", fmt, "entropy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"entrocone: model file invalid: '{field}' names nodes "
+                            "the structure lacks: 'Q'\n")
+
+
 # pn:20 with one-valued alphabets: 39 nodes and one joint cell, but 2^39 - 1 subsets
 PN20_UNIT_MODEL = {
     "structure": "pn:20",

@@ -15,7 +15,7 @@ from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality
                                  dd_project, dot, enumerate_rays, facets_from_rays,
                                  fm_eliminate, membership, nullspace, primitive,
                                  reduce_mod_span, remove_redundancies, rep_from_json,
-                                 rep_to_json, rep_to_text, rref, sign_canonical)
+                                 rep_to_json, rep_to_text, rref)
 
 from conftest import (fm_eliminate_per_step, hidden_ids, local_markov_projection,
                       random_cone_hrep)
@@ -586,7 +586,7 @@ def _full_scan_dd(basis, rows):
                 if vals_b[i] == 0:
                     new_basis.append(b)
                 else:
-                    new_basis.append(sign_canonical(
+                    new_basis.append(primitive(
                         tuple(a_b0 * x - vals_b[i] * y for x, y in zip(b, b0))))
             new_rays = []
             for r, z in rays:
@@ -676,6 +676,20 @@ def _dd_case(draw):
 def test_candidate_adjacency_scan_matches_full_scan(case):
     basis, rows = case
     assert _dd_pointed_with_lineality(basis, rows) == _full_scan_dd(basis, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dd_case(), st.data())
+def test_dd_does_not_depend_on_basis_signs(case, data):
+    basis, rows = case
+    flip = data.draw(st.lists(st.booleans(), min_size=len(basis), max_size=len(basis)))
+    flipped = [tuple(-x for x in b) if f else b for b, f in zip(basis, flip)]
+    rays, lineality = _dd_pointed_with_lineality(basis, rows)
+    flipped_rays, flipped_lineality = _dd_pointed_with_lineality(flipped, rows)
+    assert flipped_rays == rays
+    assert len(flipped_lineality) == len(lineality)
+    for b, c in zip(lineality, flipped_lineality):
+        assert b == c or b == tuple(-x for x in c)
 
 
 def _random_projections(rng):
