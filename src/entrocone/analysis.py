@@ -66,40 +66,37 @@ def _roman(k: int) -> str:
     return "".join(out)
 
 
-def _independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> list[Row]:
-    """Rows of the forms in ``index``, skipping those a restricted scenario cannot express.
-
-    ``_block_cone`` passes every ancestor-disjoint independence and computes
-    those forms (and their d-separation checks) once.  It solves in block
-    coordinates, where these rows vanish, so they only name the printed
-    equalities (``_nice_equalities``).
-    """
-    rows = []
-    for form in forms:
-        try:
-            rows.append(form.row(index))
-        except InvalidParameter:
-            continue
-    return rows
-
-
-def _nice_equalities(base: Sequence[Row], pivots: Sequence[int],
-                     candidates: Sequence[Row]) -> Sequence[Row]:
+def _nice_equalities(base: Sequence[Row], split: BlockSplit,
+                     forms: Iterable[LinearForm]) -> Sequence[Row]:
     """Present the equality space through independence rows when they span it.
 
-    ``base`` and ``pivots`` are the :func:`rref` of the equality space, and
-    the rows to print are ``base`` unless ``candidates``, the structure's
-    ancestor-disjointness equalities, span the same space; those keep
-    reports readable and diffable.
+    ``base`` is the :func:`rref` of the equality space: ``split``'s block
+    equalities e_S = H(S) - (the sum of its blocks), one per multi-block
+    subset S, plus any of the block cone's own.  It prints unless the rows
+    of ``forms``, the ancestor-disjoint independences, span it; those keep
+    reports readable and diffable, and are taken greedily in order.  Each
+    I(A:B) is e_A + e_B - e_AB, so it vanishes in block coordinates (the
+    span test) and never reaches the block cone's own equalities.  As each
+    e_S has one multi-block coordinate, S, independence is tested on the
+    restrictions to those coordinates, at most three entries a form.
     """
+    parts = split.parts
+    if len(base) > sum(len(part) > 1 for part in parts):
+        return base
     independent = Echelon()
-    chosen: list[tuple[int, ...]] = []
-    for row in candidates:
+    chosen: list[Row] = []
+    for form in forms:
         if len(chosen) == len(base):
             break
+        try:  # a restricted scenario cannot express every form
+            in_blocks, = substitute_contiguous(split, [form])
+        except InvalidParameter:
+            continue
+        at = [split.index.position(mask) for mask, _ in form.coefficients]
+        multi = {k: c for k, (_, c) in zip(at, form.coefficients) if len(parts[k]) > 1}
         # the span test comes first: only rows that are kept may enter ``independent``
-        if not any(reduce_mod_span(row, base, pivots)) and independent.add(row):
-            chosen.append(row)
+        if not any(in_blocks) and independent.add(multi):
+            chosen.append(form.row(split.index))
     return chosen if len(chosen) == len(base) else base
 
 
@@ -128,9 +125,11 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
     rays; the cone is pointed, as it lies in the Shannon cone of the
     observed nodes.  The equality space is the scenario's block equalities
     plus the block cone's own, placed; each block facet, placed, is reduced
-    modulo it, and the ancestor-disjoint independence rows name the printed
-    equalities (``_nice_equalities``).  The report carries the structure's
-    name, or "structure" for an unnamed one.
+    modulo its :func:`rref`.  The ancestor-disjoint independences name the
+    printed equalities, chosen on their restrictions to the multi-block
+    subsets, so that no dense candidate row is built
+    (``_nice_equalities``).  The report carries the structure's name, or
+    "structure" for an unnamed one.
     """
     if engine not in ("fm", "dd"):
         raise InvalidParameter("engine must be 'fm' or 'dd'")
@@ -151,8 +150,7 @@ def _block_cone(structure: CausalStructure, system: ConstraintSystem, scenario: 
     eq_rref, pivots = rref([*(f.row(scenario) for f in contiguous_decomposition_equalities(kept)),
                             *map(kept.place, projected.equalities)])
     facets = sorted(reduce_mod_span(kept.place(f), eq_rref, pivots) for f in projected.inequalities)
-    forms = observed_independence_constraints(structure)
-    equalities = _nice_equalities(eq_rref, pivots, _independence_rows(forms, scenario))
+    equalities = _nice_equalities(eq_rref, kept, observed_independence_constraints(structure))
     minimal = HRep(len(scenario), tuple(equalities), tuple(facets), scenario.labels)
     return ConeReport(structure_name=structure.name or "structure", index=scenario,
                       hrep=minimal, vrep=vrep)

@@ -88,6 +88,10 @@ class CausalModel:
                 raise InvalidModel(f"{field!r} names nodes the structure lacks: "
                                    f"{', '.join(map(repr, unknown))}")
         for node in parents:
+            if (size := self.alphabet_sizes[node]) < 1:
+                raise InvalidModel(f"'alphabets' gives {node!r} the size {size}; "
+                                   "an alphabet size must be at least 1")
+        for node in parents:
             cpt = np.asarray(self.cpts[node], dtype=float)
             expected = tuple(self.alphabet_sizes[p] for p in parents[node])
             expected += (self.alphabet_sizes[node],)
@@ -299,7 +303,7 @@ def bc_functional(tables: Mapping[tuple[int, int], np.ndarray]) -> float:
             raise InvalidParameter(f"table {key} has negative entries")
         total = arr.sum()
         if abs(total - 1.0) > 1e-9:
-            raise InvalidParameter(f"table {key} sums to {total!r}, not 1")
+            raise InvalidParameter(f"table {key} sums to {float(total)}, not 1")
         norm[key] = arr
 
     def h(a: int, b: int, given: int) -> float:
@@ -368,6 +372,10 @@ def tables_from_json(text: str) -> dict[tuple[int, int], np.ndarray]:
     sizes = data.get("alphabets")
     if not (isinstance(sizes, list) and len(sizes) == 2 and all(type(v) is int for v in sizes)):
         raise InvalidParameter("the 'alphabets' field must be [x_size, y_size], two integers")
+    for name, size in zip("XY", sizes):
+        if size < 1:
+            raise InvalidParameter(f"'alphabets' gives {name!r} the size {size}; "
+                                   "an alphabet size must be at least 1")
     nx, ny = sizes
     out = {}
     for key in ("00", "01", "10", "11"):

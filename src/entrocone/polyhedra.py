@@ -8,20 +8,21 @@ projections run either Fourier-Motzkin elimination (one coordinate at a
 time: substitution through an equality, or pairing followed by one
 redundancy removal) or the double-description route (enumerate rays, drop
 coordinates, re-extremalize).  Rank and span queries grow one forward
-integer echelon, :class:`Echelon`; :func:`rref` is the only
-back-elimination.  Everything is computed in exact integer arithmetic:
-every row the echelon, the double description and Fourier-Motzkin form
-from two rows comes from one fraction-free step, :func:`_combine`.
+integer echelon with sparse rows, :class:`Echelon`; :func:`rref` is the
+only back-elimination.  Everything is computed in exact integer
+arithmetic: every row the double description and Fourier-Motzkin form
+from two rows comes from one fraction-free step, :func:`_combine`, and
+every row of the echelon from the same step on sparse rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._simplex import conic_combination
 from .errors import InvalidParameter, parse_json
@@ -55,27 +56,52 @@ def _eliminate(row: Row, pivot_row: Row, pc: int) -> Row:
 class Echelon:
     """Forward row echelon form of a growing set of rows, in integers.
 
-    ``rows`` are kept in insertion order.  Each is primitive, pivots on its
-    first nonzero entry and is zero on the pivots of the rows inserted
-    before it, which is the order :func:`reduce_mod_span` reduces in.
-    :func:`rref` turns it into the unique reduced form.
+    ``rows`` are kept in insertion order as ``{column: value}`` maps of
+    their nonzeros, so an insertion costs the nonzeros it touches, not the
+    row width.  Each is primitive, pivots on its smallest column and is
+    zero on the pivots of the rows before it.  :func:`rref` turns it into
+    the unique reduced form.
     """
 
-    def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
-        self.rows: list[Row] = []
+    def __init__(self, rows: Iterable[Sequence[int] | Mapping[int, int]] = ()) -> None:
+        self.rows: list[dict[int, int]] = []
         self.pivots: list[int] = []
+        self._at: dict[int, int] = {}  # pivot column -> position in rows
         for row in rows:
             self.add(row)
 
-    def add(self, vector: Sequence[int]) -> bool:
-        """Append a row unless it lies in the span; whether it was appended."""
-        new = reduce_mod_span(vector, self.rows, self.pivots)
-        pc = next((c for c, v in enumerate(new) if v), None)
-        if pc is None:
+    def add(self, vector: Sequence[int] | Mapping[int, int]) -> bool:
+        """Append a row, dense or a ``{column: value}`` map, unless in the span; whether it was."""
+        if not isinstance(vector, Mapping):
+            vector = {c: vector[c] for c in compress(count(), vector)}
+        new = _primitive_sparse(vector)
+        # clearing a pivot brings in only later rows' pivots: earliest first is insertion order
+        while hits := [self._at[c] for c in new if c in self._at]:
+            i = min(hits)
+            row, pc = self.rows[i], self.pivots[i]
+            new = _combine_sparse(row[pc], new, new[pc], row)
+        if not new:
             return False
+        pc = min(new)
+        self._at[pc] = len(self.rows)
         self.rows.append(new)
         self.pivots.append(pc)
         return True
+
+
+def _primitive_sparse(row: Mapping[int, int]) -> dict[int, int]:
+    """A ``{column: value}`` row made primitive, its zero entries dropped."""
+    row = {c: v for c, v in row.items() if v}
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _combine_sparse(s: int, u: Mapping[int, int], t: int, v: Mapping[int, int]) -> dict[int, int]:
+    """:func:`_combine` on ``{column: value}`` rows."""
+    row = {c: s * x for c, x in u.items()}
+    for c, y in v.items():
+        row[c] = row.get(c, 0) - t * y
+    return _primitive_sparse(row)
 
 
 def rref(rows: Iterable[Sequence[int]]) -> tuple[list[Row], list[int]]:
@@ -83,21 +109,31 @@ def rref(rows: Iterable[Sequence[int]]) -> tuple[list[Row], list[int]]:
 
     The rows are primitive with positive leads, sorted by pivot, and each
     pivot column is zero in every other row, so the form is unique.  It is
-    the :class:`Echelon` of ``rows`` with each pivot column cleared once,
-    the last pivot first.  The echelon takes the rows last first, which
-    keeps it sparser on the pipeline's equality rows and lineality bases
-    (the result does not depend on the order, only the time does).
+    the sparse :class:`Echelon` of ``rows`` sorted by pivot, each row then
+    cleared by the rows below it, which are reduced already, from the last
+    up; only the result is dense.  The echelon takes the rows last first,
+    which keeps it sparser on the pipeline's equality rows and lineality
+    bases (the result does not depend on the order, only the time does).
     """
-    span = Echelon(list(rows)[::-1])
-    ranked = sorted(zip(span.pivots, span.rows))  # pivots are distinct
+    rows = list(rows)
+    span = Echelon(rows[::-1])
+    ranked = sorted(zip(span.pivots, span.rows), key=lambda pr: pr[0])  # pivots are distinct
     pivots = [pc for pc, _ in ranked]
-    reduced = [row if row[pc] > 0 else tuple(-v for v in row) for pc, row in ranked]
-    for j in range(len(reduced) - 1, 0, -1):
-        pc = pivots[j]
-        for i in range(j):
-            if reduced[i][pc]:
-                reduced[i] = _eliminate(reduced[i], reduced[j], pc)
-    return reduced, pivots
+    at = {pc: j for j, pc in enumerate(pivots)}
+    reduced = [row if row[pc] > 0 else {c: -v for c, v in row.items()} for pc, row in ranked]
+    for i in range(len(reduced) - 2, -1, -1):
+        row = reduced[i]
+        for j in [at[c] for c in row if c in at and c != pivots[i]]:  # all rows below i
+            below, pc = reduced[j], pivots[j]
+            row = _combine_sparse(below[pc], row, row[pc], below)
+        reduced[i] = row
+    dense = []
+    for row in reduced:
+        out = [0] * len(rows[0])
+        for c, v in row.items():
+            out[c] = v
+        dense.append(tuple(out))
+    return dense, pivots
 
 
 def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
@@ -122,7 +158,7 @@ def reduce_mod_span(vector: Sequence[int], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
     """Canonical representative of a vector modulo the row span of an :func:`rref` basis.
 
-    ``basis_rref`` may also be the rows of an :class:`Echelon` in insertion order;
+    ``basis_rref`` may also be a dense forward echelon in insertion order;
     the result is then zero on every pivot and canonical up to sign.
     """
     vec = primitive(vector)

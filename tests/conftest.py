@@ -13,7 +13,7 @@ import pytest
 
 import entrocone
 from entrocone import polyhedra
-from entrocone.analysis import _independence_rows, _marginal_scenario
+from entrocone.analysis import _marginal_scenario
 from entrocone.causal import (CausalStructure, Node, build_post_selected_line,
                               observed_independence_constraints)
 from entrocone.distributions import CausalModel
@@ -23,7 +23,7 @@ from entrocone.entropy_space import (ConstraintSystem, CoordinateIndex, classica
 from entrocone.polyhedra import (HRep, _eliminate, _kept_coordinates, dd_project, enumerate_rays,
                                  fm_eliminate, primitive)
 
-from oracles import mask_of, nice_equalities
+from oracles import independence_rows, mask_of, nice_equalities
 
 
 # -- graph queries from the parent lists -----------------------------------------
@@ -160,7 +160,7 @@ def full_coordinate_marginal_cone(structure: CausalStructure, engine: str):
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     observed_index = CoordinateIndex(structure.observed_ids())
     forms = observed_independence_constraints(structure)
-    minimal = nice_equalities(projected, _independence_rows(forms, observed_index))
+    minimal = nice_equalities(projected, independence_rows(forms, observed_index))
     return minimal, enumerate_rays(minimal)
 
 
@@ -175,9 +175,9 @@ def full_coordinate_post_selected_cone(k: int, engine: str):
     drop = [i for i, m in enumerate(index.masks) if m not in marginal_index.allowed]
     forms = observed_independence_constraints(structure)
     _, shannon = system_rows(elemental_shannon_system(index.variables))
-    hrep = HRep(len(index), tuple(_independence_rows(forms, index)), tuple(shannon), index.labels)
+    hrep = HRep(len(index), tuple(independence_rows(forms, index)), tuple(shannon), index.labels)
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
-    minimal = nice_equalities(projected, _independence_rows(forms, marginal_index))
+    minimal = nice_equalities(projected, independence_rows(forms, marginal_index))
     return minimal, enumerate_rays(minimal)
 
 

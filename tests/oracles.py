@@ -14,13 +14,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from entrocone.analysis import _nice_equalities
 from entrocone.distributions import (_PROB_TOL, CausalModel, EntropyVector, JointDistribution,
                                      bc_functional, compile_model, shannon_entropy)
 from entrocone.entropy_space import CoordinateIndex, LinearForm
 from entrocone.errors import InvalidParameter
-from entrocone.polyhedra import (HRep, VRep, _row_text, enumerate_rays, facets_from_rays,
-                                 membership, primitive, rref)
+from entrocone.polyhedra import (Echelon, HRep, Row, VRep, _row_text, enumerate_rays,
+                                 facets_from_rays, membership, primitive, reduce_mod_span, rref)
 
 
 def fraction_primitive(vector: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -75,9 +74,39 @@ def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
     return contains(a, b) and contains(b, a)
 
 
+def independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> list[Row]:
+    """Dense rows of the forms in ``index``, skipping those a restricted scenario cannot express."""
+    rows = []
+    for form in forms:
+        try:
+            rows.append(form.row(index))
+        except InvalidParameter:
+            continue
+    return rows
+
+
+def dense_nice_equalities(base: Sequence[Row], pivots: Sequence[int],
+                          candidates: Sequence[Row]) -> Sequence[Row]:
+    """The printed equalities as ``analysis._nice_equalities`` chose them on dense rows.
+
+    ``base`` and ``pivots`` are the :func:`rref` of the equality space; the
+    candidates in the span of ``base`` are chosen greedily, each one
+    independent of those before it, and ``base`` is kept unless they span it.
+    """
+    independent = Echelon()
+    chosen: list[Row] = []
+    for row in candidates:
+        if len(chosen) == len(base):
+            break
+        # the span test comes first: only rows that are kept may enter ``independent``
+        if not any(reduce_mod_span(row, base, pivots)) and independent.add(row):
+            chosen.append(row)
+    return chosen if len(chosen) == len(base) else base
+
+
 def nice_equalities(hrep: HRep, candidates: Sequence[Sequence[int]]) -> HRep:
-    """``hrep`` with its equalities printed as ``_nice_equalities`` picks them."""
-    rows = _nice_equalities(*rref(hrep.equalities), candidates)
+    """``hrep`` with its equalities printed as ``dense_nice_equalities`` picks them."""
+    rows = dense_nice_equalities(*rref(hrep.equalities), candidates)
     return HRep(hrep.dimension, tuple(rows), hrep.inequalities, hrep.labels)
 
 

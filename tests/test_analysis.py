@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entrocone.analysis import (_independence_rows, classify_shannon_facets,
+from entrocone.analysis import (_nice_equalities, classify_shannon_facets,
                                 full_marginal_outer_cone, observed_outer_cone,
                                 post_selected_marginal_cone, report_to_json,
                                 report_to_text, split_generated_rays,
@@ -14,7 +14,8 @@ from entrocone.analysis import (_independence_rows, classify_shannon_facets,
 from entrocone.causal import (CausalStructure, Node, bell_structure,
                               build_line_structure, build_post_selected_line, clash_masks,
                               observed_independence_constraints, structure_from_name)
-from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
+from entrocone.entropy_space import (BlockSplit, CoordinateIndex, LinearForm,
+                                     conditional_mutual_information,
                                      contiguous_decomposition_equalities,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
@@ -23,8 +24,8 @@ from entrocone.polyhedra import (HRep, dd_project, enumerate_rays, facets_from_r
 
 from conftest import (full_coordinate_marginal_cone, full_coordinate_post_selected_cone,
                       hidden_ids, local_markov_projection, random_dag)
-from oracles import (cones_equal, fraction_primitive, mask_of, nice_equalities, snapped,
-                     split_p3_witness)
+from oracles import (cones_equal, dense_nice_equalities, fraction_primitive, independence_rows,
+                     mask_of, nice_equalities, snapped, split_p3_witness)
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -526,7 +527,7 @@ def test_outer_matches_the_full_coordinate_route_on_random_dags():
 # -- oracle: the incremental equality choice against one rref per candidate ----
 
 def _candidates(structure, index):
-    return _independence_rows(observed_independence_constraints(structure), index)
+    return independence_rows(observed_independence_constraints(structure), index)
 
 
 def _rref_per_candidate(hrep, candidates):
@@ -579,6 +580,89 @@ def test_rows_outside_the_span_do_not_block_later_rows():
     candidates = [(1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
     hrep = HRep(3, equalities=((1, 1, 0), (0, 1, 0)), inequalities=((0, 0, 1),))
     assert nice_equalities(hrep, candidates).equalities == ((1, 0, 0), (0, 1, 0))
+
+
+# -- oracle: the equality choice on block restrictions against the dense chooser --
+
+def _recorded_choices(monkeypatch, pipeline):
+    """Each ``_nice_equalities`` call a pipeline makes: its base, split, forms and result."""
+    import entrocone.analysis as analysis
+
+    chooser, calls = analysis._nice_equalities, []
+
+    def recorded(base, split, forms):
+        out = chooser(base, split, forms)
+        calls.append((base, split, forms, out))
+        return out
+
+    monkeypatch.setattr(analysis, "_nice_equalities", recorded)
+    pipeline()
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _dense_choice(base, split, forms):
+    rows, pivots = rref(base)
+    assert rows == list(base)  # the choice gets the rref of the equality space
+    return dense_nice_equalities(rows, pivots, independence_rows(forms, split.index))
+
+
+@pytest.mark.parametrize("selector", [*(f"pn:{n}" for n in range(1, 9)),
+                                      "bell", "ptilde:3", "ptilde:4"])
+def test_equality_choice_matches_the_dense_chooser(monkeypatch, selector):
+    structure = structure_from_name(selector)
+    base, split, forms, out = _recorded_choices(monkeypatch, lambda: observed_outer_cone(structure))
+    assert out == _dense_choice(base, split, forms)
+    assert len(out) == len(base) and (out is not base or not base)  # independence rows print
+
+
+def test_equality_choice_matches_the_dense_chooser_on_random_dags(monkeypatch):
+    rng = np.random.default_rng(41)  # the DAGs of the full-coordinate outer oracle
+    checked = 0
+    while checked < 80:
+        structure = random_dag(rng, int(rng.integers(1, 8)), edge_prob=float(rng.uniform(0.1, 0.6)))
+        if not 1 <= len(structure.observed_ids()) <= 4:
+            continue
+        choice = _recorded_choices(monkeypatch, lambda: observed_outer_cone(structure))
+        assert choice[3] == _dense_choice(*choice[:3])
+        checked += 1
+
+
+def test_equality_choice_passes_over_forms_outside_the_block_span():
+    # H(AB) restricts to the multi-block coordinate just as I(A:B) does, but it
+    # does not vanish in block coordinates, so only I(A:B) may print
+    structure = CausalStructure((Node("A", "observed"), Node("B", "observed")), ())
+    index = CoordinateIndex(structure.observed_ids())
+    split = BlockSplit(index, clash_masks(structure, index.variables))
+    base, _ = rref(f.row(index) for f in contiguous_decomposition_equalities(split))
+    pair = conditional_mutual_information(1, 2)
+    chosen = _nice_equalities(base, split, [LinearForm.build({3: 1}), pair])
+    assert chosen == [pair.row(index)] and chosen is not base
+
+
+# N0 and N1 share no ancestor, and N2 screens N1 off from N3
+SCREENED = CausalStructure(tuple(Node(v, "observed") for v in ("N0", "N1", "N2", "N3")),
+                           (("N0", "N2"), ("N0", "N3"), ("N1", "N2"), ("N2", "N3")))
+
+
+@pytest.mark.parametrize("pipeline, base_route", [
+    (lambda: post_selected_marginal_cone(3), False),
+    (lambda: full_marginal_outer_cone(bell_structure()), False),
+    (lambda: full_marginal_outer_cone(SCREENED), True),
+], ids=["bc-cone-3", "marginalize-bell", "marginalize-screened"])
+def test_projected_equality_choice_matches_the_dense_chooser(monkeypatch, pipeline, base_route):
+    base, split, forms, out = _recorded_choices(monkeypatch, pipeline)
+    assert out == _dense_choice(base, split, forms)
+    # the block cone's own equalities lie beyond every independence, and base prints
+    assert (len(base) > sum(len(part) > 1 for part in split.parts)) == base_route
+    assert (out is base) == base_route
+    if base_route:  # and it prints before any form is read
+
+        def unread():
+            raise AssertionError("a form was read")
+            yield
+
+        assert _nice_equalities(base, split, unread()) is base
 
 
 @pytest.mark.parametrize("pipeline", [

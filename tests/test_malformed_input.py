@@ -361,3 +361,43 @@ def test_entropy_refuses_a_model_above_its_ceilings(tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"entrocone: {message}\n"
+
+
+# an alphabet size below 1 is refused by name, before any CPT shape or sum is read
+@pytest.mark.parametrize("size, cpt", [(-1, [1]), (0, [])], ids=["negative", "zero"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_entropy_refuses_an_alphabet_below_one(tmp_path, capsys, size, cpt, fmt):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"structure": "pn:1", "alphabets": {"X1": size},
+                                "cpts": {"X1": cpt}}))
+    assert main(["--format", fmt, "entropy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"entrocone: model file invalid: 'alphabets' gives 'X1' the size "
+                            f"{size}; an alphabet size must be at least 1\n")
+
+
+@pytest.mark.parametrize("sizes, named", [([2, 0], "'Y' the size 0"), ([-1, 2], "'X' the size -1")],
+                         ids=["y-zero", "x-negative"])
+def test_bc_eval_refuses_an_alphabet_below_one(tmp_path, capsys, sizes, named):
+    nx, ny = (max(size, 0) for size in sizes)
+    table = [[0.0] * ny for _ in range(nx)]
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"alphabets": sizes,
+                                "tables": dict.fromkeys(("00", "01", "10", "11"), table)}))
+    assert main(["bc-eval", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"entrocone: 'alphabets' gives {named}; "
+                            "an alphabet size must be at least 1\n")
+
+
+def test_bc_eval_prints_a_table_sum_as_a_plain_number(tmp_path, capsys):
+    path = tmp_path / "tables.json"
+    uniform = [[0.25, 0.25], [0.25, 0.25]]
+    path.write_text(json.dumps({"alphabets": [2, 2], "tables": {
+        "00": [[0.5, 0.4], [0.0, 0.0]], "01": uniform, "10": uniform, "11": uniform}}))
+    assert main(["bc-eval", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "entrocone: table (0, 0) sums to 0.9, not 1\n"

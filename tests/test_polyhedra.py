@@ -465,16 +465,19 @@ def test_incremental_echelon_matches_fraction_elimination(case):
         assert rref(rows[:k]) == (base, pivots)
         assert inserted == (len(base) > rank)
         assert sorted(span.pivots) == pivots
+        # the rows are sparse: their nonzero entries, read here as dense rows
+        assert all(0 not in r.values() for r in span.rows)
+        dense = [tuple(r.get(c, 0) for c in range(width)) for r in span.rows]
         # the forward form: primitive rows in insertion order, each pivoting on
         # its first nonzero entry and zero on the pivots of the rows before it
-        for i, (r, pc) in enumerate(zip(span.rows, span.pivots)):
+        for i, (r, pc) in enumerate(zip(dense, span.pivots)):
             assert all(type(v) is int for v in r) and gcd(*r) == 1
             assert next(c for c, v in enumerate(r) if v) == pc
             assert not any(r[p] for p in span.pivots[:i])
         assert reduce_mod_span(probe, *rref(rows[:k])) == _fraction_reduce_mod_span(probe, base, pivots)
         # the echelon itself spans the rows, and reduces in insertion order
-        assert nullspace(span.rows, width) == _fraction_nullspace(rows[:k], width)
-        forward = reduce_mod_span(probe, span.rows, span.pivots)
+        assert nullspace(dense, width) == _fraction_nullspace(rows[:k], width)
+        forward = reduce_mod_span(probe, dense, span.pivots)
         canonical = _fraction_reduce_mod_span(probe, base, pivots)
         assert forward in (canonical, tuple(-v for v in canonical))
 
