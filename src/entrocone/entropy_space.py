@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameter
@@ -59,7 +60,7 @@ class CoordinateIndex:
     def label(self, mask: int) -> str:
         return f"H({''.join(self.members(mask))})"
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.label(m) for m in self.masks)
 

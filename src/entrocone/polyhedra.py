@@ -7,21 +7,24 @@ method, which inserts the inequality rows in the order they are given;
 projections run either Fourier-Motzkin elimination (one coordinate at a
 time: substitution through an equality, or pairing followed by one
 redundancy removal) or the double-description route (enumerate rays, drop
-coordinates, re-extremalize).  Rank and span queries grow one forward
-integer echelon with sparse rows, :class:`Echelon`; :func:`rref` is the
-only back-elimination.  Everything is computed in exact integer
-arithmetic: every row the double description and Fourier-Motzkin form
-from two rows comes from one fraction-free step, :func:`_combine`, and
-every row of the echelon from the same step on sparse rows.
+coordinates, re-extremalize); both return unlabeled cones.  Rank and
+span queries grow an integer echelon of sparse ``{column: value}`` rows,
+:class:`Echelon`; :func:`rref` is two of them, forward and back, and the
+only place dense rows become sparse.  Everything is computed in exact
+integer arithmetic: every row the double description and
+Fourier-Motzkin form from two rows comes from one fraction-free step,
+:func:`_combine`, and every row of the echelon from the same step on
+sparse rows, :func:`_combine_sparse`.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from ._simplex import conic_combination
@@ -48,32 +51,24 @@ def _combine(s: int, u: Sequence[int], t: int, v: Sequence[int]) -> Row:
     return primitive([s * x - t * y for x, y in zip(u, v)])
 
 
-def _eliminate(row: Row, pivot_row: Row, pc: int) -> Row:
-    """``row`` with column pc cleared by ``pivot_row``."""
-    return _combine(pivot_row[pc], row, row[pc], pivot_row)
-
-
 class Echelon:
-    """Forward row echelon form of a growing set of rows, in integers.
+    """Forward row echelon form of a growing set of ``{column: value}`` rows, in integers.
 
-    ``rows`` are kept in insertion order as ``{column: value}`` maps of
-    their nonzeros, so an insertion costs the nonzeros it touches, not the
-    row width.  Each is primitive, pivots on its smallest column and is
-    zero on the pivots of the rows before it.  :func:`rref` turns it into
-    the unique reduced form.
+    ``rows`` are kept in insertion order as maps of their nonzeros, so an
+    insertion costs the nonzeros it touches, not the row width.  Each is
+    primitive, pivots on its smallest column and is zero on the pivots of
+    the rows before it.  :func:`rref` turns it into the unique reduced form.
     """
 
-    def __init__(self, rows: Iterable[Sequence[int] | Mapping[int, int]] = ()) -> None:
+    def __init__(self, rows: Iterable[Mapping[int, int]] = ()) -> None:
         self.rows: list[dict[int, int]] = []
         self.pivots: list[int] = []
         self._at: dict[int, int] = {}  # pivot column -> position in rows
         for row in rows:
             self.add(row)
 
-    def add(self, vector: Sequence[int] | Mapping[int, int]) -> bool:
-        """Append a row, dense or a ``{column: value}`` map, unless in the span; whether it was."""
-        if not isinstance(vector, Mapping):
-            vector = {c: vector[c] for c in compress(count(), vector)}
+    def add(self, vector: Mapping[int, int]) -> bool:
+        """Append a ``{column: value}`` row unless it is in the span; whether it was appended."""
         new = _primitive_sparse(vector)
         # clearing a pivot brings in only later rows' pivots: earliest first is insertion order
         while hits := [self._at[c] for c in new if c in self._at]:
@@ -108,32 +103,25 @@ def rref(rows: Iterable[Sequence[int]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of ``rows``: its nonzero rows and their pivot columns.
 
     The rows are primitive with positive leads, sorted by pivot, and each
-    pivot column is zero in every other row, so the form is unique.  It is
-    the sparse :class:`Echelon` of ``rows`` sorted by pivot, each row then
-    cleared by the rows below it, which are reduced already, from the last
-    up; only the result is dense.  The echelon takes the rows last first,
-    which keeps it sparser on the pipeline's equality rows and lineality
-    bases (the result does not depend on the order, only the time does).
+    pivot column is zero in every other row, so the form is unique.  Two
+    :class:`Echelon` passes make it: the forward one takes the rows last
+    first, which keeps it sparser on the pipeline's equality rows and
+    lineality bases (the result does not depend on the order, only the
+    time does); the back one takes its rows by pivot, largest first, each
+    with a positive lead, so each row is cleared by the reduced rows below
+    it.  Only the result is dense.
     """
     rows = list(rows)
-    span = Echelon(rows[::-1])
-    ranked = sorted(zip(span.pivots, span.rows), key=lambda pr: pr[0])  # pivots are distinct
-    pivots = [pc for pc, _ in ranked]
-    at = {pc: j for j, pc in enumerate(pivots)}
-    reduced = [row if row[pc] > 0 else {c: -v for c, v in row.items()} for pc, row in ranked]
-    for i in range(len(reduced) - 2, -1, -1):
-        row = reduced[i]
-        for j in [at[c] for c in row if c in at and c != pivots[i]]:  # all rows below i
-            below, pc = reduced[j], pivots[j]
-            row = _combine_sparse(below[pc], row, row[pc], below)
-        reduced[i] = row
+    forward = Echelon({c: row[c] for c in compress(count(), row)} for row in reversed(rows))
+    ranked = sorted(zip(forward.pivots, forward.rows), key=itemgetter(0), reverse=True)
+    back = Echelon(row if row[pc] > 0 else {c: -v for c, v in row.items()} for pc, row in ranked)
     dense = []
-    for row in reduced:
+    for row in reversed(back.rows):
         out = [0] * len(rows[0])
         for c, v in row.items():
             out[c] = v
         dense.append(tuple(out))
-    return dense, pivots
+    return dense, back.pivots[::-1]
 
 
 def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
@@ -156,15 +144,11 @@ def nullspace(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
 
 def reduce_mod_span(vector: Sequence[int], basis_rref: Sequence[Row],
                     pivots: Sequence[int]) -> Row:
-    """Canonical representative of a vector modulo the row span of an :func:`rref` basis.
-
-    ``basis_rref`` may also be a dense forward echelon in insertion order;
-    the result is then zero on every pivot and canonical up to sign.
-    """
+    """Canonical representative of a vector modulo the row span of an :func:`rref` basis."""
     vec = primitive(vector)
     for row, pc in zip(basis_rref, pivots):
         if vec[pc] != 0:
-            vec = _eliminate(vec, row, pc)
+            vec = _combine(row[pc], vec, vec[pc], row)
     return vec
 
 
@@ -372,15 +356,16 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     so the next one starts from one row per facet, and the implicit
     equalities it finds send later coordinates through substitution.  A
     system that did not end in a pairing is minimized once at the end, so
-    the result is the canonical minimal H-representation of the projection.
+    the result is the canonical minimal H-representation of the projection,
+    without coordinate labels.
 
     Between minimizations the rows stay plain tuples of the same width: an
     eliminated column is zero in every row and is cut, with the rows that
     became zero, only when an :class:`HRep` is built for a minimization or
     for the result.  Every row the steps make is already primitive.
     """
-    keep, _ = _kept_coordinates(h, coords)
-    targets = set(range(h.dimension)).difference(keep)
+    targets = set(coords)
+    _kept_coordinates(h, targets)  # refuses coordinates out of range, or all of them
     cols = list(range(h.dimension))  # the original position of each column of the rows
     at = {c: j for j, c in enumerate(cols)}
     eqs, ineqs = list(h.equalities), list(h.inequalities)
@@ -388,9 +373,8 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
 
     def cut() -> HRep:
         live = [j not in gone for j in range(len(cols))]
-        labels = tuple(h.labels[c] for c, kept in zip(cols, live) if kept) if h.labels else None
         return HRep(live.count(True), tuple(tuple(compress(r, live)) for r in eqs),
-                    tuple(tuple(compress(r, live)) for r in ineqs), labels)
+                    tuple(tuple(compress(r, live)) for r in ineqs))
 
     system = None  # the minimized system, while no step has followed its pairing
     while targets:
@@ -401,8 +385,8 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
             pivot = min((e for e in eqs if e[j]), key=lambda e: (len(e) - e.count(0), e))
             # a positive lead keeps every inequality's direction; the pivot itself becomes zero
             pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
-            eqs = [_eliminate(r, pivot, j) if r[j] else r for r in eqs]
-            ineqs = [_eliminate(r, pivot, j) if r[j] else r for r in ineqs]
+            eqs = [_combine(pivot[j], r, r[j], pivot) if r[j] else r for r in eqs]
+            ineqs = [_combine(pivot[j], r, r[j], pivot) if r[j] else r for r in ineqs]
             gone.add(j)
             system = None
         else:
@@ -410,7 +394,7 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
             j = at[c]
             pos = [r for r in ineqs if r[j] > 0]
             neg = [r for r in ineqs if r[j] < 0]
-            ineqs = [r for r in ineqs if r[j] == 0] + [_eliminate(n, p, j) for p in pos for n in neg]
+            ineqs = [r for r in ineqs if r[j] == 0] + [_combine(p[j], n, n[j], p) for p in pos for n in neg]
             gone.add(j)
             system = remove_redundancies(cut())
             eqs, ineqs = list(system.equalities), list(system.inequalities)
@@ -428,28 +412,25 @@ def _pairing_cost(rows: Sequence[Row], j: int) -> int:
     return p * n - p - n
 
 
-def _kept_coordinates(h: HRep, coords: Iterable[int]) -> tuple[list[int], tuple[str, ...] | None]:
-    """Positions and labels left after eliminating ``coords``, which must be in range."""
+def _kept_coordinates(h: HRep, coords: Iterable[int]) -> list[int]:
+    """Positions left after eliminating ``coords``, which must be in range."""
     targets = set(coords)
     for c in sorted(targets):
         if not 0 <= c < h.dimension:
             raise InvalidParameter(f"coordinate {c} out of range")
     if len(targets) >= h.dimension:
         raise InvalidParameter("cannot eliminate every coordinate")
-    keep = [i for i in range(h.dimension) if i not in targets]
-    return keep, tuple(h.labels[i] for i in keep) if h.labels else None
+    return [i for i in range(h.dimension) if i not in targets]
 
 
 def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
-    """Projection via ray enumeration: drop coordinates, re-extremalize."""
-    keep, out_labels = _kept_coordinates(h, coords)
+    """Projection via ray enumeration: drop coordinates, re-extremalize; no labels."""
+    keep = _kept_coordinates(h, coords)
     v = enumerate_rays(h)
     rays = {primitive(tuple(r[i] for i in keep)) for r in v.rays}
     rays = {r for r in rays if any(r)}
     lineality = [tuple(l[i] for i in keep) for l in v.lineality]
-    projected = VRep(len(keep), tuple(sorted(rays)), tuple(lineality), out_labels)
-    minimal_h = facets_from_rays(projected)
-    return minimal_h
+    return facets_from_rays(VRep(len(keep), tuple(sorted(rays)), tuple(lineality)))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -492,6 +473,10 @@ def rep_from_json(text: str) -> HRep | VRep:
                                    and all(type(c) is str for c in coords)):
         raise InvalidParameter(f"cone file 'coordinates' must be a list of {dim} strings")
     labels = tuple(coords) if coords else None
+    if labels and (bad := [(c, k) for c, k in Counter(labels).items() if k > 1 or not c]):
+        label, k = bad[0]
+        raise InvalidParameter(f"cone file 'coordinates' holds the label {label!r} {k} times"
+                               if label else "cone file 'coordinates' holds the empty label ''")
     def rows(key: str) -> tuple[Row, ...]:
         section = data.get(key, [])
         if not isinstance(section, list):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from entrocone.distributions import CausalModel
 from entrocone.entropy_space import (ConstraintSystem, CoordinateIndex, classical_ci_system,
                                      conditional_mutual_information, elemental_shannon_system,
                                      system_rows)
-from entrocone.polyhedra import (HRep, _eliminate, _kept_coordinates, dd_project, enumerate_rays,
+from entrocone.polyhedra import (HRep, _combine, _kept_coordinates, dd_project, enumerate_rays,
                                  fm_eliminate, primitive)
 
 from oracles import independence_rows, mask_of, nice_equalities
@@ -160,7 +161,9 @@ def full_coordinate_marginal_cone(structure: CausalStructure, engine: str):
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
     observed_index = CoordinateIndex(structure.observed_ids())
     forms = observed_independence_constraints(structure)
-    minimal = nice_equalities(projected, independence_rows(forms, observed_index))
+    # the projections carry no labels; the report's are its scenario's
+    minimal = nice_equalities(replace(projected, labels=observed_index.labels),
+                              independence_rows(forms, observed_index))
     return minimal, enumerate_rays(minimal)
 
 
@@ -177,7 +180,8 @@ def full_coordinate_post_selected_cone(k: int, engine: str):
     _, shannon = system_rows(elemental_shannon_system(index.variables))
     hrep = HRep(len(index), tuple(independence_rows(forms, index)), tuple(shannon), index.labels)
     projected = fm_eliminate(hrep, drop) if engine == "fm" else dd_project(hrep, drop)
-    minimal = nice_equalities(projected, independence_rows(forms, marginal_index))
+    minimal = nice_equalities(replace(projected, labels=marginal_index.labels),
+                              independence_rows(forms, marginal_index))
     return minimal, enumerate_rays(minimal)
 
 
@@ -187,7 +191,7 @@ def fm_eliminate_per_step(h: HRep, coords):
     The reference for the plain-row loop: both must hand the same systems
     to ``polyhedra.remove_redundancies``, in the same order.
     """
-    keep, _ = _kept_coordinates(h, coords)
+    keep = _kept_coordinates(h, coords)
     targets = set(range(h.dimension)).difference(keep)
     cols = list(range(h.dimension))
     system, minimal = h, False
@@ -199,7 +203,7 @@ def fm_eliminate_per_step(h: HRep, coords):
             j = at[c]
             pivot = min((e for e in eqs if e[j]), key=lambda e: (sum(1 for v in e if v), e))
             pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
-            substitute = lambda row: _eliminate(row, pivot, j) if row[j] else row
+            substitute = lambda row: _combine(pivot[j], row, row[j], pivot) if row[j] else row
             eqs, ineqs = map(substitute, eqs), map(substitute, ineqs)
         else:
             def cost(c):
@@ -215,8 +219,7 @@ def fm_eliminate_per_step(h: HRep, coords):
         targets.discard(c)
         del cols[j]
         drop = lambda row: row[:j] + row[j + 1:]
-        labels = tuple(h.labels[i] for i in cols) if h.labels else None
-        system = HRep(len(cols), tuple(map(drop, eqs)), tuple(map(drop, ineqs)), labels)
+        system = HRep(len(cols), tuple(map(drop, eqs)), tuple(map(drop, ineqs)))
         minimal = not eq_coords
         if minimal:
             system = polyhedra.remove_redundancies(system)

@@ -74,6 +74,11 @@ def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
     return contains(a, b) and contains(b, a)
 
 
+def sparse(row: Sequence[int]) -> dict[int, int]:
+    """A dense row as the ``{column: value}`` map of its nonzeros that :class:`Echelon` takes."""
+    return {c: v for c, v in enumerate(row) if v}
+
+
 def independence_rows(forms: Iterable[LinearForm], index: CoordinateIndex) -> list[Row]:
     """Dense rows of the forms in ``index``, skipping those a restricted scenario cannot express."""
     rows = []
@@ -99,7 +104,7 @@ def dense_nice_equalities(base: Sequence[Row], pivots: Sequence[int],
         if len(chosen) == len(base):
             break
         # the span test comes first: only rows that are kept may enter ``independent``
-        if not any(reduce_mod_span(row, base, pivots)) and independent.add(row):
+        if not any(reduce_mod_span(row, base, pivots)) and independent.add(sparse(row)):
             chosen.append(row)
     return chosen if len(chosen) == len(base) else base
 

@@ -19,7 +19,7 @@ from entrocone.errors import InvalidParameter
 from entrocone.polyhedra import Echelon, primitive
 
 from conftest import dsep_bruteforce, local_markov_system, random_dag, random_model
-from oracles import evaluate, form_text, fraction_primitive, mask_of
+from oracles import evaluate, form_text, fraction_primitive, mask_of, sparse
 
 
 class TestCoordinateIndex:
@@ -119,8 +119,8 @@ class TestElementalSystem:
 
 def _spans(system, form):
     """Whether the form's row lies in the span of the system's equality rows."""
-    span = Echelon(f.row(system.index) for f in system.equalities)
-    return not span.add(form.row(system.index))
+    span = Echelon(sparse(f.row(system.index)) for f in system.equalities)
+    return not span.add(sparse(form.row(system.index)))
 
 
 class TestClassicalCI:
@@ -431,8 +431,9 @@ def _check_split(structure):
     # the block equalities and the ancestor-disjoint independences span one space
     blocks = [f.row(index) for f in contiguous_decomposition_equalities(split)]
     independences = [f.row(index) for f in observed_independence_constraints(structure)]
-    rank = len(Echelon(blocks).rows)
-    assert rank == len(Echelon(independences).rows) == len(Echelon(blocks + independences).rows)
+    rank = len(Echelon(map(sparse, blocks)).rows)
+    assert (rank == len(Echelon(map(sparse, independences)).rows)
+            == len(Echelon(map(sparse, blocks + independences)).rows))
     assert rank == len(index) - len(split.blocks)
 
 

@@ -220,9 +220,15 @@ def test_other_readers_refuse_unparsable_json(parse, kind, text):
     # only an absent or null field means "no labels"
     *(('{"type": "hrep", "dimension": 2, "coordinates": %s}' % falsy, "'coordinates'")
       for falsy in ("false", "0", '""', "{}", "[]")),
+    # each coordinate is printed under its label, so a label is named once and is not empty
+    ('{"type": "hrep", "dimension": 3, "coordinates": ["x", "y", "x"]}',
+     "'coordinates' holds the label 'x' 2 times"),
+    ('{"type": "hrep", "dimension": 2, "coordinates": ["x", ""]}',
+     "'coordinates' holds the empty label ''"),
 ], ids=["dimension", "row", "section", "coordinates", "type", "huge-integer", "deep",
         "coordinates-false", "coordinates-0", "coordinates-empty-string",
-        "coordinates-empty-object", "coordinates-empty-list"])
+        "coordinates-empty-object", "coordinates-empty-list", "coordinates-repeated",
+        "coordinates-empty-label"])
 def test_rays_command_names_the_field(tmp_path, capsys, text, field):
     path = tmp_path / "cone.json"
     path.write_text(text)
@@ -231,6 +237,17 @@ def test_rays_command_names_the_field(tmp_path, capsys, text, field):
     assert captured.out == ""
     assert field in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_facets_refuses_a_repeated_coordinate(tmp_path, capsys):
+    # both coordinates print as x, so the facet x1 - x2 >= 0 would read "+x-x >= 0"
+    path = tmp_path / "cone.json"
+    path.write_text('{"type": "vrep", "dimension": 2, "coordinates": ["x", "x"], '
+                    '"rays": [[1, 0], [1, 1]]}')
+    assert main(["facets", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "entrocone: cone file 'coordinates' holds the label 'x' 2 times\n"
 
 
 @pytest.mark.parametrize("command, kind", [("rays", "hrep"), ("facets", "vrep")])

@@ -1,5 +1,6 @@
 """Exact cone engine: double description, Fourier-Motzkin, conversions."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,7 +20,7 @@ from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality
 
 from conftest import (fm_eliminate_per_step, hidden_ids, local_markov_projection,
                       random_cone_hrep)
-from oracles import cones_equal, fraction_primitive
+from oracles import cones_equal, fraction_primitive, sparse
 from reference_tables import LINE4_RAYS
 
 
@@ -204,7 +205,8 @@ class TestFourierMotzkin:
                  HRep(3, ((1, -1, 0),), ((1, 0, 0), (0, 1, 1), (2, 1, 1)))]
         cones += [random_cone_hrep(rng, 4, 6) for _ in range(5)]
         for h in cones:
-            assert fm_eliminate(h, []) == remove_redundancies(h)
+            # the projections carry no labels
+            assert fm_eliminate(h, []) == remove_redundancies(replace(h, labels=None))
 
     def test_unbounded_coordinate_drops_rows(self):
         # eliminating x from {x >= y} leaves no constraint on y
@@ -365,14 +367,24 @@ def _fraction_reduce_mod_span(vector, basis_rref, pivots):
 
 @st.composite
 def _rows_and_vector(draw):
-    width = draw(st.integers(1, 5))
-    row = st.lists(_entries, min_size=width, max_size=width)
-    return draw(st.lists(row, max_size=5)), draw(row)
+    # up to 40 columns of mostly zero entries, as the pipeline's equality rows are,
+    # so that the sparse back pass clears rows that share only a few columns
+    width = draw(st.integers(1, 40))
+    entry = draw(st.sampled_from([_entries, st.sampled_from((0,) * 8 + (-3, -1, 1, 2))]))
+    row = st.lists(entry, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=9))
+    # zero rows and repeats of earlier rows
+    for _ in range(draw(st.integers(0, 3))):
+        new = draw(st.sampled_from([[0] * width, *rows]))
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, draw(row)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_rows_and_vector())
 @example(([[0, 2, -4], [0, -1, 2], [1, 0, 2]], [9, -5, 0]))
+@example(([[0] * 39 + [1], [0] * 40, [1] + [0] * 38 + [-2], [0] * 39 + [1], [0, -1] + [0] * 38],
+          [3] + [0] * 38 + [1]))
 def test_integer_rref_matches_fraction_elimination(case):
     rows, vector = case
     base, pivots = rref(rows)
@@ -460,7 +472,7 @@ def test_incremental_echelon_matches_fraction_elimination(case):
     span = Echelon()
     for k, row in enumerate(rows, 1):
         rank = len(span.rows)
-        inserted = span.add(row)
+        inserted = span.add(sparse(row))
         base, pivots = _fraction_rref(rows[:k])
         assert rref(rows[:k]) == (base, pivots)
         assert inserted == (len(base) > rank)
