@@ -75,9 +75,10 @@ def _nice_equalities(base: Sequence[Row], split: BlockSplit,
     subset S, plus any of the block cone's own.  It prints unless the rows
     of ``forms``, the ancestor-disjoint independences, span it; those keep
     reports readable and diffable, and are taken greedily in order.  Each
-    I(A:B) is e_A + e_B - e_AB, so it vanishes in block coordinates (the
-    span test) and never reaches the block cone's own equalities.  As each
-    e_S has one multi-block coordinate, S, independence is tested on the
+    form is I(A:B) of an ancestor-disjoint pair, so the blocks of AB are
+    those of A and of B, and I(A:B) = e_A + e_B - e_AB lies in the block
+    equalities' span, never reaching the block cone's own.  As each e_S
+    has one multi-block coordinate, S, independence is tested on the
     restrictions to those coordinates, at most three entries a form.
     """
     parts = split.parts
@@ -89,13 +90,11 @@ def _nice_equalities(base: Sequence[Row], split: BlockSplit,
         if len(chosen) == len(base):
             break
         try:  # a restricted scenario cannot express every form
-            in_blocks, = substitute_contiguous(split, [form])
+            at = [split.index.position(mask) for mask, _ in form.coefficients]
         except InvalidParameter:
             continue
-        at = [split.index.position(mask) for mask, _ in form.coefficients]
         multi = {k: c for k, (_, c) in zip(at, form.coefficients) if len(parts[k]) > 1}
-        # the span test comes first: only rows that are kept may enter ``independent``
-        if not any(in_blocks) and independent.add(multi):
+        if independent.add(multi):
             chosen.append(form.row(split.index))
     return chosen if len(chosen) == len(base) else base
 

@@ -337,8 +337,11 @@ def model_from_json(text: str) -> CausalModel:
     ref = data["structure"]
     if isinstance(ref, str):
         structure = structure_from_name(ref)
-    else:
+    elif isinstance(ref, dict):
         structure = CausalStructure.from_json(json.dumps(ref))
+    else:
+        raise InvalidParameter("model file 'structure' must be a structure selector "
+                               f"or a structure object, not {json.dumps(ref)}")
     alphabets = data["alphabets"]
     if not (isinstance(alphabets, dict) and all(type(v) is int for v in alphabets.values())):
         raise InvalidParameter("the 'alphabets' field must map node ids to integers")

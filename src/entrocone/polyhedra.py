@@ -359,50 +359,40 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     the result is the canonical minimal H-representation of the projection,
     without coordinate labels.
 
-    Between minimizations the rows stay plain tuples of the same width: an
-    eliminated column is zero in every row and is cut, with the rows that
-    became zero, only when an :class:`HRep` is built for a minimization or
-    for the result.  Every row the steps make is already primitive.
+    The rows stay plain tuples between minimizations: each eliminated
+    column, zero in every row, is cut at once, and an :class:`HRep` is
+    built only to minimize.  Every row the steps make is already primitive.
     """
     targets = set(coords)
     _kept_coordinates(h, targets)  # refuses coordinates out of range, or all of them
     cols = list(range(h.dimension))  # the original position of each column of the rows
-    at = {c: j for j, c in enumerate(cols)}
-    eqs, ineqs = list(h.equalities), list(h.inequalities)
-    gone: set[int] = set()  # columns eliminated since the rows were last cut
-
-    def cut() -> HRep:
-        live = [j not in gone for j in range(len(cols))]
-        return HRep(live.count(True), tuple(tuple(compress(r, live)) for r in eqs),
-                    tuple(tuple(compress(r, live)) for r in ineqs))
-
+    eqs, ineqs = h.equalities, h.inequalities
     system = None  # the minimized system, while no step has followed its pairing
     while targets:
-        involved = [any(column) for column in zip(*eqs)] if eqs else [False] * len(cols)
-        if eq_coords := [c for c in targets if involved[at[c]]]:
-            c = min(eq_coords)
-            j = at[c]
+        involved = {cols[j] for j, column in enumerate(zip(*eqs)) if any(column)}
+        if eq_coords := targets & involved:
+            j = cols.index(min(eq_coords))
             pivot = min((e for e in eqs if e[j]), key=lambda e: (len(e) - e.count(0), e))
             # a positive lead keeps every inequality's direction; the pivot itself becomes zero
             pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
             eqs = [_combine(pivot[j], r, r[j], pivot) if r[j] else r for r in eqs]
             ineqs = [_combine(pivot[j], r, r[j], pivot) if r[j] else r for r in ineqs]
-            gone.add(j)
-            system = None
         else:
-            c = min(targets, key=lambda c: (_pairing_cost(ineqs, at[c]), c))
-            j = at[c]
+            j = min(map(cols.index, targets), key=lambda j: (_pairing_cost(ineqs, j), cols[j]))
             pos = [r for r in ineqs if r[j] > 0]
             neg = [r for r in ineqs if r[j] < 0]
             ineqs = [r for r in ineqs if r[j] == 0] + [_combine(p[j], n, n[j], p) for p in pos for n in neg]
-            gone.add(j)
-            system = remove_redundancies(cut())
-            eqs, ineqs = list(system.equalities), list(system.inequalities)
-            cols = [c for j, c in enumerate(cols) if j not in gone]
-            at = {c: j for j, c in enumerate(cols)}
-            gone = set()
-        targets.discard(c)
-    return system if system is not None else remove_redundancies(cut())
+        targets.discard(cols.pop(j))
+        eqs = [r[:j] + r[j + 1:] for r in eqs]
+        ineqs = [r[:j] + r[j + 1:] for r in ineqs]
+        if eq_coords:
+            system = None
+        else:
+            system = remove_redundancies(HRep(len(cols), tuple(eqs), tuple(ineqs)))
+            eqs, ineqs = system.equalities, system.inequalities
+    if system is None:
+        system = remove_redundancies(HRep(len(cols), tuple(eqs), tuple(ineqs)))
+    return system
 
 
 def _pairing_cost(rows: Sequence[Row], j: int) -> int:
@@ -465,6 +455,8 @@ def rep_from_json(text: str) -> HRep | VRep:
     dim = data["dimension"]
     if type(dim) is not int:  # bool and float are refused too
         raise InvalidParameter(f"cone file 'dimension' must be an integer, not {dim!r}")
+    if dim < 1:
+        raise InvalidParameter(f"cone file 'dimension' is {dim}; it must be at least 1")
     if dim > _MAX_FILE_DIMENSION:  # the conversions start from a dense dim x dim basis
         raise InvalidParameter(f"cone file 'dimension' is {dim}; "
                                f"the ceiling is {_MAX_FILE_DIMENSION}")

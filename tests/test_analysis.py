@@ -14,8 +14,7 @@ from entrocone.analysis import (_nice_equalities, classify_shannon_facets,
 from entrocone.causal import (CausalStructure, Node, bell_structure,
                               build_line_structure, build_post_selected_line, clash_masks,
                               observed_independence_constraints, structure_from_name)
-from entrocone.entropy_space import (BlockSplit, CoordinateIndex, LinearForm,
-                                     conditional_mutual_information,
+from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
                                      contiguous_decomposition_equalities,
                                      elemental_shannon_system, system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
@@ -626,18 +625,6 @@ def test_equality_choice_matches_the_dense_chooser_on_random_dags(monkeypatch):
         choice = _recorded_choices(monkeypatch, lambda: observed_outer_cone(structure))
         assert choice[3] == _dense_choice(*choice[:3])
         checked += 1
-
-
-def test_equality_choice_passes_over_forms_outside_the_block_span():
-    # H(AB) restricts to the multi-block coordinate just as I(A:B) does, but it
-    # does not vanish in block coordinates, so only I(A:B) may print
-    structure = CausalStructure((Node("A", "observed"), Node("B", "observed")), ())
-    index = CoordinateIndex(structure.observed_ids())
-    split = BlockSplit(index, clash_masks(structure, index.variables))
-    base, _ = rref(f.row(index) for f in contiguous_decomposition_equalities(split))
-    pair = conditional_mutual_information(1, 2)
-    chosen = _nice_equalities(base, split, [LinearForm.build({3: 1}), pair])
-    assert chosen == [pair.row(index)] and chosen is not base
 
 
 # N0 and N1 share no ancestor, and N2 screens N1 off from N3

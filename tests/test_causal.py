@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from entrocone.causal import (CausalStructure, Node, ancestor_disjoint_pairs,
                               bell_structure, build_line_structure,
-                              build_post_selected_line, d_separated,
+                              build_post_selected_line, clash_masks, d_separated,
                               observed_independence_constraints,
                               reduced_line_structure, structure_from_name)
 from entrocone.cli import main
 from entrocone.distributions import compile_model
-from entrocone.entropy_space import CoordinateIndex
+from entrocone.entropy_space import BlockSplit, CoordinateIndex, substitute_contiguous
 from entrocone.errors import InvalidParameter
 
 from conftest import descendants, dsep_bruteforce, hidden_ids, random_dag, random_model
@@ -272,6 +272,9 @@ class TestDSeparation:
                     assert abs(conditional_mutual_information_bits(joint, xs, ys, zs)) < 1e-9
 
 
+INDEPENDENCE_BUILTINS = [*(f"pn:{n}" for n in range(1, 9)), "bell", "ptilde:3", "ptilde:4"]
+
+
 class TestObservedIndependences:
     def test_line4_matches_known_pair(self):
         # the two pairs that cannot grow, and the three they imply
@@ -293,10 +296,33 @@ class TestObservedIndependences:
         texts = {form_text(f, idx) for f in observed_independence_constraints(g)}
         assert {"+H(X0X1)+H(Z0Z1)-H(X0X1Z0Z1)", "+H(X0)+H(Z0)-H(X0Z0)"} <= texts
 
+    # the two invariants the pipelines rely on without checking them per form
     def test_all_forms_certified_by_d_separation(self):
-        for g in (build_line_structure(5), build_post_selected_line(4)):
-            for s, t in ancestor_disjoint_pairs(g):
-                assert d_separated(g, s, t, set())
+        for name in INDEPENDENCE_BUILTINS:
+            _check_d_separated(structure_from_name(name))
+
+    def test_all_forms_vanish_in_block_coordinates(self):
+        for name in INDEPENDENCE_BUILTINS:
+            _check_vanish_in_blocks(structure_from_name(name))
+
+
+def _check_d_separated(structure):
+    """Each ancestor-disjoint pair is d-separated given the empty set."""
+    pairs = ancestor_disjoint_pairs(structure)
+    assert len(pairs) == len(observed_independence_constraints(structure))
+    for s, t in pairs:
+        assert d_separated(structure, s, t, set())
+
+
+def _check_vanish_in_blocks(structure):
+    """Each form I(S:T) is zero once every subset entropy is its blocks' sum."""
+    forms = observed_independence_constraints(structure)
+    if not structure.observed_ids():
+        assert forms == ()
+        return
+    index = CoordinateIndex(structure.observed_ids())
+    split = BlockSplit(index, clash_masks(structure, index.variables))
+    assert not any(map(any, substitute_contiguous(split, forms)))
 
 
 # -- oracle: the 3^m assignment scan that the bitmask pass replaced ------------
@@ -353,6 +379,18 @@ def _dags(draw):
 @given(_dags())
 def test_pairs_match_the_assignment_scan_on_random_dags(structure):
     assert ancestor_disjoint_pairs(structure) == _scan_ancestor_disjoint_pairs(structure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_all_forms_certified_by_d_separation_on_random_dags(structure):
+    _check_d_separated(structure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_all_forms_vanish_in_block_coordinates_on_random_dags(structure):
+    _check_vanish_in_blocks(structure)
 
 
 @pytest.mark.parametrize("name", [*(f"pn:{n}" for n in range(1, 9)), "bell",

@@ -25,7 +25,8 @@ from test_malformed_input import MISSING_PARENT_ALPHABET, REPEATED_EDGE, REPEATE
 # SHA-256 of stdout, recorded before the incremental echelon kernel replaced
 # one rref per candidate equality (the two fm marginalize digests: before
 # marginalize projected in block coordinates); these answers must stay
-# byte-identical
+# byte-identical.  The fm entries of bc-cone 4 and marginalize bell pin the
+# Fourier-Motzkin route to the digests of the double-description one
 PINNED_STDOUT = {
     "outer pn:7": "05da730a5d417427ac6eda5d2c1f43c6c38df50e9ef4409c94062038a407e4de",
     "outer pn:8": "3d97c03d684cfe0c9784dfbb59b4cb4fb032a1fa0288ceca2a371fb1e55506e7",
@@ -33,8 +34,11 @@ PINNED_STDOUT = {
     "outer ptilde:3": "9f6a6b5a30893ebea60a2857ad4550d9cbac41b25c60a1af5125612594bfd5a6",
     "outer ptilde:4": "3263f7185ca822a0543ebf17acae5fc55500ed1ce993e152a80f842ba363eb00",
     "bc-cone 4": "3ec8e08ca7b25f6da03ce61baa84993134aa02d9d0a00b2848595e4d24baec36",
+    "--engine fm bc-cone 4": "3ec8e08ca7b25f6da03ce61baa84993134aa02d9d0a00b2848595e4d24baec36",
     "--format json bc-cone 3": "3ebfc6ed40a51a32aa1a482753b2aa3f1ca858315ebd7c2a86c391d375e52ec7",
     "--engine dd marginalize bell":
+        "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
+    "--engine fm marginalize bell":
         "e016071a8aa27c2ec76c0386dd86eedba26c7514088b2e083f335988fe43c058",
     "--engine fm --max-nodes 9 marginalize pn:5":
         "f10e6e7e62420dd0d9ab0a57c23ffc314b0b9ced4245c6b5fa9074242872fcc4",

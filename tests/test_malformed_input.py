@@ -211,6 +211,8 @@ def test_other_readers_refuse_unparsable_json(parse, kind, text):
 
 @pytest.mark.parametrize("text, field", [
     ('{"type": "hrep", "dimension": "3"}', "'dimension'"),
+    ('{"type": "hrep", "dimension": 0}', "cone file 'dimension' is 0; it must be at least 1"),
+    ('{"type": "hrep", "dimension": -3}', "cone file 'dimension' is -3; it must be at least 1"),
     ('{"type": "hrep", "dimension": 2, "inequalities": [[1, 0.5]]}', "inequalities[0]"),
     ('{"type": "hrep", "dimension": 2, "equalities": {"a": 1}}', "'equalities'"),
     ('{"type": "hrep", "dimension": 2, "coordinates": ["a", 1]}', "'coordinates'"),
@@ -225,7 +227,7 @@ def test_other_readers_refuse_unparsable_json(parse, kind, text):
      "'coordinates' holds the label 'x' 2 times"),
     ('{"type": "hrep", "dimension": 2, "coordinates": ["x", ""]}',
      "'coordinates' holds the empty label ''"),
-], ids=["dimension", "row", "section", "coordinates", "type", "huge-integer", "deep",
+], ids=["dimension", "dimension-zero", "dimension-negative", "row", "section", "coordinates", "type", "huge-integer", "deep",
         "coordinates-false", "coordinates-0", "coordinates-empty-string",
         "coordinates-empty-object", "coordinates-empty-list", "coordinates-repeated",
         "coordinates-empty-label"])
@@ -344,6 +346,19 @@ def test_entropy_refuses_a_model_naming_unknown_nodes(tmp_path, capsys, alphabet
     assert captured.out == ""
     assert captured.err == (f"entrocone: model file invalid: '{field}' names nodes "
                             "the structure lacks: 'Q'\n")
+
+
+# a structure is named by a selector string or given as a structure object
+@pytest.mark.parametrize("structure, shown", [(5, "5"), (None, "null"), (["pn:1"], '["pn:1"]')],
+                         ids=["number", "null", "list"])
+def test_entropy_refuses_a_structure_of_the_wrong_kind(tmp_path, capsys, structure, shown):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"structure": structure, "alphabets": {}, "cpts": {}}))
+    assert main(["entropy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("entrocone: model file 'structure' must be a structure selector "
+                            f"or a structure object, not {shown}\n")
 
 
 # pn:20 with one-valued alphabets: 39 nodes and one joint cell, but 2^39 - 1 subsets
