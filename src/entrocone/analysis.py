@@ -185,9 +185,10 @@ def verify_line_tightness(n: int) -> ConeReport:
     ray; it then satisfies every block equality (the lift is built so)
     and makes no reduced inequality negative (the ray lies in the block
     cone), so the one check left is that exactly one block inequality is
-    strictly positive on its block ray.  The verdict is "tight" exactly when
-    the rays and witnesses are in bijection and every witness passes;
-    tightness certifies that the classical and quantum closures agree.
+    strictly positive on its block ray.  Each failed check leaves a note,
+    as does a line in the block cone; the verdict is "tight" exactly when
+    none is left, and tightness certifies that the classical and quantum
+    closures agree.
     Lines longer than 13 nodes are refused before anything is built.
     """
     if n < 1:
@@ -211,27 +212,26 @@ def verify_line_tightness(n: int) -> ConeReport:
     # n(n+1)/2 witnesses that all land on distinct lifted rays fill the map, so
     # the count check at the end also requires len(lifted) == dim
     ray_to_witness: dict[tuple[int, ...], dict] = {}
-    tight = True
     notes: list[str] = []
     for key in ((i, j) for i in range(1, n + 1) for j in range(i, n + 1)):
         snapped = dist.gf2_entropy_vector(dist.line_witness_causes(*key, n), index)
         ray = primitive(snapped)
         if ray not in lifted:
-            tight = False
             notes.append(f"witness {key} does not lie on an extremal ray")
             continue
         if ray in ray_to_witness:
-            tight = False
             notes.append(f"witness {key} repeats an already-achieved ray")
             continue
         positive = sum(dot(row, lifted[ray]) > 0 for row in block_rows)
         if positive != 1:
-            tight = False
             notes.append(f"witness {key} has {positive} strictly positive forms")
         ray_to_witness[ray] = {"i": key[0], "j": key[1], "n": n, "vector": list(snapped)}
     if len(ray_to_witness) != len(lifted):
-        tight = False
         notes.append("not every extremal ray is achieved by a witness")
+    if block_v.lineality:
+        notes.append(f"the reduced cone holds a line: its lineality has dimension "
+                     f"{len(block_v.lineality)}")
+    tight = not notes  # every failed check above left a note
     if tight:
         notes.append("classical closure equals quantum closure "
                      "(tight outer approximation achieved by explicit models)")

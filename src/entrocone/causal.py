@@ -19,7 +19,7 @@ NodeKind = Literal["observed", "unobserved"]
 
 # The most observed nodes a selector or a structure file may have.  Twenty
 # already make 1,048,575 entropy coordinates; the largest run the pipelines
-# aim at, verify pn:12, has 4,095.
+# aim at, verify pn:13 at its ceiling, has 8,191.
 _MAX_SELECTOR_OBSERVED = 20
 
 
@@ -47,7 +47,6 @@ class CausalStructure:
         known = frozenset(n.id for n in self.nodes)
         if len(known) != len(self.nodes):
             raise InvalidParameter("node ids must be unique")
-        object.__setattr__(self, "_known", known)
         seen: set[tuple[str, str]] = set()
         for parent, child in self.edges:
             if parent not in known or child not in known:
@@ -105,7 +104,7 @@ class CausalStructure:
         return _reach(nodes, self._parents)
 
     def _require(self, node: str) -> None:
-        if node not in self._known:
+        if node not in self._parents:
             raise InvalidParameter(f"unknown node {node!r}")
 
     # -- serialization ---------------------------------------------------

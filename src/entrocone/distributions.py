@@ -338,7 +338,10 @@ def model_from_json(text: str) -> CausalModel:
     if isinstance(ref, str):
         structure = structure_from_name(ref)
     elif isinstance(ref, dict):
-        structure = CausalStructure.from_json(json.dumps(ref))
+        try:
+            structure = CausalStructure.from_json(json.dumps(ref))
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"model file 'structure' is invalid: {exc}") from None
     else:
         raise InvalidParameter("model file 'structure' must be a structure selector "
                                f"or a structure object, not {json.dumps(ref)}")

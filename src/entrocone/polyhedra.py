@@ -352,47 +352,41 @@ def fm_eliminate(h: HRep, coords: Iterable[int]) -> HRep:
     involves is substituted out through the sparsest such equality; that
     adds no row.  Otherwise the coordinate with the cheapest pairing goes:
     the rows zero on it stay, and each positive row is combined with each
-    negative one.  Every pairing is followed by :func:`remove_redundancies`,
-    so the next one starts from one row per facet, and the implicit
-    equalities it finds send later coordinates through substitution.  A
-    system that did not end in a pairing is minimized once at the end, so
-    the result is the canonical minimal H-representation of the projection,
+    negative one.  A pairing with coordinates still to go is followed by
+    :func:`remove_redundancies`, so the next one starts from one row per
+    facet, and the implicit equalities it finds send later coordinates
+    through substitution.  The last system is always minimized, so the
+    result is the canonical minimal H-representation of the projection,
     without coordinate labels.
 
-    The rows stay plain tuples between minimizations: each eliminated
-    column, zero in every row, is cut at once, and an :class:`HRep` is
-    built only to minimize.  Every row the steps make is already primitive.
+    Between minimizations the rows are plain tuples and the targets their
+    column positions; each eliminated column is cut at once, moving later
+    targets down one.  Every row the steps make is already primitive.
     """
     targets = set(coords)
-    _kept_coordinates(h, targets)  # refuses coordinates out of range, or all of them
-    cols = list(range(h.dimension))  # the original position of each column of the rows
+    kept = len(_kept_coordinates(h, targets))  # refuses coordinates out of range, or all of them
     eqs, ineqs = h.equalities, h.inequalities
-    system = None  # the minimized system, while no step has followed its pairing
     while targets:
-        involved = {cols[j] for j, column in enumerate(zip(*eqs)) if any(column)}
+        involved = {j for j, column in enumerate(zip(*eqs)) if any(column)}
         if eq_coords := targets & involved:
-            j = cols.index(min(eq_coords))
+            j = min(eq_coords)
             pivot = min((e for e in eqs if e[j]), key=lambda e: (len(e) - e.count(0), e))
             # a positive lead keeps every inequality's direction; the pivot itself becomes zero
             pivot = pivot if pivot[j] > 0 else tuple(-v for v in pivot)
             eqs = [_combine(pivot[j], r, r[j], pivot) if r[j] else r for r in eqs]
             ineqs = [_combine(pivot[j], r, r[j], pivot) if r[j] else r for r in ineqs]
         else:
-            j = min(map(cols.index, targets), key=lambda j: (_pairing_cost(ineqs, j), cols[j]))
+            j = min(targets, key=lambda j: (_pairing_cost(ineqs, j), j))
             pos = [r for r in ineqs if r[j] > 0]
             neg = [r for r in ineqs if r[j] < 0]
             ineqs = [r for r in ineqs if r[j] == 0] + [_combine(p[j], n, n[j], p) for p in pos for n in neg]
-        targets.discard(cols.pop(j))
+        targets = {t - (t > j) for t in targets if t != j}
         eqs = [r[:j] + r[j + 1:] for r in eqs]
         ineqs = [r[:j] + r[j + 1:] for r in ineqs]
-        if eq_coords:
-            system = None
-        else:
-            system = remove_redundancies(HRep(len(cols), tuple(eqs), tuple(ineqs)))
+        if targets and not eq_coords:
+            system = remove_redundancies(HRep(kept + len(targets), tuple(eqs), tuple(ineqs)))
             eqs, ineqs = system.equalities, system.inequalities
-    if system is None:
-        system = remove_redundancies(HRep(len(cols), tuple(eqs), tuple(ineqs)))
-    return system
+    return remove_redundancies(HRep(kept, tuple(eqs), tuple(ineqs)))
 
 
 def _pairing_cost(rows: Sequence[Row], j: int) -> int:
@@ -417,8 +411,7 @@ def dd_project(h: HRep, coords: Iterable[int]) -> HRep:
     """Projection via ray enumeration: drop coordinates, re-extremalize; no labels."""
     keep = _kept_coordinates(h, coords)
     v = enumerate_rays(h)
-    rays = {primitive(tuple(r[i] for i in keep)) for r in v.rays}
-    rays = {r for r in rays if any(r)}
+    rays = {primitive(tuple(r[i] for i in keep)) for r in v.rays}  # the polar HRep drops a zero ray
     lineality = [tuple(l[i] for i in keep) for l in v.lineality]
     return facets_from_rays(VRep(len(keep), tuple(sorted(rays)), tuple(lineality)))
 

@@ -1,6 +1,7 @@
 """Pipeline-level behaviour: outer cones, tightness, projections, reports."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from entrocone.causal import (CausalStructure, Node, bell_structure,
                               observed_independence_constraints, structure_from_name)
 from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
                                      contiguous_decomposition_equalities,
-                                     elemental_shannon_system, system_rows)
+                                     elemental_shannon_system, reduced_line_system,
+                                     system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
 from entrocone.polyhedra import (HRep, dd_project, enumerate_rays, facets_from_rays, fm_eliminate,
                                  membership, primitive, reduce_mod_span, rref)
@@ -181,6 +183,20 @@ class TestVerify:
         assert report.verdict == "outer-only"
         assert report.notes == ("witness (1, 2) repeats an already-achieved ray",
                                 "not every extremal ray is achieved by a witness")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_a_line_in_the_reduced_cone_is_not_tight(self, monkeypatch, n):
+        # every reduced inequality is needed: without any one of them the block cone holds a line
+        import entrocone.analysis as analysis
+
+        system = reduced_line_system(n)
+        rows = system.inequalities
+        for k in range(len(rows)):
+            dropped = replace(system, inequalities=rows[:k] + rows[k + 1:])
+            monkeypatch.setattr(analysis, "reduced_line_system", lambda n: dropped)
+            report = verify_line_tightness(n)
+            assert report.verdict == "outer-only"
+            assert "the reduced cone holds a line: its lineality has dimension 1" in report.notes
 
 
 class TestFullMarginalization:

@@ -206,6 +206,8 @@ class TestDSeparation:
             d_separated(g, {"X1"}, {"X1"}, set())
         with pytest.raises(InvalidParameter):
             d_separated(g, {"X1"}, {"nope"}, set())
+        with pytest.raises(InvalidParameter, match="unknown node 'nope'"):
+            g.ancestor_closure(["nope"])
 
     def test_symmetry_and_monotonicity(self):
         rng = np.random.default_rng(7)

@@ -361,6 +361,20 @@ def test_entropy_refuses_a_structure_of_the_wrong_kind(tmp_path, capsys, structu
                             f"or a structure object, not {shown}\n")
 
 
+# an inline structure object is refused as the model file's 'structure' field
+@pytest.mark.parametrize("structure, message", [
+    ({"edges": []}, "structure file must be an object with a 'nodes' field"),
+    ({"nodes": [{"id": 3}]}, "nodes[0].id must be a nonempty string"),
+], ids=["no-nodes", "numeric-id"])
+def test_entropy_names_the_inline_structure_field(tmp_path, capsys, structure, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"structure": structure, "alphabets": {}, "cpts": {}}))
+    assert main(["entropy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"entrocone: model file 'structure' is invalid: {message}\n"
+
+
 # pn:20 with one-valued alphabets: 39 nodes and one joint cell, but 2^39 - 1 subsets
 PN20_UNIT_MODEL = {
     "structure": "pn:20",

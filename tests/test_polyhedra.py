@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entrocone import analysis
 from entrocone._simplex import conic_combination
 from entrocone.causal import (bell_structure, build_line_structure,
                               observed_independence_constraints)
@@ -796,3 +797,26 @@ def test_fm_takes_the_per_step_loop_steps_on_bell(monkeypatch):
     new, steps = _fm_systems(monkeypatch, fm_eliminate, h, drop)
     assert len(steps) > 1
     assert (new, steps) == _fm_systems(monkeypatch, fm_eliminate_per_step, h, drop)
+
+
+@pytest.mark.parametrize("pipeline", [
+    lambda: analysis.full_marginal_outer_cone(build_line_structure(4), engine="fm"),
+    lambda: analysis.post_selected_marginal_cone(4, engine="fm"),
+], ids=["marginalize pn:4", "bc-cone 4"])
+def test_fm_takes_the_per_step_loop_steps_on_block_systems(monkeypatch, pipeline):
+    # the block systems the pipelines hand fm_eliminate: long mixed runs of
+    # substitutions and pairings
+    calls = []
+
+    def recorded(h, coords):
+        calls.append((h, list(coords)))
+        return fm_eliminate(h, coords)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "fm_eliminate", recorded)
+        pipeline()
+    assert calls
+    for h, drop in calls:
+        new, steps = _fm_systems(monkeypatch, fm_eliminate, h, drop)
+        assert len(steps) > 1
+        assert (new, steps) == _fm_systems(monkeypatch, fm_eliminate_per_step, h, drop)
