@@ -8,7 +8,6 @@ observed-level independence equalities implied by disjoint ancestry.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -44,37 +43,38 @@ class CausalStructure:
     copies: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        known = frozenset(n.id for n in self.nodes)
-        if len(known) != len(self.nodes):
+        at = {n.id: i for i, n in enumerate(self.nodes)}
+        if len(at) != len(self.nodes):
             raise InvalidParameter("node ids must be unique")
-        seen: set[tuple[str, str]] = set()
+        parents = [0] * len(at)
+        children: list[list[int]] = [[] for _ in at]
         for parent, child in self.edges:
-            if parent not in known or child not in known:
+            if parent not in at or child not in at:
                 raise InvalidParameter(f"edge ({parent!r}, {child!r}) names an unknown node")
-            if (parent, child) in seen:
+            if parents[at[child]] >> at[parent] & 1:
                 raise InvalidParameter(f"edge ({parent!r}, {child!r}) is listed twice")
-            seen.add((parent, child))
-        # built once and read by every graph query; callers only see tuples or copies
-        object.__setattr__(self, "_parents",
-                           self._links((child, parent) for parent, child in self.edges))
-        object.__setattr__(self, "_children", self._links(self.edges))
-        if len(order := self._kahn_order()) != len(self.nodes):
-            left = ", ".join(repr(n.id) for n in self.nodes if n.id not in order)
+            parents[at[child]] |= 1 << at[parent]
+            children[at[parent]].append(at[child])
+        # Kahn's pass: a node's closure is final once every parent has passed it
+        # on; a cycle leaves its nodes, and those below it, waiting
+        closure = [1 << i for i in range(len(at))]
+        waiting = [mask.bit_count() for mask in parents]
+        ready = [i for i, count in enumerate(waiting) if not count]
+        while ready:
+            node = ready.pop()
+            for child in children[node]:
+                closure[child] |= closure[node]
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+        if any(waiting):
+            left = ", ".join(repr(n.id) for n, count in zip(self.nodes, waiting) if count)
             raise InvalidParameter(
                 f"edge relation must be acyclic; on a cycle or below one: {left}")
-
-    def _kahn_order(self) -> tuple[str, ...]:
-        """Nodes with every parent first; a cycle leaves its nodes out."""
-        indeg = {node: len(parents) for node, parents in self._parents.items()}
-        queue = deque(i for i, d in indeg.items() if d == 0)
-        order = []
-        while queue:
-            order.append(queue.popleft())
-            for c in self._children[order[-1]]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return tuple(order)
+        # read by every graph query: masks over positions in ``nodes``
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "_parents", tuple(parents))
+        object.__setattr__(self, "_closure", tuple(closure))
 
     # -- basic queries -------------------------------------------------
 
@@ -86,26 +86,28 @@ class CausalStructure:
 
     def parents_map(self) -> dict[str, list[str]]:
         """Each node's parents in node order, as a fresh dict the caller may change."""
-        return {node: list(linked) for node, linked in self._parents.items()}
-
-    def _links(self, pairs: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-        """Each node's linked nodes in node order, from (node, linked) pairs."""
-        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for node, linked in pairs:
-            out[node].append(linked)
-        order = {n.id: i for i, n in enumerate(self.nodes)}
-        return {node: tuple(sorted(lst, key=order.__getitem__)) for node, lst in out.items()}
+        return {n.id: self._names(mask) for n, mask in zip(self.nodes, self._parents)}
 
     def ancestor_closure(self, nodes: Iterable[str]) -> frozenset[str]:
         """Nodes together with all of their ancestors."""
-        nodes = list(nodes)
-        for node in nodes:
-            self._require(node)
-        return _reach(nodes, self._parents)
+        return frozenset(self._names(self._ancestors(self._mask(nodes))))
 
-    def _require(self, node: str) -> None:
-        if node not in self._parents:
-            raise InvalidParameter(f"unknown node {node!r}")
+    def _mask(self, names: Iterable[str]) -> int:
+        mask = 0
+        for name in names:
+            if name not in self._at:
+                raise InvalidParameter(f"unknown node {name!r}")
+            mask |= 1 << self._at[name]
+        return mask
+
+    def _names(self, mask: int) -> list[str]:
+        return [self.nodes[i].id for i in _bit_positions(mask)]
+
+    def _ancestors(self, mask: int) -> int:
+        out = 0
+        for i in _bit_positions(mask):
+            out |= self._closure[i]
+        return out
 
     # -- serialization ---------------------------------------------------
 
@@ -120,12 +122,16 @@ class CausalStructure:
 
     @staticmethod
     def from_json(text: str) -> "CausalStructure":
-        data = parse_json(text, "structure file")
+        return CausalStructure.from_object(parse_json(text, "structure file"), "structure file")
+
+    @staticmethod
+    def from_object(data: object, what: str) -> "CausalStructure":
+        """The structure that parsed JSON ``data`` describes; ``what`` names it in refusals."""
         if not isinstance(data, dict) or "nodes" not in data:
-            raise InvalidParameter("structure file must be an object with a 'nodes' field")
+            raise InvalidParameter(f"{what} must be an object with a 'nodes' field")
         for key in ("nodes", "edges"):
             if not isinstance(data.get(key, []), list):
-                raise InvalidParameter(f"structure file {key!r} must be a list")
+                raise InvalidParameter(f"{what} {key!r} must be a list")
         nodes = []
         for i, entry in enumerate(data["nodes"]):
             if not isinstance(entry, dict) or "id" not in entry:
@@ -144,21 +150,9 @@ class CausalStructure:
             edges.append(tuple(entry))
         observed = sum(1 for n in nodes if n.kind == "observed")
         if observed > _MAX_SELECTOR_OBSERVED:
-            raise InvalidParameter(f"structure file has {observed} observed nodes; "
+            raise InvalidParameter(f"{what} has {observed} observed nodes; "
                                    f"the ceiling is {_MAX_SELECTOR_OBSERVED}")
         return CausalStructure(tuple(nodes), tuple(edges))
-
-
-def _reach(starts: Iterable[str], links: dict[str, Sequence[str]]) -> frozenset[str]:
-    """``starts`` and every node reachable from them along ``links``."""
-    seen: set[str] = set()
-    stack = list(starts)
-    while stack:
-        cur = stack.pop()
-        if cur not in seen:
-            seen.add(cur)
-            stack.extend(links[cur])
-    return frozenset(seen)
 
 
 # -- built-in structures ----------------------------------------------------
@@ -269,60 +263,46 @@ def d_separated(structure: CausalStructure, x: Iterable[str], y: Iterable[str],
 
     A path is blocked if it contains a chain or fork through a member of z,
     or a collider whose node has neither itself nor any descendant in z.
-    Implemented by reachability over (node, incoming-direction) states, so
-    the cost is linear in the graph size.
+    Decided by the moral-graph criterion (Lauritzen, Dawid, Larsen & Leimer,
+    Networks 1990): x and y are d-separated by z exactly when z separates
+    them in the moral graph of the ancestor closure of x, y and z, where
+    each node is linked to its parents and its parents to each other.
     """
-    xs, ys, zs = frozenset(x), frozenset(y), frozenset(z)
-    for node in (*xs, *ys, *zs):
-        structure._require(node)
+    xs, ys, zs = structure._mask(x), structure._mask(y), structure._mask(z)
     if xs & ys or xs & zs or ys & zs:
         raise InvalidParameter("node sets must be pairwise disjoint")
     if not xs or not ys:
         return True
-    parents, children = structure._parents, structure._children
-    # collider openers: the ancestor closure of z (nodes with a descendant in z, z included)
-    opens_collider = _reach(zs, parents)
-    # states: (node, direction); direction 'up' = entered from a child,
-    # 'down' = entered from a parent
-    visited: set[tuple[str, str]] = set()
-    queue: deque[tuple[str, str]] = deque()
-    for s in xs:
-        queue.append((s, "up"))
-    while queue:
-        node, direction = queue.popleft()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node in ys:
-            return False
-        if direction == "up":
-            if node not in zs:
-                for p in parents[node]:
-                    queue.append((p, "up"))
-                for c in children[node]:
-                    queue.append((c, "down"))
-        else:
-            if node not in zs:
-                for c in children[node]:
-                    queue.append((c, "down"))
-            if node in opens_collider:
-                for p in parents[node]:
-                    queue.append((p, "up"))
-    return True
+    # the moral graph links the members of each family (a node and its parents);
+    # the closure holds every member's parents, so each family lies inside it
+    linked = [0] * len(structure.nodes)
+    for i in _bit_positions(structure._ancestors(xs | ys | zs)):
+        if parents := structure._parents[i]:  # a root's family links nothing
+            family = parents | 1 << i
+            for j in _bit_positions(family):
+                linked[j] |= family
+    reached = frontier = xs
+    while frontier:
+        step = 0
+        for i in _bit_positions(frontier):
+            step |= linked[i]
+        frontier = step & ~zs & ~reached
+        reached |= frontier
+    return not reached & ys
 
 
 def clash_masks(structure: CausalStructure, nodes: Sequence[str]) -> list[int]:
     """Per node of ``nodes``, bit j set when the j-th node's ancestor closure meets its own."""
-    closures = [structure.ancestor_closure([v]) for v in nodes]
+    closures = [structure._ancestors(structure._mask([v])) for v in nodes]
     return [sum(1 << j for j, other in enumerate(closures) if mine & other) for mine in closures]
 
 
-def ancestor_disjoint_pairs(
-        structure: CausalStructure) -> list[tuple[frozenset[str], frozenset[str]]]:
+def ancestor_disjoint_pairs(structure: CausalStructure) -> list[tuple[int, int]]:
     """Every pair of observed subsets with disjoint ancestor closures.
 
-    Each unordered pair comes once, with the earliest observed node in the
-    first set, and the list is sorted by member positions.  The pipelines
+    Each subset is a bitmask over positions in ``observed_ids()``.  Each
+    unordered pair comes once, with the earliest observed node in the first
+    mask, and the list is sorted by member positions.  The pipelines
     consume the whole list alongside the Shannon inequalities.
     """
     observed = structure.observed_ids()
@@ -337,8 +317,7 @@ def ancestor_disjoint_pairs(
             pairs.append((s, t))
             t = (t - 1) & free
     pairs.sort(key=lambda st: (_bit_positions(st[0]), _bit_positions(st[1])))
-    return [tuple(frozenset(observed[i] for i in _bit_positions(side)) for side in st)
-            for st in pairs]
+    return pairs
 
 
 def observed_independence_constraints(structure: CausalStructure) -> tuple[LinearForm, ...]:
@@ -349,6 +328,5 @@ def observed_independence_constraints(structure: CausalStructure) -> tuple[Linea
     too: every collider blocks, and a path without one has a node that is an
     ancestor of both ends (``test_all_forms_certified_by_d_separation``).
     """
-    bit = {v: 1 << i for i, v in enumerate(structure.observed_ids())}
-    return tuple(conditional_mutual_information(sum(map(bit.get, s)), sum(map(bit.get, t)))
+    return tuple(conditional_mutual_information(s, t)
                  for s, t in ancestor_disjoint_pairs(structure))

@@ -339,7 +339,7 @@ def model_from_json(text: str) -> CausalModel:
         structure = structure_from_name(ref)
     elif isinstance(ref, dict):
         try:
-            structure = CausalStructure.from_json(json.dumps(ref))
+            structure = CausalStructure.from_object(ref, "the inline structure")
         except InvalidParameter as exc:
             raise InvalidParameter(f"model file 'structure' is invalid: {exc}") from None
     else:

@@ -15,7 +15,8 @@ from entrocone.causal import (CausalStructure, Node, ancestor_disjoint_pairs,
                               reduced_line_structure, structure_from_name)
 from entrocone.cli import main
 from entrocone.distributions import compile_model
-from entrocone.entropy_space import BlockSplit, CoordinateIndex, substitute_contiguous
+from entrocone.entropy_space import (BlockSplit, CoordinateIndex, _bit_positions,
+                                     substitute_contiguous)
 from entrocone.errors import InvalidParameter
 
 from conftest import descendants, dsep_bruteforce, hidden_ids, random_dag, random_model
@@ -169,6 +170,25 @@ class TestGraphMaps:
                              Node("c", "observed")), (("b", "c"), ("a", "c")))
         assert g.parents_map() == {"a": [], "b": [], "c": ["a", "b"]}
 
+    def test_wide_masks_on_a_long_hidden_chain(self):
+        # h(k+1) -> h(k), child first, so every closure spans thousands of bits
+        size = 3000
+        hidden = [f"h{k}" for k in range(size)]
+        nodes = (*(Node(v, "observed") for v in "ABC"), *(Node(h, "unobserved") for h in hidden))
+        edges = (*((hidden[k + 1], hidden[k]) for k in range(size - 1)),
+                 ("h0", "A"), (hidden[-1], "B"))
+        g = CausalStructure(nodes, edges)
+        assert g.ancestor_closure(["A"]) == {"A", *hidden}
+        expected = {"A": ["h0"], "B": [hidden[-1]], "C": [],
+                    **{h: hidden[k + 1:k + 2] for k, h in enumerate(hidden)}}
+        assert g.parents_map() == expected
+        assert list(g.parents_map()) == list(g.node_ids())
+        assert clash_masks(g, ["A", "B", "C"]) == [0b011, 0b011, 0b100]
+        left = ", ".join(repr(v) for v in ("A", "B", *hidden))
+        with pytest.raises(InvalidParameter) as refused:
+            CausalStructure(nodes, (*edges, ("h0", hidden[-1])))
+        assert str(refused.value) == f"edge relation must be acyclic; on a cycle or below one: {left}"
+
 
 class TestDSeparation:
     def test_line4_observed_independences(self):
@@ -312,8 +332,10 @@ def _check_d_separated(structure):
     """Each ancestor-disjoint pair is d-separated given the empty set."""
     pairs = ancestor_disjoint_pairs(structure)
     assert len(pairs) == len(observed_independence_constraints(structure))
+    observed = structure.observed_ids()
     for s, t in pairs:
-        assert d_separated(structure, s, t, set())
+        assert d_separated(structure, [observed[i] for i in _bit_positions(s)],
+                           [observed[i] for i in _bit_positions(t)], set())
 
 
 def _check_vanish_in_blocks(structure):
@@ -360,9 +382,9 @@ def _scan_ancestor_disjoint_pairs(structure):
         seen.add(key)
         if min(order[v] for v in t) < min(order[v] for v in s):
             s, t = t, s
-        pairs.append((frozenset(s), frozenset(t)))
-    pairs.sort(key=lambda st: (sorted(order[v] for v in st[0]),
-                               sorted(order[v] for v in st[1])))
+        pairs.append((sum(1 << order[v] for v in s), sum(1 << order[v] for v in t)))
+    pairs.sort(key=lambda st: (sorted(i for i in range(m) if st[0] >> i & 1),
+                               sorted(i for i in range(m) if st[1] >> i & 1)))
     return pairs
 
 

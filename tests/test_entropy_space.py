@@ -124,10 +124,12 @@ def _spans(system, form):
 
 
 class TestClassicalCI:
-    def test_line3_count(self):
-        system = classical_ci_system(build_line_structure(3))
-        assert len(system.equalities) == 31  # of the 5 + 10 * 8 elemental forms
-        assert len(system.equalities) + len(system.inequalities) == 85
+    # pn:3 and bell have 5 nodes, so 5 + 10 * 8 = 85 elemental forms
+    @pytest.mark.parametrize("name, equalities, inequalities", [
+        ("pn:3", 31, 54), ("bell", 31, 54), ("pn:4", 351, 328), ("ptilde:3", 320, 359)])
+    def test_equality_split(self, name, equalities, inequalities):
+        system = classical_ci_system(structure_from_name(name))
+        assert (len(system.equalities), len(system.inequalities)) == (equalities, inequalities)
 
     def test_bell_contains_local_causality_marginal(self):
         system = classical_ci_system(bell_structure())

@@ -363,7 +363,7 @@ def test_entropy_refuses_a_structure_of_the_wrong_kind(tmp_path, capsys, structu
 
 # an inline structure object is refused as the model file's 'structure' field
 @pytest.mark.parametrize("structure, message", [
-    ({"edges": []}, "structure file must be an object with a 'nodes' field"),
+    ({"edges": []}, "the inline structure must be an object with a 'nodes' field"),
     ({"nodes": [{"id": 3}]}, "nodes[0].id must be a nonempty string"),
 ], ids=["no-nodes", "numeric-id"])
 def test_entropy_names_the_inline_structure_field(tmp_path, capsys, structure, message):
