@@ -3,11 +3,14 @@
 H-representations are integer inequality/equality rows (a row r constrains
 r . v >= 0 or r . v = 0); V-representations are primitive integer extremal
 rays plus a lineality basis.  Conversions run the double description
-method, which inserts the inequality rows in the order they are given;
-projections run either Fourier-Motzkin elimination (one coordinate at a
-time: substitution through an equality, or pairing followed by one
-redundancy removal) or the double-description route (enumerate rays, drop
-coordinates, re-extremalize); both return unlabeled cones.  Rank and
+method, which inserts the inequality rows in the order they are given and
+marks each ray with the rows tight on it.  Redundancy removal reads the
+facets off those marks in the same pass, so only a conversion of given
+rays to facets runs the polar pass.  Projections run either
+Fourier-Motzkin elimination (one coordinate at a time: substitution
+through an equality, or pairing followed by one redundancy removal) or
+the double-description route (enumerate rays, drop coordinates,
+re-extremalize); both return unlabeled cones.  Rank and
 span queries grow an integer echelon of sparse ``{column: value}`` rows,
 :class:`Echelon`; :func:`rref` is two of them, forward and back, and the
 only place dense rows become sparse.  Everything is computed in exact
@@ -198,13 +201,15 @@ def _check_shape(rep: HRep | VRep, rows: Sequence[Row], what: str) -> None:
 
 # -- double description --------------------------------------------------------
 
-def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tuple[list[Row], list[Row]]:
+def _dd_pointed_with_lineality(basis: Sequence[Row],
+                               rows: Sequence[Row]) -> tuple[list[tuple[Row, int]], list[Row]]:
     """Core double-description pass over inequality rows only, in the given order.
 
     Starts from the linear space spanned by ``basis`` (the solution space
     of the equalities, or the whole space) and maintains a lineality basis
     B and extremal rays R of the cone cut out by the rows processed so far.
-    Rays carry bitmasks of the processed rows they satisfy with equality;
+    Rays carry bitmasks of the processed rows they satisfy with equality
+    (bit t for ``rows[t]``), and come back as (ray, mask) pairs;
     adjacency uses the standard combinatorial test on those masks, with a
     popcount prefilter (a pair needs at least d - |B| - 2 common tight
     rows, d being the size of the starting basis).  A third ray that is
@@ -260,8 +265,7 @@ def _dd_pointed_with_lineality(basis: Sequence[Row], rows: Sequence[Row]) -> tup
                         w = _combine(vp, rn, vn, rp)
                         combined.setdefault(w, meet | bit)
         rays = [(r, z) for r, z, _ in pos] + zero + list(combined.items())
-    ray_vectors = [r for r, _ in rays]
-    return ray_vectors, basis
+    return rays, basis
 
 
 def _adjacent(meet: int, zp: int, zn: int, masks: Sequence[int]) -> bool:
@@ -274,6 +278,23 @@ def _adjacent(meet: int, zp: int, zn: int, masks: Sequence[int]) -> bool:
     return True
 
 
+def _primal_dd(h: HRep) -> tuple[list[Row], list[tuple[Row, int]], list[Row]]:
+    """The double description of ``h``: the rows it inserts, its (ray, mask) pairs, its lineality.
+
+    The pass starts from the solution space of the equalities.  Rows equal
+    modulo span(E) cut that space alike and rows in span(E) do not cut it;
+    extra copies would only weaken the DD prefilter, so the first row of
+    each class is inserted, and bit t of a mask stands for the t-th of them.
+    """
+    eq_rref, eq_pivots = rref(h.equalities)
+    classes: dict[Row, Row] = {}
+    for a in h.inequalities:
+        classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
+    classes.pop(tuple([0] * h.dimension), None)
+    rows = list(classes.values())
+    return rows, *_dd_pointed_with_lineality(nullspace(eq_rref, h.dimension), rows)
+
+
 def enumerate_rays(h: HRep) -> VRep:
     """All extremal rays of the cone, primitive and lexicographically sorted.
 
@@ -283,21 +304,14 @@ def enumerate_rays(h: HRep) -> VRep:
     Rays are canonicalized modulo the lineality span so outputs are
     deterministic.  The inequalities are inserted in the order given: the
     result does not depend on it, only the time does, so the order is
-    chosen where the rows are built (see ``elemental_forms``).
+    chosen where the rows are built (see ``elemental_forms``).  The tight
+    masks the pass keeps are dropped here; :func:`remove_redundancies`
+    reads the facets off them.
     """
-    # Rows equal modulo span(E) cut the equality space alike and rows in span(E)
-    # do not cut it; extra copies would only weaken the DD prefilter, so the
-    # first row of each class is kept.
     zero = tuple([0] * h.dimension)
-    eq_rref, eq_pivots = rref(h.equalities)
-    classes: dict[Row, Row] = {}
-    for a in h.inequalities:
-        classes.setdefault(reduce_mod_span(a, eq_rref, eq_pivots), a)
-    classes.pop(zero, None)
-    rays, lineality = _dd_pointed_with_lineality(nullspace(eq_rref, h.dimension),
-                                                 list(classes.values()))
+    _, pairs, lineality = _primal_dd(h)
     lin_rref, pivots = rref(lineality)
-    canon = sorted({reduce_mod_span(r, lin_rref, pivots) for r in rays} - {zero})
+    canon = sorted({reduce_mod_span(r, lin_rref, pivots) for r, _ in pairs} - {zero})
     return VRep(h.dimension, tuple(canon), tuple(lin_rref), h.labels)
 
 
@@ -307,7 +321,8 @@ def facets_from_rays(v: VRep) -> HRep:
     The polar cone of cone(rays) + span(lineality) is cut out by the rays
     as inequality rows and the lineality as equality rows, so one double
     description pass yields the facets (polar rays) and the equality space
-    (polar lineality) at once.
+    (polar lineality) at once.  Converting an H-representation does not
+    need it: :func:`remove_redundancies` reads the facets off the rows.
     """
     polar = HRep(v.dimension, equalities=v.lineality, inequalities=v.rays)
     polar_v = enumerate_rays(polar)
@@ -318,12 +333,39 @@ def facets_from_rays(v: VRep) -> HRep:
 def remove_redundancies(h: HRep, certificates: bool = False):
     """Irredundant H-representation of the same cone.
 
-    Runs the double-description dual pass, which canonicalizes the facet
-    set and the equality space.  With ``certificates`` each input row is
+    Runs one double description of ``h`` and reads the facets off the
+    tight masks it keeps on each ray (Ziegler, *Lectures on Polytopes*,
+    ch. 2).  Each inserted row is tight on a set of rays.  A row tight on
+    every ray is an implicit equality, so the equality space is the
+    :func:`rref` of E and those rows.  Every facet is cut out by some row,
+    and a row defines a facet exactly when its set is maximal among the
+    proper ones; rows with the same set define the same facet.  Each facet
+    prints as its row reduced modulo the equality space, and the facets
+    are sorted: the bytes :func:`facets_from_rays` gives on the rays,
+    without its polar pass.  With ``certificates`` each input row is
     expressed as a nonnegative rational combination of the kept rows (plus
     arbitrary combinations of the kept equalities), witnessing soundness.
     """
-    minimal = facets_from_rays(enumerate_rays(h))
+    rows, pairs, _ = _primal_dd(h)
+    # the masks transposed: the t-th character of a ray's string is its bit t,
+    # and a row's tight set has one bit per ray, the first ray's highest
+    bits = [bin(z)[:1:-1].ljust(len(rows), "0") for _, z in pairs]
+    tight = [int("".join(column), 2) for column in zip(*bits)] if bits else [0] * len(rows)
+    every = (1 << len(pairs)) - 1
+    row_of: dict[int, Row] = {}
+    implicit = []
+    for a, mask in zip(rows, tight):
+        if mask == every:
+            implicit.append(a)
+        else:
+            row_of.setdefault(mask, a)
+    maximal: list[int] = []
+    for mask in sorted(row_of, key=int.bit_count, reverse=True):
+        if all(mask & m != mask for m in maximal):
+            maximal.append(mask)
+    eq_rref, pivots = rref([*h.equalities, *implicit])
+    facets = sorted(reduce_mod_span(row_of[m], eq_rref, pivots) for m in maximal)
+    minimal = HRep(h.dimension, tuple(eq_rref), tuple(facets), h.labels)
     if not certificates:
         return minimal
     certs = []

@@ -74,6 +74,15 @@ def cones_equal(a: HRep | VRep, b: HRep | VRep) -> bool:
     return contains(a, b) and contains(b, a)
 
 
+def polar_remove_redundancies(h: HRep) -> HRep:
+    """The minimal H-representation by the polar route, the reference for ``remove_redundancies``.
+
+    It enumerates the rays, then runs a second, polar double description
+    on them for the facets and the equality space.
+    """
+    return facets_from_rays(enumerate_rays(h))
+
+
 def sparse(row: Sequence[int]) -> dict[int, int]:
     """A dense row as the ``{column: value}`` map of its nonzeros that :class:`Echelon` takes."""
     return {c: v for c, v in enumerate(row) if v}

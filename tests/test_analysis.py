@@ -21,12 +21,14 @@ from entrocone.entropy_space import (BlockSplit, CoordinateIndex,
                                      system_rows)
 from entrocone.errors import InvalidParameter, NodeGuardExceeded
 from entrocone.polyhedra import (HRep, dd_project, enumerate_rays, facets_from_rays, fm_eliminate,
-                                 membership, primitive, reduce_mod_span, rref)
+                                 membership, primitive, reduce_mod_span, remove_redundancies,
+                                 rref)
 
 from conftest import (full_coordinate_marginal_cone, full_coordinate_post_selected_cone,
                       hidden_ids, local_markov_projection, random_dag)
 from oracles import (cones_equal, dense_nice_equalities, fraction_primitive, independence_rows,
-                     mask_of, nice_equalities, snapped, split_p3_witness)
+                     mask_of, nice_equalities, polar_remove_redundancies, snapped,
+                     split_p3_witness)
 from reference_tables import LINE4_RAYS, POST_SELECTED3_RAYS
 
 
@@ -72,6 +74,28 @@ class TestObservedOuterCone:
         observed_outer_cone(structure)
         assert block_rows == 99
         assert sizes and max(sizes) <= block_rows
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_tight_masks_give_the_block_facets(self, monkeypatch, n):
+        import entrocone.analysis as analysis
+
+        # outer drops no block, so its facets are the polar pass on the block rays
+        blocks, facets = [], []
+        rays_of, polar = analysis.enumerate_rays, analysis.facets_from_rays
+
+        def recorded_rays(h):
+            blocks.append(h)
+            return rays_of(h)
+
+        def recorded_facets(v):
+            facets.append(polar(v))
+            return facets[-1]
+
+        monkeypatch.setattr(analysis, "enumerate_rays", recorded_rays)
+        monkeypatch.setattr(analysis, "facets_from_rays", recorded_facets)
+        observed_outer_cone(build_line_structure(n))
+        [block], [projected] = blocks, facets
+        assert remove_redundancies(block) == projected == polar_remove_redundancies(block)
 
 
 class TestVerify:
@@ -280,6 +304,26 @@ class TestFullMarginalization:
         monkeypatch.setattr(polyhedra, "remove_redundancies", recorded)
         run()
         assert 0 < max(sizes) <= 2 * largest
+
+    @pytest.mark.parametrize("run", [
+        lambda: full_marginal_outer_cone(bell_structure(), engine="fm"),
+        lambda: full_marginal_outer_cone(build_line_structure(3), engine="fm"),
+        lambda: post_selected_marginal_cone(3, engine="fm")],
+        ids=["marginalize bell", "marginalize pn:3", "bc-cone 3"])
+    def test_each_fm_minimization_matches_the_polar_pass(self, monkeypatch, run):
+        from entrocone import polyhedra
+        calls = []
+        minimize = polyhedra.remove_redundancies
+
+        def recorded(h):
+            calls.append((h, minimize(h)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(polyhedra, "remove_redundancies", recorded)
+        run()
+        assert len(calls) > 1
+        for h, minimal in calls:
+            assert minimal == polar_remove_redundancies(h)
 
     def test_guard_refuses_and_names_flag(self):
         with pytest.raises(NodeGuardExceeded, match="max-nodes"):

@@ -21,7 +21,7 @@ from entrocone.polyhedra import (Echelon, HRep, VRep, _dd_pointed_with_lineality
 
 from conftest import (fm_eliminate_per_step, hidden_ids, local_markov_projection,
                       random_cone_hrep)
-from oracles import cones_equal, fraction_primitive, sparse
+from oracles import cones_equal, fraction_primitive, polar_remove_redundancies, sparse
 from reference_tables import LINE4_RAYS
 
 
@@ -583,6 +583,11 @@ def test_rays_do_not_depend_on_the_row_order(case):
 # -- oracle: the candidate-restricted adjacency scan against the full scan -----
 
 def _full_scan_dd(basis, rows):
+    """The DD scanning every ray per adjacency test: (ray, tight mask) pairs and the lineality.
+
+    The masks are compared too, since :func:`remove_redundancies` reads the
+    facets off them.
+    """
     start = len(basis)
     rays = []
     for t, a in enumerate(rows):
@@ -644,7 +649,7 @@ def _full_scan_dd(basis, rows):
                 w = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
                 combined.setdefault(w, meet | bit)
         rays = [(r, z) for r, z, _ in pos] + zero + list(combined.items())
-    return [r for r, _ in rays], basis
+    return rays, basis
 
 
 def _full_scan_adjacent(meet, zp, zn, all_masks):
@@ -706,6 +711,54 @@ def test_dd_does_not_depend_on_basis_signs(case, data):
     assert len(flipped_lineality) == len(lineality)
     for b, c in zip(lineality, flipped_lineality):
         assert b == c or b == tuple(-x for x in c)
+
+
+# -- oracle: facets off the tight masks against the polar pass ----------------
+
+@st.composite
+def _redundancy_case(draw):
+    """A cone whose rows make redundancy removal hard, in the spirit of ``_dd_case``.
+
+    Rows are repeated, negated (an implicit equality), summed, combined as
+    Fourier-Motzkin would, shifted by an equality (one class modulo span(E))
+    or taken from span(E); the last coordinates may be free in every row,
+    which leaves a lineality space.
+    """
+    dim = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.sampled_from((-1, 0, 0, 1))]))
+    free = draw(st.integers(0, dim - 1))
+    row = st.lists(entry, min_size=dim - free, max_size=dim - free).map(lambda r: (*r, *[0] * free))
+    eqs = draw(st.lists(row, max_size=2))
+    rows = draw(st.lists(row, min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 5))):
+        p, n = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(0, dim - 1))
+        kind = draw(st.sampled_from(["copy", "negated", "sum", "fm", "shifted", "in span(E)"]))
+        if kind == "copy":
+            new = p
+        elif kind == "negated":
+            new = tuple(-x for x in p)
+        elif kind in ("shifted", "in span(E)") and eqs:
+            e = draw(st.sampled_from(eqs))
+            new = tuple(x + y for x, y in zip(p, e)) if kind == "shifted" else e
+        elif kind == "fm" and p[c] > 0 > n[c]:
+            new = tuple(p[c] * x - n[c] * y for x, y in zip(n, p))
+        else:
+            new = tuple(x + y for x, y in zip(p, n))
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return HRep(dim, tuple(eqs), tuple(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_redundancy_case())
+@example(HRep(2, (), ((1, 0), (-1, 0), (0, 1), (0, -1))))  # {0}: no ray, no lineality
+@example(HRep(3, ((1, 0, 0),), ((0, 1, 0), (0, -1, 0))))  # a line: no ray, an implicit equality
+@example(HRep(2, ((1, 0), (0, 1)), ((1, 1),)))  # {0} from the equalities alone
+@example(HRep(2))  # the whole space
+@example(HRep(2, (), ((1, 0),)))  # a half-plane: one facet, tight on no ray
+@example(HRep(2, (), ((1, 0), (0, 1), (1, 1), (2, 0)), labels=("a", "b")))
+def test_facets_off_the_tight_masks_match_the_polar_pass(h):
+    assert remove_redundancies(h) == polar_remove_redundancies(h)
 
 
 def _random_projections(rng):
